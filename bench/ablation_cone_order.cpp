@@ -25,7 +25,7 @@ int main() {
     for (const Benchmark& b : suite) {
         if (b.network.logic_node_count() > 800) continue;
         const DecomposeResult sub = decompose(b.network);
-        const auto cones = logic_cones(sub.graph);
+        const ConePartition cones = partition_cones(sub.graph);
         const auto matrix = exit_line_matrix(sub.graph, cones);
         std::vector<std::size_t> identity(cones.size());
         for (std::size_t i = 0; i < identity.size(); ++i) identity[i] = i;

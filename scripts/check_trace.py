@@ -16,12 +16,20 @@ Checks (all hard failures):
     rss_peak_kb.<stage>) reference known stages, are non-negative, and
     arrive exactly one triple per span — the StageScope destructor emits
     them together with the span close;
+  * mapping phase counters (mapping.inchoate_place_ms / cone_order_ms /
+    dp_ms / replace_ms) come as one full set per Lily mapping span, just
+    before that span's memory triple; each is non-negative and their sum
+    fits inside the span (a wire-blind mapping span carries none);
   * the report's embedded "trace" block agrees with the file dump.
 
 Exit code 0 on success, 1 on any violation.
 """
 import json
 import sys
+
+
+MAPPING_PHASES = ("mapping.inchoate_place_ms", "mapping.cone_order_ms",
+                  "mapping.dp_ms", "mapping.replace_ms")
 
 
 def fail(msg):
@@ -103,6 +111,35 @@ def main():
         if mem_count[p] != span_count:
             fail(f"{p}* counters per stage {mem_count[p]!r} do not match "
                  f"span executions {span_count!r}")
+
+    # Mapping phase counters: pending ones belong to the mapping span whose
+    # alloc_count.mapping closes them (spans and their memory triples are
+    # both recorded in order, one flow at a time per sink).
+    mapping_spans = [s for s in spans if s["name"] == "mapping"]
+    pending, closed = {}, 0
+    for c in counters:
+        name, value = c.get("name", ""), c.get("value", 0.0)
+        if name.startswith("mapping."):
+            if name not in MAPPING_PHASES:
+                fail(f"unknown mapping phase counter {name!r}")
+            if name in pending:
+                fail(f"counter {name!r} repeated within one mapping span")
+            if value < 0:
+                fail(f"counter {name!r} is negative: {value!r}")
+            pending[name] = value
+        elif name == "alloc_count.mapping":
+            if pending:
+                if len(pending) != len(MAPPING_PHASES):
+                    fail(f"mapping span {closed} has an incomplete phase set "
+                         f"{sorted(pending)!r}")
+                span_ms = mapping_spans[closed]["elapsed_ms"]
+                if sum(pending.values()) > span_ms:
+                    fail(f"mapping span {closed}: phase sum {sum(pending.values())!r} "
+                         f"exceeds the span's {span_ms!r} ms")
+            pending = {}
+            closed += 1
+    if pending:
+        fail(f"mapping phase counters {sorted(pending)!r} follow the last mapping span")
 
     embedded = report.get("trace")
     if embedded is None:

@@ -162,10 +162,13 @@ run build-ci-release/bench/kernels --quick --out=BENCH_kernels.json
 echo "+ BENCH_kernels.json:"
 cat BENCH_kernels.json
 
-# The CSR adjacency property tests must also hold under ASan+UBSan: the
-# frozen views are raw spans over pooled storage, exactly where a lifetime
-# bug would hide from the release build.
+# The CSR adjacency, cone partition and Lily mapper tests must also hold
+# under ASan+UBSan: the frozen views and cone bitsets are raw spans over
+# pooled storage, exactly where a lifetime bug would hide from the release
+# build.
 run build-ci-sanitize/tests/csr_test
+run build-ci-sanitize/tests/subject_test
+run build-ci-sanitize/tests/lily_test
 
 # ---- Serving layer: chaos, load-shed, throughput -----------------------
 # The chaos harness floods a live daemon with a poisoned job mix (segv,

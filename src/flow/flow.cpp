@@ -440,6 +440,10 @@ StatusOr<FlowResult> run_lily_flow_checked(const Network& net, const Library& li
             return Status::ok();
         }
         const LilyResult& res = mapped.value();
+        s.counter("inchoate_place_ms", res.timing.inchoate_place_ms);
+        s.counter("cone_order_ms", res.timing.cone_order_ms);
+        s.counter("dp_ms", res.timing.dp_ms);
+        s.counter("replace_ms", res.timing.replace_ms);
         if (res.budget_exhausted) {
             s.degraded("mapping budget exhausted; " + std::to_string(res.degraded_nodes) +
                        " nodes covered with base gates only (" + map_budget.describe() + ")");

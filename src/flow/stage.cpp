@@ -205,6 +205,14 @@ StageBudget& StageScope::budget() {
     return budget_;
 }
 
+void StageScope::counter(std::string_view name, double value) {
+    if (!traced_) return;
+    std::string full = stage_name(id_);
+    full += '.';
+    full += name;
+    ctx_.trace()->counter(full, value);
+}
+
 void StageScope::set_state(StageState state, std::string note) {
     StageDiagnostics& d = diag();
     d.state = state;

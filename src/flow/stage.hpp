@@ -211,6 +211,9 @@ public:
 
     double elapsed_ms() const { return ms_since(t0_); }
 
+    /// Trace counter "<stage>.<name>" (no-op when the flow is untraced).
+    void counter(std::string_view name, double value);
+
 private:
     void set_state(StageState state, std::string note);
 

@@ -1,6 +1,7 @@
 #include "lily/lily_mapper.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <limits>
 #include <span>
@@ -8,28 +9,21 @@
 #include <unordered_set>
 
 #include "util/fault.hpp"
-#include "util/parallel.hpp"
 
 namespace lily {
 
 namespace {
 
-/// One candidate's evaluation, independent of every other candidate: a pure
-/// function of the (frozen) mapping state, so candidates can be scored in
-/// parallel. The winner is picked by a serial fold afterwards, in match
-/// order with the original tie-break, making the chosen match — and thus
-/// the whole mapping — identical for any thread count.
+/// One candidate's evaluation: its DP key, the gate-area tie-break and the
+/// solution it would write into sol[v].
 struct CandEval {
-    bool valid = false;
     double key = 0.0;
     double gate_area = 0.0;  // tie-break
     LilyNodeSolution cand;
 };
 
-/// Per-chunk working storage for the parallel candidate evaluation (one per
-/// kCandidateGrain chunk, indexed by begin/kCandidateGrain — chunk starts
-/// are grain-aligned). Holds every buffer a single evaluation needs, so the
-/// warmed DP scan allocates nothing per candidate.
+/// Every buffer a single candidate evaluation needs, so the warmed DP scan
+/// allocates nothing per candidate.
 struct EvalScratch {
     WireScratch wire;
     MedianScratch median;
@@ -77,13 +71,14 @@ struct Ctx {
     // Matcher buffers reused across every matches_at call of the DP.
     mutable MatchScratch match_scratch{};
     // Pooled DP buffers: the match list is filled in place (recycled slots
-    // keep their inner vectors' capacity), evaluations land in recycled
-    // CandEval slots, and each evaluation chunk owns an EvalScratch. After
-    // the first few nodes warm the pools, solve_node allocates only for the
-    // chosen solution it writes into sol[v].
+    // keep their inner vectors' capacity), and candidates are scored into two
+    // CandEval slots (the one being scored and the best so far) that swap
+    // on every improvement. After the first few nodes warm the pools,
+    // solve_node allocates only for the chosen solution it writes into sol[v].
     mutable std::vector<Match> match_pool{};
-    mutable std::vector<CandEval> eval_pool{};
-    mutable std::vector<EvalScratch> eval_scratch{};
+    mutable CandEval trial{};
+    mutable CandEval best{};
+    mutable EvalScratch scratch{};
 
     /// placePosition/mapPosition lookup per the paper's rules: hawks answer
     /// with their mapPosition, primary inputs with their pad, everything
@@ -112,9 +107,7 @@ void add_true_fanouts(const Ctx& ctx, SubjectId branch, std::vector<SubjectId>& 
 }
 
 /// Cached true-fanout list of `stem`, recomputed lazily after each cone
-/// commit (see Ctx::topo_epoch). Callers inside the parallel candidate
-/// evaluation must only hit warm entries (see warm_caches); cache fills are
-/// serial-only because they mutate the shared visit scratch.
+/// commit (see Ctx::topo_epoch).
 const std::vector<SubjectId>& true_fanouts(const Ctx& ctx, SubjectId stem) {
     if (ctx.tf_cache.size() != ctx.g.size()) {
         ctx.tf_cache.assign(ctx.g.size(), {});
@@ -311,23 +304,10 @@ RiseFallPair arrival_under_load(const Ctx& ctx, SubjectId vi, double c_load) {
     return out;
 }
 
-// ------------------------------------------- parallel candidate evaluation
-
-/// Serially fill every cache a candidate evaluation can read, so that the
-/// parallel evaluation below touches the caches read-only (a cold entry
-/// would otherwise race on the shared visit scratch / cache slots).
-void warm_caches(const Ctx& ctx, SubjectId v, std::span<const Match> matches) {
-    true_fanouts(ctx, v);  // output-load walk in delay mode
-    for (const Match& m : matches) {
-        for (const SubjectId vi : m.inputs) {
-            true_fanouts(ctx, vi);
-            full_fanin_rect(ctx, vi);
-        }
-    }
-}
+// ------------------------------------------------- candidate evaluation
 
 /// Score one candidate into the recycled slot `out` (see CandEval). Every
-/// field the fold or the committed solution can read is written here; the
+/// field the winner check or the committed solution can read is written here; the
 /// stale `out.cand.match` from a previous node is cleared (capacity kept) so
 /// copying the winning slot into sol[v] stays cheap.
 void evaluate_candidate(const Ctx& ctx, SubjectId v, const Match& m, bool degraded,
@@ -403,19 +383,12 @@ void evaluate_candidate(const Ctx& ctx, SubjectId v, const Match& m, bool degrad
     }
     out.key = key;
     out.gate_area = gate.area;
-    out.valid = true;
 }
 
-/// Matches per evaluation chunk — fixed so the chunking (and therefore the
-/// arithmetic inside each evaluation, which is independent anyway) does not
-/// depend on the thread count.
-constexpr std::size_t kCandidateGrain = 2;
-
-/// DP at one gate node: enumerate matches, score every candidate in
-/// parallel against the frozen mapping state, then fold the winner serially
-/// in match order with the original tie-break — the same match wins as in a
-/// serial scan, for any LILY_THREADS value. Shared by the full mapping and
-/// the cone-scoped ECO remap. Unsupported when nothing matches.
+/// DP at one gate node: enumerate matches, score each candidate, and keep
+/// the winner in match order (lower key, then smaller gate area among equal
+/// keys). Shared by the full mapping and the cone-scoped ECO remap.
+/// Unsupported when nothing matches.
 Status solve_node(Ctx& ctx, SubjectId v, bool degraded, bool delay_mode,
                   bool& matcher_fault_pending) {
     std::size_t n_matches = ctx.matcher.matches_at(ctx.g, v, ctx.match_scratch,
@@ -424,42 +397,20 @@ Status solve_node(Ctx& ctx, SubjectId v, bool degraded, bool delay_mode,
         n_matches = 0;
         matcher_fault_pending = false;
     }
-    const std::span<const Match> matches(ctx.match_pool.data(), n_matches);
-    if (!degraded) warm_caches(ctx, v, matches);
-    if (ctx.eval_pool.size() < n_matches) ctx.eval_pool.resize(n_matches);
-    const std::size_t n_chunks = parallel_chunk_count(n_matches, kCandidateGrain);
-    if (ctx.eval_scratch.size() < n_chunks) ctx.eval_scratch.resize(n_chunks);
-    parallel_for(
-        0, n_matches,
-        [&](std::size_t begin, std::size_t end) {
-            // Chunk starts are grain-aligned, so begin / grain is a stable
-            // per-chunk index whatever thread picked the chunk up.
-            EvalScratch& es = ctx.eval_scratch[begin / kCandidateGrain];
-            for (std::size_t i = begin; i < end; ++i) {
-                CandEval& e = ctx.eval_pool[i];
-                e.valid = false;
-                const Match& m = matches[i];
-                if (ctx.opts.cover == CoverMode::Trees && !legal_in_tree_mode(ctx.g, m)) {
-                    continue;  // slot stays invalid
-                }
-                evaluate_candidate(ctx, v, m, degraded, delay_mode, es, e);
-            }
-        },
-        kCandidateGrain);
-
-    // Serial winner fold in match order (original tie-break: lower key,
-    // then smaller gate area among equal keys).
     std::size_t best_i = n_matches;
     double best_key = std::numeric_limits<double>::max();
     double best_area = 0.0;
     for (std::size_t i = 0; i < n_matches; ++i) {
-        const CandEval& e = ctx.eval_pool[i];
-        if (!e.valid) continue;
+        const Match& m = ctx.match_pool[i];
+        if (ctx.opts.cover == CoverMode::Trees && !legal_in_tree_mode(ctx.g, m)) continue;
+        evaluate_candidate(ctx, v, m, degraded, delay_mode, ctx.scratch, ctx.trial);
+        const CandEval& e = ctx.trial;
         if (e.key < best_key ||
             (e.key == best_key && best_i < n_matches && e.gate_area < best_area)) {
             best_key = e.key;
             best_area = e.gate_area;
             best_i = i;
+            std::swap(ctx.trial, ctx.best);
         }
     }
     if (best_i == n_matches) {
@@ -467,7 +418,7 @@ Status solve_node(Ctx& ctx, SubjectId v, bool degraded, bool delay_mode,
                       "LilyMapper: no match at node " + ctx.g.name_of(v));
     }
     LilyNodeSolution& s = ctx.sol[v];
-    s = ctx.eval_pool[best_i].cand;  // match cleared in the slot: cheap copy
+    s = ctx.best.cand;  // match cleared in the slot: cheap copy
     s.match = ctx.match_pool[best_i];
     s.has_match = true;
     return Status::ok();
@@ -530,6 +481,12 @@ void extract_result(Ctx& ctx, bool delay_mode, LilyResult& result) {
     result.solution = std::move(ctx.sol);
 }
 
+using Clock = std::chrono::steady_clock;
+
+double ms_since(Clock::time_point t0) {
+    return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
+}
+
 }  // namespace
 
 StatusOr<LilyResult> LilyMapper::map_checked(
@@ -549,7 +506,9 @@ StatusOr<LilyResult> LilyMapper::map_checked(
     view.netlist.pad_positions = pads;
     GlobalPlacementOptions place_opts = opts.placement;
     if (place_opts.budget == nullptr) place_opts.budget = opts.budget;
+    const Clock::time_point t_place = Clock::now();
     GlobalPlacement inchoate = place_global(view.netlist, region, place_opts);
+    result.timing.inchoate_place_ms = ms_since(t_place);
     if (inchoate.budget_exhausted) result.budget_exhausted = true;
     bool diverged = fault_enabled("placement", "diverge");
     for (const Point& p : inchoate.positions) {
@@ -590,14 +549,22 @@ StatusOr<LilyResult> LilyMapper::map_checked(
         ctx.po_pads_of[g.outputs()[o].driver].push_back(ctx.view.pad_of_output(o));
     }
 
-    // ---- Stage 1: cone ordering (Section 3.5).
-    const std::vector<Cone> cones = logic_cones(g);
-    std::vector<std::size_t> order(cones.size());
-    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-    if (opts.order_cones) order = order_cones(g, cones);
-    result.cone_order = order;
+    // ---- Stage 1: cone ordering (Section 3.5). Bucket k holds the nodes
+    // cone order[k] is the first (in processing order) to contain, so the
+    // bucket walk below solves each node in the first cone that reaches it.
+    const Clock::time_point t_order = Clock::now();
+    ConePartition cones = partition_cones(g);
+    if (opts.order_cones) {
+        result.cone_order = order_cones(g, cones);
+        cones.assign_buckets(g, result.cone_order);
+    } else {
+        result.cone_order.resize(cones.size());
+        for (std::size_t i = 0; i < cones.size(); ++i) result.cone_order[i] = i;
+    }
+    result.timing.cone_order_ms = ms_since(t_order);
 
     // ---- Stage 2: per-cone dynamic programming with layout costs.
+    const Clock::time_point t_dp = Clock::now();
     const bool delay_mode = opts.objective == MapObjective::Delay;
     std::size_t cones_since_replace = 0;
     // Sticky once the stage budget fires: the rest of the nodes take the
@@ -607,12 +574,9 @@ StatusOr<LilyResult> LilyMapper::map_checked(
     // Injected matcher failure: the first gate node sees an empty match list.
     bool matcher_fault_pending = fault_enabled("matcher", "no-match");
 
-    for (const std::size_t ci : order) {
-        const Cone& cone = cones[ci];
-        for (const SubjectId v : cone.members) {
-            const SubjectNode& n = g.node(v);
-            if (n.kind == SubjectKind::Input) continue;
-            if (ctx.state[v] != LifeState::Egg) continue;  // mapped in an earlier cone
+    for (std::size_t k = 0; k < cones.size(); ++k) {
+        for (const SubjectId v : cones.buckets.neighbors(k)) {
+            if (g.node(v).kind == SubjectKind::Input) continue;
             ctx.state[v] = LifeState::Nestling;
 
             if (!degraded && opts.budget != nullptr && !opts.budget->tick()) {
@@ -626,7 +590,7 @@ StatusOr<LilyResult> LilyMapper::map_checked(
             if (!solved.is_ok()) return solved;
         }
 
-        commit_cone(ctx, cone.root);
+        commit_cone(ctx, cones.roots[result.cone_order[k]]);
 
         // ---- Optional periodic re-placement of the partially mapped
         // network (Section 3.2): hawks are pulled toward their mapPositions,
@@ -634,6 +598,7 @@ StatusOr<LilyResult> LilyMapper::map_checked(
         if (opts.replace_every_n_cones > 0 &&
             ++cones_since_replace >= opts.replace_every_n_cones) {
             cones_since_replace = 0;
+            const Clock::time_point t_replace = Clock::now();
             PlacementNetlist anchored = ctx.view.netlist;
             for (SubjectId v = 0; v < g.size(); ++v) {
                 if (ctx.state[v] != LifeState::Hawk || ctx.view.cell_of[v] == kNoCell) continue;
@@ -658,8 +623,10 @@ StatusOr<LilyResult> LilyMapper::map_checked(
             // fanout lists themselves are not — membership is unchanged).
             ++ctx.rect_epoch;
             ++result.replacements;
+            result.timing.replace_ms += ms_since(t_replace);
         }
     }
+    result.timing.dp_ms = ms_since(t_dp) - result.timing.replace_ms;
 
     // ---- Stage 3: extract the cover and the constructive placement.
     extract_result(ctx, delay_mode, result);
@@ -735,31 +702,30 @@ StatusOr<LilyResult> LilyMapper::remap_checked(const SubjectGraph& g, const Lily
         ctx.po_pads_of[g.outputs()[o].driver].push_back(ctx.view.pad_of_output(o));
     }
 
-    // ---- Stage 1+2: cone-scoped DP, dirty cones only. A cone is dirty when
-    // it contains a gate node without a DP solution — exactly the new nodes
-    // plus old nodes that never sat inside a mapped cone (a retargeted PO
-    // can expose those). Clean cones keep their prior cover untouched; the
-    // commit walk from each dirty root re-derives hawk/dove states, and the
-    // final needed-walk in extract_cover drops orphaned old logic.
-    const std::vector<Cone> cones = logic_cones(g);
+    // ---- Stage 1+2: cone-scoped DP, dirty cones only, in output order. A
+    // cone is dirty when its bucket holds a gate node without a DP solution
+    // — exactly the new nodes plus old nodes that never sat inside a mapped
+    // cone (a retargeted PO can expose those); any such node in an earlier
+    // cone was solved there. Clean cones keep their prior cover untouched;
+    // the commit walk from each dirty root re-derives hawk/dove states, and
+    // the final needed-walk in extract_cover drops orphaned old logic.
+    const Clock::time_point t_order = Clock::now();
+    const ConePartition cones = partition_cones(g);
+    result.timing.cone_order_ms = ms_since(t_order);
+    const Clock::time_point t_dp = Clock::now();
     const bool delay_mode = opts.objective == MapObjective::Delay;
     bool degraded = false;
     bool matcher_fault_pending = fault_enabled("matcher", "no-match");
 
+    const auto unsolved = [&](SubjectId v) {
+        return g.node(v).kind != SubjectKind::Input && !ctx.sol[v].has_match;
+    };
     for (std::size_t ci = 0; ci < cones.size(); ++ci) {
-        const Cone& cone = cones[ci];
-        bool dirty = false;
-        for (const SubjectId v : cone.members) {
-            if (g.node(v).kind != SubjectKind::Input && !ctx.sol[v].has_match) {
-                dirty = true;
-                break;
-            }
-        }
-        if (!dirty) continue;
+        const std::span<const SubjectId> bucket = cones.buckets.neighbors(ci);
+        if (std::none_of(bucket.begin(), bucket.end(), unsolved)) continue;
         result.cone_order.push_back(ci);
-        for (const SubjectId v : cone.members) {
-            if (g.node(v).kind == SubjectKind::Input) continue;
-            if (ctx.sol[v].has_match) continue;  // prior DP solution carries over
+        for (const SubjectId v : bucket) {
+            if (!unsolved(v)) continue;  // input, or prior DP solution carries over
             ctx.state[v] = LifeState::Nestling;
 
             if (!degraded && opts.budget != nullptr && !opts.budget->tick()) {
@@ -773,8 +739,9 @@ StatusOr<LilyResult> LilyMapper::remap_checked(const SubjectGraph& g, const Lily
             if (!solved.is_ok()) return solved;
             ++result.remapped_nodes;
         }
-        commit_cone(ctx, cone.root);
+        commit_cone(ctx, cones.roots[ci]);
     }
+    result.timing.dp_ms = ms_since(t_dp);
 
     // ---- Stage 3: extraction, identical to the full mapping. Reuse ratio:
     // solved gate nodes that did not go through the DP this round.

@@ -104,6 +104,15 @@ struct LilyNodeSolution {
                                                                       : arrival_fall; }
 };
 
+/// Wall-clock split of one mapping call, in ms. remap_checked runs no
+/// placement, so only cone_order_ms and dp_ms are set there.
+struct LilyPhaseTimes {
+    double inchoate_place_ms = 0.0;  // global placement of the inchoate network
+    double cone_order_ms = 0.0;      // cone partition, exit-line ordering, buckets
+    double dp_ms = 0.0;              // per-cone DP and commits, re-placement excluded
+    double replace_ms = 0.0;         // periodic re-placements (replace_every_n_cones)
+};
+
 struct LilyResult {
     MappedNetlist netlist;
     /// Constructive placement: position of every gate instance (parallel to
@@ -131,6 +140,7 @@ struct LilyResult {
     /// cone-scoped DP vs. nodes whose DP solution carried over unchanged.
     std::size_t remapped_nodes = 0;
     std::size_t reused_nodes = 0;
+    LilyPhaseTimes timing;
 };
 
 /// Seed for cone-scoped incremental re-mapping: the previous mapping of the

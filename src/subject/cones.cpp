@@ -1,78 +1,85 @@
 #include "subject/cones.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 
 namespace lily {
 
-std::vector<Cone> logic_cones(const SubjectGraph& g) {
-    const SubjectTopology& t = g.topology();
-    std::vector<Cone> cones;
+ConePartition partition_cones(const SubjectGraph& g) {
+    ConePartition p;
     std::vector<bool> seen_root(g.size(), false);
-    // Buffers reused across cones: epoch-stamped visit marks replace the
-    // fresh O(n) bitmap the old implementation allocated per cone, and
-    // members are collected during the DFS (then sorted into id order)
-    // instead of an O(n) full-graph scan per cone.
-    std::vector<std::uint32_t> mark(g.size(), 0);
-    std::uint32_t epoch = 0;
-    std::vector<SubjectId> stack;
     for (const SubjectOutput& po : g.outputs()) {
         if (seen_root[po.driver]) continue;  // outputs sharing a driver share a cone
         seen_root[po.driver] = true;
-        Cone cone;
-        cone.po_name = po.name;
-        cone.root = po.driver;
-        ++epoch;
-        stack.clear();
-        stack.push_back(po.driver);
-        mark[po.driver] = epoch;
-        cone.members.push_back(po.driver);
-        while (!stack.empty()) {
-            const SubjectId v = stack.back();
-            stack.pop_back();
-            const unsigned fc = t.kind[v] == SubjectKind::Input
-                                    ? 0u
-                                    : (t.kind[v] == SubjectKind::Inv ? 1u : 2u);
-            for (unsigned k = 0; k < fc; ++k) {
-                const SubjectId f = k == 0 ? t.fanin0[v] : t.fanin1[v];
-                if (mark[f] != epoch) {
-                    mark[f] = epoch;
-                    stack.push_back(f);
-                    cone.members.push_back(f);
-                }
+        p.roots.push_back(po.driver);
+    }
+    p.words = (p.roots.size() + 63) / 64;
+    p.member.assign(g.size() * p.words, 0);
+    for (std::size_t i = 0; i < p.roots.size(); ++i) {
+        p.member[p.roots[i] * p.words + i / 64] |= std::uint64_t{1} << (i % 64);
+    }
+    // Ids are topological, so every fanout of v is final before v is reached.
+    const SubjectTopology& t = g.topology();
+    if (p.words > 0) {
+        for (SubjectId v = static_cast<SubjectId>(g.size()); v-- > 0;) {
+            std::uint64_t* mv = p.member.data() + v * p.words;
+            for (const SubjectId f : t.fanouts_of(v)) {
+                const std::uint64_t* mf = p.member.data() + f * p.words;
+                for (std::size_t w = 0; w < p.words; ++w) mv[w] |= mf[w];
             }
         }
-        // Emit in id (= topological) order, as the DP iteration requires.
-        std::sort(cone.members.begin(), cone.members.end());
-        cones.push_back(std::move(cone));
     }
-    return cones;
+    std::vector<std::size_t> identity(p.roots.size());
+    for (std::size_t i = 0; i < identity.size(); ++i) identity[i] = i;
+    p.assign_buckets(g, identity);
+    return p;
+}
+
+void ConePartition::assign_buckets(const SubjectGraph& g, std::span<const std::size_t> order) {
+    constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+    // first[v] = lowest processing rank among the cones containing v: seeded
+    // at the roots, then pulled down from the fanouts in reverse id order.
+    std::vector<std::size_t> first(g.size(), kNone);
+    for (std::size_t k = 0; k < order.size(); ++k) first[roots[order[k]]] = k;
+    const SubjectTopology& t = g.topology();
+    for (SubjectId v = static_cast<SubjectId>(g.size()); v-- > 0;) {
+        for (const SubjectId f : t.fanouts_of(v)) first[v] = std::min(first[v], first[f]);
+    }
+    // Counting sort by rank; the id-order fill keeps every bucket sorted.
+    std::vector<std::uint32_t> size(order.size(), 0);
+    for (const std::size_t k : first) {
+        if (k != kNone) ++size[k];
+    }
+    buckets = Csr<SubjectId>::counted(
+        order.size(), [&](std::size_t k) { return size[k]; },
+        [&](auto emit) {
+            for (SubjectId v = 0; v < g.size(); ++v) {
+                if (first[v] != kNone) emit(first[v], v);
+            }
+        });
 }
 
 std::vector<std::vector<unsigned>> exit_line_matrix(const SubjectGraph& g,
-                                                    const std::vector<Cone>& cones) {
+                                                    const ConePartition& cones) {
     const std::size_t nc = cones.size();
-    // Cone membership as per-node bitsets over cones (nc is small: one per PO).
-    const std::size_t words = (nc + 63) / 64;
-    std::vector<std::uint64_t> member(g.size() * words, 0);
-    const auto set_member = [&](SubjectId v, std::size_t cone) {
-        member[v * words + cone / 64] |= std::uint64_t{1} << (cone % 64);
-    };
-    const auto is_member = [&](SubjectId v, std::size_t cone) {
-        return (member[v * words + cone / 64] >> (cone % 64)) & 1;
-    };
-    for (std::size_t i = 0; i < nc; ++i) {
-        for (SubjectId v : cones[i].members) set_member(v, i);
-    }
-
-    const SubjectTopology& t = g.topology();
     std::vector<std::vector<unsigned>> m(nc, std::vector<unsigned>(nc, 0));
+    if (nc == 0) return m;
+    const SubjectTopology& t = g.topology();
     for (SubjectId u = 0; u < g.size(); ++u) {
-        for (SubjectId v : t.fanouts_of(u)) {
-            for (std::size_t i = 0; i < nc; ++i) {
-                if (!is_member(u, i) || is_member(v, i)) continue;  // not an exit line of i
-                for (std::size_t j = 0; j < nc; ++j) {
-                    if (j != i && is_member(v, j)) ++m[i][j];
+        const std::span<const std::uint64_t> mu = cones.bits(u);
+        for (const SubjectId v : t.fanouts_of(u)) {
+            const std::span<const std::uint64_t> mv = cones.bits(v);
+            // Line u -> v exits every cone holding u but not v, into every
+            // cone holding v (never the exited cone itself).
+            for (std::size_t wi = 0; wi < cones.words; ++wi) {
+                for (std::uint64_t x = mu[wi] & ~mv[wi]; x != 0; x &= x - 1) {
+                    std::vector<unsigned>& row = m[wi * 64 + std::countr_zero(x)];
+                    for (std::size_t wj = 0; wj < cones.words; ++wj) {
+                        for (std::uint64_t y = mv[wj]; y != 0; y &= y - 1) {
+                            ++row[wj * 64 + std::countr_zero(y)];
+                        }
+                    }
                 }
             }
         }
@@ -83,7 +90,13 @@ std::vector<std::vector<unsigned>> exit_line_matrix(const SubjectGraph& g,
 namespace {
 
 std::vector<std::size_t> greedy_min_row_sum(const std::vector<std::vector<unsigned>>& m) {
+    // Row sums over the cones not yet emitted, kept up to date by subtracting
+    // each emitted cone's column: O(nc^2) in total.
     const std::size_t nc = m.size();
+    std::vector<std::uint64_t> row_sum(nc, 0);
+    for (std::size_t i = 0; i < nc; ++i) {
+        for (const unsigned e : m[i]) row_sum[i] += e;
+    }
     std::vector<bool> done(nc, false);
     std::vector<std::size_t> order;
     order.reserve(nc);
@@ -91,18 +104,14 @@ std::vector<std::size_t> greedy_min_row_sum(const std::vector<std::vector<unsign
         std::size_t best = nc;
         std::uint64_t best_sum = std::numeric_limits<std::uint64_t>::max();
         for (std::size_t i = 0; i < nc; ++i) {
-            if (done[i]) continue;
-            std::uint64_t sum = 0;
-            for (std::size_t j = 0; j < nc; ++j) {
-                if (!done[j]) sum += m[i][j];
-            }
-            if (sum < best_sum) {
-                best_sum = sum;
+            if (!done[i] && row_sum[i] < best_sum) {
+                best_sum = row_sum[i];
                 best = i;
             }
         }
         done[best] = true;
         order.push_back(best);
+        for (std::size_t i = 0; i < nc; ++i) row_sum[i] -= m[i][best];
     }
     return order;
 }
@@ -128,7 +137,7 @@ void improve_by_adjacent_swaps(const std::vector<std::vector<unsigned>>& m,
 
 }  // namespace
 
-std::vector<std::size_t> order_cones(const SubjectGraph& g, const std::vector<Cone>& cones) {
+std::vector<std::size_t> order_cones(const SubjectGraph& g, const ConePartition& cones) {
     // The paper's greedy min-row-sum pass is a heuristic (its optimality
     // claim does not hold in general); we additionally compare against the
     // identity ordering and polish with adjacent swaps, so the result is

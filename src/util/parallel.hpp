@@ -1,8 +1,8 @@
 // Fixed-size thread pool with deterministic data-parallel primitives.
 //
 // The flow engine's hot kernels (CG SpMV/dot products, clique assembly,
-// partitioner region splits, Lily candidate evaluation) are expressed as
-// parallel_for / parallel_reduce over index ranges. Two design rules keep
+// partitioner region splits) are expressed as parallel_for /
+// parallel_reduce over index ranges. Two design rules keep
 // multi-threaded runs bit-identical to LILY_THREADS=1:
 //
 //  1. Work is split into chunks of a FIXED grain that depends only on the

@@ -21,7 +21,10 @@ TEST(Edge, EmptyNetworkDecomposes) {
     const DecomposeResult r = decompose(net);
     EXPECT_EQ(r.graph.gate_count(), 0u);
     EXPECT_EQ(r.graph.inputs().size(), 1u);
-    EXPECT_TRUE(logic_cones(r.graph).empty());
+    const ConePartition cones = partition_cones(r.graph);
+    EXPECT_EQ(cones.size(), 0u);
+    EXPECT_EQ(cones.buckets.edge_count(), 0u);
+    EXPECT_TRUE(order_cones(r.graph, cones).empty());
     EXPECT_TRUE(partition_trees(r.graph).trees.empty());
 }
 
@@ -130,7 +133,7 @@ TEST(Edge, DuplicatePoDrivers) {
     net.add_output("f3", g);
     const Library lib = load_msu_big();
     const DecomposeResult sub = decompose(net);
-    EXPECT_EQ(logic_cones(sub.graph).size(), 1u);
+    EXPECT_EQ(partition_cones(sub.graph).size(), 1u);
     const FlowResult flow = run_lily_flow(net, lib);
     EXPECT_TRUE(equivalent_random(net, flow.netlist.to_network(lib), 4, 6));
 }

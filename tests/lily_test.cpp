@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
+
 #include "circuits/benchmarks.hpp"
 #include "library/standard_cells.hpp"
 #include "lily/lily_mapper.hpp"
 #include "netlist/simulate.hpp"
 #include "subject/decompose.hpp"
+#include "util/parallel.hpp"
 
 namespace lily {
 namespace {
@@ -219,6 +222,75 @@ TEST(Lily, DeterministicAcrossRuns) {
         EXPECT_EQ(a.netlist.gates[i].driver, b.netlist.gates[i].driver);
     }
     EXPECT_DOUBLE_EQ(a.estimated_wirelength, b.estimated_wirelength);
+}
+
+void expect_same_cover(const LilyResult& a, const LilyResult& b) {
+    ASSERT_EQ(a.netlist.gate_count(), b.netlist.gate_count());
+    for (std::size_t i = 0; i < a.netlist.gates.size(); ++i) {
+        EXPECT_EQ(a.netlist.gates[i].gate, b.netlist.gates[i].gate) << i;
+        EXPECT_EQ(a.netlist.gates[i].driver, b.netlist.gates[i].driver) << i;
+        EXPECT_EQ(a.netlist.gates[i].inputs, b.netlist.gates[i].inputs) << i;
+        EXPECT_EQ(a.netlist.gates[i].absorbed, b.netlist.gates[i].absorbed) << i;
+    }
+    EXPECT_EQ(a.instance_positions, b.instance_positions);
+}
+
+TEST(Lily, SameMappingAtOneAndEightThreads) {
+    const Library lib = load_msu_big();
+    const Network net = make_control_logic(14, 10, 100, 0x55, "ctest");
+    const DecomposeResult r = decompose(net);
+    for (const MapObjective objective : {MapObjective::Area, MapObjective::Delay}) {
+        LilyOptions opts;
+        opts.objective = objective;
+        ThreadPool& pool = ThreadPool::global();
+        const std::size_t saved = pool.size();
+        pool.resize(1);
+        const LilyResult one = LilyMapper(lib).map(r.graph, opts);
+        pool.resize(8);
+        const LilyResult eight = LilyMapper(lib).map(r.graph, opts);
+        pool.resize(saved);
+        EXPECT_EQ(one.cone_order, eight.cone_order);
+        expect_same_cover(one, eight);
+        EXPECT_EQ(one.estimated_wirelength, eight.estimated_wirelength);  // bit-identical
+    }
+}
+
+TEST(Lily, NoOpRemapReusesEveryNode) {
+    const Library lib = load_msu_big();
+    const Network net = make_control_logic(14, 10, 100, 0x56, "ctest");
+    const DecomposeResult r = decompose(net);
+    const LilyMapper mapper(lib);
+    const LilyResult full = mapper.map(r.graph);
+    std::size_t solved = 0;
+    for (SubjectId v = 0; v < r.graph.size(); ++v) {
+        if (r.graph.node(v).kind != SubjectKind::Input && full.solution[v].has_match) ++solved;
+    }
+    const StatusOr<LilyResult> again =
+        mapper.remap_checked(r.graph, LilyRemapSeed{&full, r.graph.size()});
+    ASSERT_TRUE(again.is_ok()) << again.status().to_string();
+    EXPECT_EQ(again.value().remapped_nodes, 0u);
+    EXPECT_EQ(again.value().reused_nodes, solved);
+    EXPECT_TRUE(again.value().cone_order.empty());  // no cone is dirty
+    expect_same_cover(full, again.value());
+    EXPECT_EQ(full.estimated_wirelength, again.value().estimated_wirelength);
+}
+
+TEST(Lily, PhaseTimesFitInsideTheCall) {
+    const Library lib = load_msu_big();
+    const Network net = make_control_logic(14, 10, 100, 0x57, "ctest");
+    const DecomposeResult r = decompose(net);
+    LilyOptions opts;
+    opts.replace_every_n_cones = 2;
+    const auto t0 = std::chrono::steady_clock::now();
+    const LilyResult res = LilyMapper(lib).map(r.graph, opts);
+    const double call_ms =
+        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
+    const LilyPhaseTimes& t = res.timing;
+    EXPECT_GT(t.inchoate_place_ms, 0.0);
+    EXPECT_GT(t.dp_ms, 0.0);
+    EXPECT_GT(t.replace_ms, 0.0);
+    EXPECT_GE(t.cone_order_ms, 0.0);
+    EXPECT_LE(t.inchoate_place_ms + t.cone_order_ms + t.dp_ms + t.replace_ms, call_ms);
 }
 
 }  // namespace

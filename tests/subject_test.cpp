@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
+
 #include "netlist/blif.hpp"
+#include "netlist/delta.hpp"
 #include "netlist/simulate.hpp"
 #include "subject/cones.hpp"
 #include "subject/decompose.hpp"
@@ -216,27 +219,41 @@ TEST(Decompose, RandomNetworksEquivalentSweep) {
 
 // ------------------------------------------------------------------- cones
 
+std::size_t cone_of_output(const SubjectGraph& g, const ConePartition& cones,
+                           const std::string& po) {
+    for (const SubjectOutput& o : g.outputs()) {
+        if (o.name != po) continue;
+        for (std::size_t i = 0; i < cones.size(); ++i) {
+            if (cones.roots[i] == o.driver) return i;
+        }
+    }
+    return cones.size();
+}
+
 TEST(Cones, OnePerDistinctDriver) {
     const Network net = full_adder();
     const DecomposeResult r = decompose(net);
-    const auto cones = logic_cones(r.graph);
+    const ConePartition cones = partition_cones(r.graph);
     EXPECT_EQ(cones.size(), 2u);
-    for (const Cone& c : cones) {
-        EXPECT_FALSE(c.members.empty());
-        EXPECT_EQ(c.members.back(), c.root);  // topological order, root last
+    for (std::size_t i = 0; i < cones.size(); ++i) {
+        const SubjectId root = cones.roots[i];
+        EXPECT_TRUE(cones.contains(i, root));
+        // Topological order: no member of a cone comes after its root.
+        for (SubjectId v = root + 1; v < r.graph.size(); ++v) EXPECT_FALSE(cones.contains(i, v));
     }
 }
 
 TEST(Cones, MembersAreTransitiveFanin) {
     const Network net = random_network(21);
     const DecomposeResult r = decompose(net);
-    const auto cones = logic_cones(r.graph);
-    for (const Cone& c : cones) {
-        std::vector<bool> in(r.graph.size(), false);
-        for (SubjectId v : c.members) in[v] = true;
-        for (SubjectId v : c.members) {
+    const ConePartition cones = partition_cones(r.graph);
+    for (std::size_t i = 0; i < cones.size(); ++i) {
+        for (SubjectId v = 0; v < r.graph.size(); ++v) {
+            if (!cones.contains(i, v)) continue;
             const SubjectNode& n = r.graph.node(v);
-            for (unsigned k = 0; k < n.fanin_count(); ++k) EXPECT_TRUE(in[n.fanin(k)]);
+            for (unsigned k = 0; k < n.fanin_count(); ++k) {
+                EXPECT_TRUE(cones.contains(i, n.fanin(k)));
+            }
         }
     }
 }
@@ -252,14 +269,15 @@ TEST(Cones, ExitLineMatrixDiagonalZeroAndCounts) {
     net.add_output("f", ab);
     net.add_output("g", abc);
     const DecomposeResult r = decompose(net);
-    const auto cones = logic_cones(r.graph);
+    const ConePartition cones = partition_cones(r.graph);
     ASSERT_EQ(cones.size(), 2u);
     const auto m = exit_line_matrix(r.graph, cones);
     EXPECT_EQ(m[0][0], 0u);
     EXPECT_EQ(m[1][1], 0u);
     // Cone of f exits into cone of g (ab feeds abc), not vice versa.
-    const std::size_t fi = cones[0].po_name == "f" ? 0 : 1;
-    const std::size_t gi = 1 - fi;
+    const std::size_t fi = cone_of_output(r.graph, cones, "f");
+    const std::size_t gi = cone_of_output(r.graph, cones, "g");
+    ASSERT_EQ(fi + gi, 1u);
     EXPECT_GT(m[fi][gi], 0u);
     EXPECT_EQ(m[gi][fi], 0u);
 }
@@ -268,7 +286,7 @@ TEST(Cones, GreedyOrderingNoWorseThanIdentity) {
     for (std::uint64_t seed = 30; seed < 36; ++seed) {
         const Network net = random_network(seed, 10, 60);
         const DecomposeResult r = decompose(net);
-        const auto cones = logic_cones(r.graph);
+        const ConePartition cones = partition_cones(r.graph);
         const auto m = exit_line_matrix(r.graph, cones);
         const auto greedy = order_cones(r.graph, cones);
         std::vector<std::size_t> identity(cones.size());
@@ -278,6 +296,113 @@ TEST(Cones, GreedyOrderingNoWorseThanIdentity) {
         auto sorted = greedy;
         std::sort(sorted.begin(), sorted.end());
         EXPECT_EQ(sorted, identity);
+    }
+}
+
+/// Brute-force transitive fanin of `root`: a DFS over fanin pointers.
+std::vector<bool> transitive_fanin(const SubjectGraph& g, SubjectId root) {
+    std::vector<bool> in(g.size(), false);
+    std::vector<SubjectId> stack{root};
+    in[root] = true;
+    while (!stack.empty()) {
+        const SubjectNode& n = g.node(stack.back());
+        stack.pop_back();
+        for (unsigned k = 0; k < n.fanin_count(); ++k) {
+            if (!in[n.fanin(k)]) {
+                in[n.fanin(k)] = true;
+                stack.push_back(n.fanin(k));
+            }
+        }
+    }
+    return in;
+}
+
+/// Checks the partition of `g` against brute force: every bitset against an
+/// explicit DFS per root, the first-cone buckets for `order` against the
+/// first containing cone of every node, and exit_line_matrix against a
+/// direct count over every fanin line.
+void expect_partition_matches_brute_force(const SubjectGraph& g,
+                                          const std::vector<std::size_t>& order) {
+    ConePartition cones = partition_cones(g);
+    ASSERT_EQ(order.size(), cones.size());
+    std::vector<std::vector<bool>> tfi;
+    for (const SubjectId root : cones.roots) tfi.push_back(transitive_fanin(g, root));
+    for (std::size_t i = 0; i < cones.size(); ++i) {
+        for (SubjectId v = 0; v < g.size(); ++v) {
+            ASSERT_EQ(cones.contains(i, v), tfi[i][v]) << "cone " << i << " node " << v;
+        }
+    }
+
+    cones.assign_buckets(g, order);
+    std::vector<std::vector<SubjectId>> want(order.size());
+    for (SubjectId v = 0; v < g.size(); ++v) {
+        for (std::size_t k = 0; k < order.size(); ++k) {
+            if (tfi[order[k]][v]) {
+                want[k].push_back(v);  // id order: sorted, reached nodes only
+                break;
+            }
+        }
+    }
+    for (std::size_t k = 0; k < order.size(); ++k) {
+        const std::span<const SubjectId> got = cones.buckets.neighbors(k);
+        EXPECT_EQ(std::vector<SubjectId>(got.begin(), got.end()), want[k]) << "bucket " << k;
+    }
+
+    std::vector<std::vector<unsigned>> lines(cones.size(),
+                                             std::vector<unsigned>(cones.size(), 0));
+    for (SubjectId v = 0; v < g.size(); ++v) {
+        const SubjectNode& n = g.node(v);
+        for (unsigned f = 0; f < n.fanin_count(); ++f) {
+            const SubjectId u = n.fanin(f);
+            for (std::size_t i = 0; i < cones.size(); ++i) {
+                if (!tfi[i][u] || tfi[i][v]) continue;
+                for (std::size_t j = 0; j < cones.size(); ++j) {
+                    if (tfi[j][v]) ++lines[i][j];
+                }
+            }
+        }
+    }
+    EXPECT_EQ(exit_line_matrix(g, cones), lines);
+}
+
+/// The partition under identity, exit-line and reversed processing orders.
+void expect_partition_matches_brute_force(const SubjectGraph& g) {
+    const std::size_t nc = partition_cones(g).size();
+    std::vector<std::size_t> identity(nc);
+    for (std::size_t i = 0; i < nc; ++i) identity[i] = i;
+    expect_partition_matches_brute_force(g, identity);
+    expect_partition_matches_brute_force(g, order_cones(g, partition_cones(g)));
+    expect_partition_matches_brute_force(g, {identity.rbegin(), identity.rend()});
+}
+
+TEST(Cones, PartitionMatchesBruteForceOnExamples) {
+    std::vector<std::filesystem::path> paths;
+    for (const auto& entry :
+         std::filesystem::directory_iterator(std::string(LILY_SOURCE_DIR) + "/examples/circuits")) {
+        if (entry.path().extension() == ".blif") paths.push_back(entry.path());
+    }
+    ASSERT_FALSE(paths.empty());
+    for (const auto& path : paths) {
+        SCOPED_TRACE(path.string());
+        const DecomposeResult r = decompose(read_blif_file(path.string()));
+        expect_partition_matches_brute_force(r.graph);
+    }
+}
+
+TEST(Cones, PartitionMatchesBruteForceAfterLocalDeltas) {
+    // Incremental decomposition appends nodes and orphans replaced logic,
+    // so these graphs carry dangling nodes that no cone reaches.
+    for (std::uint64_t seed = 50; seed < 54; ++seed) {
+        Network net = random_network(seed, 10, 80);
+        DecomposeResult r = decompose(net);
+        for (std::uint64_t round = 0; round < 3; ++round) {
+            SCOPED_TRACE("seed " + std::to_string(seed) + " round " + std::to_string(round));
+            const StatusOr<AppliedDelta> applied =
+                net.apply_delta(local_delta(net, 3, seed * 16 + round));
+            ASSERT_TRUE(applied.is_ok()) << applied.status().to_string();
+            decompose_incremental(net, applied.value().touched, r);
+            expect_partition_matches_brute_force(r.graph);
+        }
     }
 }
 
