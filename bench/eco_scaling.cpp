@@ -56,7 +56,6 @@ struct SweepRow {
     bool full_reflow_fallback = false;
     double map_reuse = 0.0;
     double place_reuse = 0.0;
-    double timing_reuse = 0.0;
     double cell_area_ratio = 0.0;       // incremental / batch
     double wirelength_ratio = 0.0;
     double critical_delay_ratio = 0.0;
@@ -160,7 +159,6 @@ int main(int argc, char** argv) {
         row.full_reflow_fallback = s.full_reflow;
         row.map_reuse = s.map_reuse_ratio();
         row.place_reuse = s.place_reuse_ratio();
-        row.timing_reuse = s.timing_reuse_ratio();
 
         // Reference: a from-scratch batch flow of the same edited network.
         StatusOr<FlowResult> full = Status(StatusCode::Internal, "not yet run");
@@ -192,10 +190,10 @@ int main(int argc, char** argv) {
 
         std::fprintf(stderr,
                      "%s edits=%zu (%.1f%%): eco %.1f ms vs full %.1f ms -> %.1fx; "
-                     "reuse map %.2f place %.2f timing %.2f; area ratio %.4f; "
+                     "reuse map %.2f place %.2f; area ratio %.4f; "
                      "equivalent=%s%s\n",
                      row.model, row.edits, 100.0 * row.fraction, row.eco_ms, row.full_ms,
-                     row.speedup, row.map_reuse, row.place_reuse, row.timing_reuse,
+                     row.speedup, row.map_reuse, row.place_reuse,
                      row.cell_area_ratio, row.equivalent ? "yes" : "NO",
                      row.full_reflow_fallback ? " (fell back to full reflow)" : "");
 
@@ -230,8 +228,7 @@ int main(int argc, char** argv) {
         os << "    \"full_reflow_fallback\": " << (r.full_reflow_fallback ? "true" : "false")
            << ",\n";
         os << "    \"reuse\": {\"mapping\": " << json_num(r.map_reuse)
-           << ", \"placement\": " << json_num(r.place_reuse)
-           << ", \"timing\": " << json_num(r.timing_reuse) << "},\n";
+           << ", \"placement\": " << json_num(r.place_reuse) << "},\n";
         os << "    \"qor\": {\"cell_area_ratio\": " << json_num(r.cell_area_ratio)
            << ", \"wirelength_ratio\": " << json_num(r.wirelength_ratio)
            << ", \"critical_delay_ratio\": " << json_num(r.critical_delay_ratio) << "},\n";

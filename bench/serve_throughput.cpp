@@ -7,9 +7,9 @@
 // in-process run_flow_job output for the same spec byte for byte (the PR 3
 // determinism guarantee extended across the process boundary).
 //
-// The two pool modes are the A/B of the warm-pool PR: `cold` retires every
-// worker after one job (fork + double parse per job, the previous
-// fork-per-job architecture) while `warm` reuses preforked workers and
+// The two pool modes are an A/B: `cold` runs the daemon with
+// --recycle-after=1, retiring every worker after one job (fork + double
+// parse per job), while `warm` reuses preforked workers and
 // their process-local artifact caches. The report carries both so the
 // speedup is measured, not asserted.
 //
@@ -117,14 +117,15 @@ bool measure(const BenchInputs& in, const std::string& dir, const std::string& m
     const std::string tag = mode + "-" + std::to_string(workers);
     const std::string socket = dir + "/serve-" + tag + ".sock";
     const std::string spool = dir + "/spool-" + tag;
-    const std::vector<std::string> daemon_argv = {
+    std::vector<std::string> daemon_argv = {
         LILY_SERVE_BIN,
         "--socket=" + socket,
         "--spool=" + spool,
         "--workers=" + std::to_string(workers),
         "--queue-cap=" + std::to_string(in.queue_cap),
-        "--pool=" + mode,
     };
+    // A cold pool is a fresh worker, and so a cold cache, for every job.
+    if (mode == "cold") daemon_argv.push_back("--recycle-after=1");
     StatusOr<pid_t> spawned = spawn_process(daemon_argv, dir + "/server-" + tag + ".log");
     if (!spawned.is_ok()) {
         std::fprintf(stderr, "serve_throughput: spawn failed: %s\n",

@@ -123,7 +123,9 @@ LILY_VERIFY=prove "$LINT" --flow --quiet \
 # ---- ECO smoke: incremental pipeline + stale-epoch probe ---------------
 # A small local delta must be absorbed incrementally with the maintained
 # netlist staying equivalent, and a corrupted version stamp must be
-# rejected (lily_lint exits 0 exactly when the rejection happened).
+# rejected (lily_lint exits 0 exactly when the rejection happened). The
+# batch STA re-times every ECO, so its suite runs here as well.
+run build-ci-sanitize/tests/sta_test
 run "$LINT" --eco=3 --quiet examples/circuits/parity8.blif lib/msu_big.genlib
 # The spliced ECO result must also be *provable*, not just simulation-clean.
 run env LILY_VERIFY=prove "$LINT" --eco=3 --quiet \

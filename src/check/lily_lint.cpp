@@ -52,12 +52,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <memory>
 #include <optional>
-#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "check/check.hpp"
@@ -65,11 +63,9 @@
 #include "flow/pipeline.hpp"
 #include "netlist/simulate.hpp"
 #include "check/match_checker.hpp"
-#include "check/network_checker.hpp"
 #include "check/placement_checker.hpp"
 #include "check/subject_checker.hpp"
 #include "flow/flow.hpp"
-#include "flow/job.hpp"
 #include "flow/report.hpp"
 #include "map/base_mapper.hpp"
 #include "util/io.hpp"
@@ -222,32 +218,29 @@ bool parse_args(int argc, char** argv, LintArgs& out) {
     return true;
 }
 
-/// Input loading goes through the process-wide ArtifactCache (the same one
-/// the serving workers and run_flow_job use), so one process that loads the
-/// same bytes repeatedly — eco pipelines, embedded flow calls — parses each
-/// artifact once. The cached objects are immutable and shared; these
-/// helpers copy them out because the lint modes mutate their working
-/// network (cycle injection appends fanins).
-std::string slurp_file(const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) throw std::runtime_error("cannot open '" + path + "'");
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    return buf.str();
-}
-
-Network load_network_cached(const std::string& path) {
-    const StatusOr<std::shared_ptr<const Network>> net =
-        ArtifactCache::instance().network_for(slurp_file(path));
-    if (!net.is_ok()) throw std::runtime_error(net.status().to_string());
-    return *net.value();
-}
-
-Library load_library_cached(const std::string& path) {
-    const StatusOr<std::shared_ptr<const Library>> lib =
-        ArtifactCache::instance().library_for(slurp_file(path));
-    if (!lib.is_ok()) throw std::runtime_error(lib.status().to_string());
-    return *lib.value();
+/// Read the circuit and the library from disk and validate the library.
+/// Returns true when both loaded; otherwise prints the parse or validation
+/// error, and the caller exits 2.
+bool load_inputs(const LintArgs& args, Network& net, Library& lib) {
+    StatusOr<Network> parsed_net = read_blif_file_checked(args.blif_path);
+    if (!parsed_net.is_ok()) {
+        std::fprintf(stderr, "lily_lint: %s\n", parsed_net.status().to_string().c_str());
+        return false;
+    }
+    StatusOr<Library> parsed_lib = read_genlib_file_checked(args.genlib_path);
+    if (!parsed_lib.is_ok()) {
+        std::fprintf(stderr, "lily_lint: %s\n", parsed_lib.status().to_string().c_str());
+        return false;
+    }
+    net = std::move(parsed_net).value();
+    lib = std::move(parsed_lib).value();
+    try {
+        lib.validate();
+    } catch (const std::exception& e) {
+        std::fprintf(stderr, "lily_lint: %s\n", e.what());
+        return false;
+    }
+    return true;
 }
 
 /// Prove mode: map the circuit with the baseline mapper and prove the
@@ -259,14 +252,7 @@ Library load_library_cached(const std::string& path) {
 int run_prove_mode(const LintArgs& args) {
     Network net("lint");
     Library lib;
-    try {
-        net = load_network_cached(args.blif_path);
-        lib = load_library_cached(args.genlib_path);
-        lib.validate();
-    } catch (const std::exception& e) {
-        std::fprintf(stderr, "lily_lint: %s\n", e.what());
-        return 2;
-    }
+    if (!load_inputs(args, net, lib)) return 2;
 
     const bool expect_refuted = args.inject == "verify:miscompare";
     std::optional<Network> impl;
@@ -396,14 +382,7 @@ int run_flow_mode(const LintArgs& args) {
 int run_eco_mode(const LintArgs& args) {
     Network net("lint");
     Library lib;
-    try {
-        net = load_network_cached(args.blif_path);
-        lib = load_library_cached(args.genlib_path);
-        lib.validate();
-    } catch (const std::exception& e) {
-        std::fprintf(stderr, "lily_lint: %s\n", e.what());
-        return 2;
-    }
+    if (!load_inputs(args, net, lib)) return 2;
 
     StatusOr<PipelineState> built = build_pipeline(net, lib);
     if (!built.is_ok()) {
@@ -432,9 +411,8 @@ int run_eco_mode(const LintArgs& args) {
     }
     const EcoStats& s = eco.value();
     if (!args.quiet) std::fputs(s.diagnostics.to_string().c_str(), stdout);
-    std::printf("eco: %zu edit(s), reuse map %.2f place %.2f timing %.2f%s\n", args.eco_edits,
-                s.map_reuse_ratio(), s.place_reuse_ratio(), s.timing_reuse_ratio(),
-                s.full_reflow ? " (full reflow)" : "");
+    std::printf("eco: %zu edit(s), reuse map %.2f place %.2f%s\n", args.eco_edits,
+                s.map_reuse_ratio(), s.place_reuse_ratio(), s.full_reflow ? " (full reflow)" : "");
     const bool equivalent =
         equivalent_random(state.net, state.flow.netlist.to_network(lib), 8, 0xEC0);
     std::printf("eco: maintained netlist %s the edited circuit\n",
@@ -461,14 +439,7 @@ int main(int argc, char** argv) {
 
     Network net("lint");
     Library lib;
-    try {
-        net = load_network_cached(args.blif_path);
-        lib = load_library_cached(args.genlib_path);
-        lib.validate();
-    } catch (const std::exception& e) {
-        std::fprintf(stderr, "lily_lint: %s\n", e.what());
-        return 2;
-    }
+    if (!load_inputs(args, net, lib)) return 2;
 
     CheckReport all;
     const auto run_stage = [&](const char* stage, CheckReport rep) {
@@ -493,7 +464,7 @@ int main(int argc, char** argv) {
                 }
             }
         }
-        run_stage("network", NetworkChecker{}.check(net));
+        run_stage("network", lint_network(net));
 
         // Stage 2: decomposition into the subject graph.
         const DecomposeResult sub = decompose(net);

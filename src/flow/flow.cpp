@@ -175,7 +175,6 @@ StatusOr<FlowResult> run_backend_stages(StageExecutor& exec, const MappedNetlist
         timing = analyze_timing(mapped, lib, view, detailed.positions, opts.timing);
         s.ok_if_unset();
     });
-    if (capture != nullptr) capture->timing = timing;
 
     if (ctx.checks_enabled()) {
         Status checked = exec.run(StageId::Checks, [&](StageScope& s) -> Status {
@@ -552,6 +551,19 @@ FlowResult run_lily_flow_adaptive(const Network& net, const Library& lib,
     return run_lily_flow_adaptive_checked(net, lib, opts, reference_wirelength).take_or_raise();
 }
 
+StatusOr<FlowResult> run_flow_checked(FlowKind kind, const Network& net, const Library& lib,
+                                      const FlowOptions& opts) {
+    switch (kind) {
+        case FlowKind::Baseline:
+            return run_baseline_flow_checked(net, lib, opts);
+        case FlowKind::Adaptive:
+            return run_lily_flow_adaptive_checked(net, lib, opts);
+        case FlowKind::Lily:
+            break;
+    }
+    return run_lily_flow_checked(net, lib, opts);
+}
+
 StatusOr<FlowResult> run_flow_from_files(const std::string& blif_path,
                                          const std::string& genlib_path,
                                          const FlowOptions& opts, FlowKind kind) {
@@ -596,17 +608,7 @@ StatusOr<FlowResult> run_flow_from_files(const std::string& blif_path,
     });
     LILY_RETURN_IF_ERROR(blif_parsed);
 
-    StatusOr<FlowResult> result = [&]() -> StatusOr<FlowResult> {
-        switch (kind) {
-            case FlowKind::Baseline:
-                return run_baseline_flow_checked(net->value(), lib->value(), opts);
-            case FlowKind::Adaptive:
-                return run_lily_flow_adaptive_checked(net->value(), lib->value(), opts);
-            case FlowKind::Lily:
-                break;
-        }
-        return run_lily_flow_checked(net->value(), lib->value(), opts);
-    }();
+    StatusOr<FlowResult> result = run_flow_checked(kind, net->value(), lib->value(), opts);
     if (!result.is_ok()) {
         Status bad = result.status();
         return bad.with_context(flow_label::kFromFiles);

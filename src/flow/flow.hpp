@@ -157,18 +157,17 @@ FlowResult run_baseline_flow(const Network& net, const Library& lib,
 
 /// Optional tap for the flow's intermediate artifacts. FlowResult carries
 /// only what metrics reporting needs; the incremental (ECO) pipeline also
-/// needs the subject graph, the mapper's DP state and the timing report to
-/// seed its versioned stage cache from a batch run. When a capture is
-/// passed, the flow moves those artifacts out on success — behavior is
-/// otherwise unchanged, so a captured run is bit-identical to an uncaptured
-/// one.
+/// needs the subject graph, the mapper's DP state and the placed/routed
+/// layout to seed its versioned stage cache from a batch run. When a
+/// capture is passed, the flow moves those artifacts out on success —
+/// behavior is otherwise unchanged, so a captured run is bit-identical to
+/// an uncaptured one.
 struct FlowCapture {
     DecomposeResult subject;
     LilyResult lily;  // empty when the run fell back to the baseline mapper
     bool used_baseline_fallback = false;
     DetailedPlacement detailed;  // row structure the ECO legalizer extends
     RouteResult routed;  // replayable plan route_incremental patches
-    TimingReport timing;
 };
 
 /// Pipeline 2: layout-driven (Lily) mapping, with the graceful-degradation
@@ -226,8 +225,14 @@ StatusOr<FlowResult> run_backend_checked(
     std::optional<PadsInRegion> pads = std::nullopt,
     std::optional<std::vector<Point>> seed_positions = std::nullopt);
 
-/// Which pipeline run_flow_from_files drives.
-enum class FlowKind : std::uint8_t { Baseline, Lily, Adaptive };
+/// Which pipeline a file or served job drives. The values are the job wire
+/// and spool byte (serve/protocol.cpp), so they must not change.
+enum class FlowKind : std::uint8_t { Baseline = 0, Lily = 1, Adaptive = 2 };
+
+/// Run the selected checked pipeline (the adaptive one against an internal
+/// baseline reference).
+StatusOr<FlowResult> run_flow_checked(FlowKind kind, const Network& net, const Library& lib,
+                                      const FlowOptions& opts = {});
 
 /// File-to-metrics convenience entry: parse the genlib library and the BLIF
 /// netlist (both recorded as flow stages, including gates the library

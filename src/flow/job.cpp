@@ -1,7 +1,6 @@
 #include "flow/job.hpp"
 
 #include <chrono>
-#include <cstdlib>
 #include <exception>
 #include <optional>
 #include <utility>
@@ -13,15 +12,6 @@
 #include "util/crash.hpp"
 
 namespace lily {
-
-const char* to_string(JobFlowKind kind) {
-    switch (kind) {
-        case JobFlowKind::Baseline: return "baseline";
-        case JobFlowKind::Lily: return "lily";
-        case JobFlowKind::Adaptive: return "adaptive";
-    }
-    return "?";
-}
 
 const char* to_string(JobTier tier) {
     return tier == JobTier::Full ? "full" : "degraded";
@@ -66,15 +56,6 @@ std::uint64_t fnv1a64(std::string_view s) {
 
 ArtifactCache& ArtifactCache::instance() {
     static ArtifactCache cache;
-    static const bool configured = [] {
-        const char* env = std::getenv("LILY_ARTIFACT_CACHE");
-        if (env != nullptr &&
-            (std::string_view(env) == "off" || std::string_view(env) == "0")) {
-            cache.set_enabled(false);
-        }
-        return true;
-    }();
-    (void)configured;
     return cache;
 }
 
@@ -92,94 +73,64 @@ void ArtifactCache::evict_over_caps() {
     }
 }
 
-StatusOr<std::shared_ptr<const Network>> ArtifactCache::network_for(
-    std::string_view blif_text, CacheProbe* probe) {
-    if (probe != nullptr) *probe = CacheProbe::Skipped;
-    const std::uint64_t key = fnv1a64(blif_text);
+template <typename T, typename Parse>
+StatusOr<std::shared_ptr<const T>> ArtifactCache::lookup_or_parse(
+    std::shared_ptr<const T> Entry::*slot, std::string_view text, CacheProbe* probe,
+    Parse parse) {
+    const std::uint64_t key = fnv1a64(text);
+    const auto find = [&]() -> std::shared_ptr<const T> {
+        auto range = entries_.equal_range(key);
+        for (auto it = range.first; it != range.second; ++it) {
+            if (it->second.*slot != nullptr && it->second.text == text) {
+                touch(it->second);
+                return it->second.*slot;
+            }
+        }
+        return nullptr;
+    };
     {
         std::lock_guard<std::mutex> lock(mu_);
-        if (enabled_) {
-            auto range = entries_.equal_range(key);
-            for (auto it = range.first; it != range.second; ++it) {
-                if (it->second.network != nullptr && it->second.text == blif_text) {
-                    ++hits_;
-                    touch(it->second);
-                    if (probe != nullptr) *probe = CacheProbe::Hit;
-                    return it->second.network;
-                }
-            }
-            ++misses_;
-            if (probe != nullptr) *probe = CacheProbe::Miss;
+        if (std::shared_ptr<const T> hit = find()) {
+            ++hits_;
+            if (probe != nullptr) *probe = CacheProbe::Hit;
+            return hit;
         }
+        ++misses_;
+        if (probe != nullptr) *probe = CacheProbe::Miss;
     }
     // Parse outside the lock: two threads missing on the same text parse
     // twice rather than serialize; the re-check below keeps one copy.
-    StatusOr<Network> parsed = read_blif_checked(blif_text);
+    StatusOr<T> parsed = parse(text);
     if (!parsed.is_ok()) return parsed.status();  // failures are never cached
-    auto shared = std::make_shared<const Network>(std::move(parsed.value()));
+    auto shared = std::make_shared<const T>(std::move(parsed.value()));
 
     std::lock_guard<std::mutex> lock(mu_);
-    if (!enabled_) return StatusOr<std::shared_ptr<const Network>>(std::move(shared));
-    auto range = entries_.equal_range(key);
-    for (auto it = range.first; it != range.second; ++it) {
-        if (it->second.network != nullptr && it->second.text == blif_text) {
-            return it->second.network;  // a concurrent miss beat us to it
-        }
-    }
+    if (std::shared_ptr<const T> raced = find()) return raced;  // a concurrent miss won
     Entry entry;
-    entry.text.assign(blif_text.data(), blif_text.size());
-    entry.network = shared;
+    entry.text.assign(text.data(), text.size());
+    entry.*slot = shared;
     touch(entry);
     text_bytes_ += entry.text.size();
     entries_.emplace(key, std::move(entry));
     evict_over_caps();
-    return StatusOr<std::shared_ptr<const Network>>(std::move(shared));
+    return StatusOr<std::shared_ptr<const T>>(std::move(shared));
+}
+
+StatusOr<std::shared_ptr<const Network>> ArtifactCache::network_for(
+    std::string_view blif_text, CacheProbe* probe) {
+    return lookup_or_parse(&Entry::network, blif_text, probe,
+                           [](std::string_view text) { return read_blif_checked(text); });
 }
 
 StatusOr<std::shared_ptr<const Library>> ArtifactCache::library_for(
     std::string_view genlib_text, CacheProbe* probe) {
-    if (probe != nullptr) *probe = CacheProbe::Skipped;
-    const std::uint64_t key = fnv1a64(genlib_text);
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (enabled_) {
-            auto range = entries_.equal_range(key);
-            for (auto it = range.first; it != range.second; ++it) {
-                if (it->second.library != nullptr && it->second.text == genlib_text) {
-                    ++hits_;
-                    touch(it->second);
-                    if (probe != nullptr) *probe = CacheProbe::Hit;
-                    return it->second.library;
-                }
-            }
-            ++misses_;
-            if (probe != nullptr) *probe = CacheProbe::Miss;
-        }
-    }
     // The cached Library carries the canonical name "genlib" regardless of
     // which job parsed it first: the name feeds only the Verilog writer's
     // banner, never the mapped BLIF or the report, so sharing one parse
     // across differently-named jobs keeps served bytes identical.
-    StatusOr<Library> parsed = read_genlib_checked(genlib_text, "genlib");
-    if (!parsed.is_ok()) return parsed.status();
-    auto shared = std::make_shared<const Library>(std::move(parsed.value()));
-
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!enabled_) return StatusOr<std::shared_ptr<const Library>>(std::move(shared));
-    auto range = entries_.equal_range(key);
-    for (auto it = range.first; it != range.second; ++it) {
-        if (it->second.library != nullptr && it->second.text == genlib_text) {
-            return it->second.library;
-        }
-    }
-    Entry entry;
-    entry.text.assign(genlib_text.data(), genlib_text.size());
-    entry.library = shared;
-    touch(entry);
-    text_bytes_ += entry.text.size();
-    entries_.emplace(key, std::move(entry));
-    evict_over_caps();
-    return StatusOr<std::shared_ptr<const Library>>(std::move(shared));
+    return lookup_or_parse(&Entry::library, genlib_text, probe, [](std::string_view text) {
+        return read_genlib_checked(text, "genlib");
+    });
 }
 
 ArtifactCache::Stats ArtifactCache::stats() const {
@@ -198,16 +149,6 @@ void ArtifactCache::clear() {
     text_bytes_ = 0;
     hits_ = 0;
     misses_ = 0;
-}
-
-void ArtifactCache::set_enabled(bool enabled) {
-    std::lock_guard<std::mutex> lock(mu_);
-    enabled_ = enabled;
-}
-
-bool ArtifactCache::enabled() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return enabled_;
 }
 
 void ArtifactCache::set_capacity(std::size_t max_entries, std::size_t max_text_bytes) {
@@ -326,14 +267,7 @@ JobOutcome run_flow_job(const JobSpec& spec) {
     crash_set_stage("flow");
     StatusOr<FlowResult> flow = [&]() -> StatusOr<FlowResult> {
         try {
-            switch (spec.options.kind) {
-                case JobFlowKind::Baseline:
-                    return run_baseline_flow_checked(network, library, opts);
-                case JobFlowKind::Adaptive:
-                    return run_lily_flow_adaptive_checked(network, library, opts);
-                case JobFlowKind::Lily: break;
-            }
-            return run_lily_flow_checked(network, library, opts);
+            return run_flow_checked(spec.options.kind, network, library, opts);
         } catch (const std::exception& e) {
             // The checked entry points reserve exceptions for invariant
             // violations (CheckLevel); a serving job folds those into the

@@ -25,11 +25,6 @@
 
 namespace lily {
 
-/// Which checked entry point a job drives.
-enum class JobFlowKind : std::uint8_t { Baseline = 0, Lily = 1, Adaptive = 2 };
-
-const char* to_string(JobFlowKind kind);
-
 /// Effort tier. A job crashed or killed at Full is retried once at
 /// Degraded, which applies the RecoveryPolicy's final rung up front
 /// (wire-blind mapping weight, baseline fallback armed) so the retry takes
@@ -41,7 +36,7 @@ const char* to_string(JobTier tier);
 /// The wire/spool-serializable subset of FlowOptions. Everything not listed
 /// here keeps its FlowOptions default inside the worker.
 struct JobFlowOptions {
-    JobFlowKind kind = JobFlowKind::Lily;
+    FlowKind kind = FlowKind::Lily;
     MapObjective objective = MapObjective::Area;
     CheckLevel check = CheckLevel::Off;
     VerifyLevel verify = VerifyLevel::Off;
@@ -77,8 +72,8 @@ inline bool job_state_terminal(JobState s) {
 }
 
 /// What the ArtifactCache did for one parsed input of one job. Skipped
-/// means the lookup never ran (cache disabled, or an earlier parse error
-/// ended the job first) — it must not count as a miss in serving stats.
+/// means the lookup never ran because an earlier parse error ended the job
+/// — it must not count as a miss in serving stats.
 enum class CacheProbe : std::uint8_t { Skipped = 0, Miss = 1, Hit = 2 };
 
 const char* to_string(CacheProbe probe);
@@ -123,9 +118,8 @@ struct JobOutcome {
 };
 
 /// Process-local cache of parsed artifacts, shared by every run_flow_job
-/// call (and lily_lint's file loads) in this process. Warm pooled workers
-/// are the hot customer: a steady-state job over a seen design/library
-/// pair skips both parses.
+/// call in this process. Warm pooled workers are the hot customer: a
+/// steady-state job over a seen design/library pair skips both parses.
 ///
 /// Keying: FNV-1a 64 of the full text, with the stored text kept alongside
 /// and compared on every hit. A hash collision therefore degrades to a
@@ -144,8 +138,7 @@ public:
         std::size_t text_bytes = 0;  // retained source text, for the byte cap
     };
 
-    /// The process-wide instance. First use honors LILY_ARTIFACT_CACHE=off
-    /// as a kill switch (diagnostics / A-B timing).
+    /// The process-wide instance.
     static ArtifactCache& instance();
 
     ArtifactCache() = default;
@@ -161,8 +154,6 @@ public:
 
     Stats stats() const;
     void clear();  // drop entries and zero counters (tests)
-    void set_enabled(bool enabled);
-    bool enabled() const;
     /// Bound memory: max parsed entries and max retained text bytes
     /// (each kind counted together). Defaults: 64 entries, 64 MB.
     void set_capacity(std::size_t max_entries, std::size_t max_text_bytes);
@@ -175,6 +166,11 @@ private:
         std::uint64_t stamp = 0;  // LRU clock; larger = more recent
     };
 
+    /// Hit, or parse `text` and insert the result under `slot`.
+    template <typename T, typename Parse>
+    StatusOr<std::shared_ptr<const T>> lookup_or_parse(std::shared_ptr<const T> Entry::*slot,
+                                                       std::string_view text,
+                                                       CacheProbe* probe, Parse parse);
     void touch(Entry& entry);
     void evict_over_caps();
 
@@ -186,7 +182,6 @@ private:
     std::size_t text_bytes_ = 0;
     std::size_t max_entries_ = 64;
     std::size_t max_text_bytes_ = 64u << 20;
-    bool enabled_ = true;
 };
 
 /// Execute a job in the current process: parse the embedded circuit and

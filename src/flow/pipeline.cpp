@@ -31,7 +31,6 @@ Status rebuild_from_batch(PipelineState& state) {
     state.used_baseline_fallback = cap.used_baseline_fallback;
     state.detailed = std::move(cap.detailed);
     state.routed = std::move(cap.routed);
-    state.timing = std::move(cap.timing);
     state.subject_size_at_map = state.subject.graph.size();
     const Version v = state.net.version();
     state.subject_built_from = v;
@@ -332,19 +331,12 @@ StatusOr<EcoStats> run_eco_flow_checked(PipelineState& state, const NetDelta& de
     const ChipAreaEstimate chip =
         estimate_chip_area(view.netlist.total_cell_area(), routed, state.opts.chip);
 
-    // ---- Timing: splice prior arrivals wherever the fanin cone and the
-    // placement context are unchanged; the equality cutoff stops change
-    // propagation as soon as a recomputed arrival is bit-equal.
+    // ---- Timing: the batch STA pass over the updated netlist.
     TimingReport timing;
     exec.run(StageId::EcoTiming, [&](StageScope& s) {
-        const TimingSeed tseed{&prior, &state.timing, state.flow.final_positions};
-        timing = analyze_timing_incremental(res.netlist, *state.lib, view, detailed.positions,
-                                            tseed, state.opts.timing);
-        stats.timing_reused = timing.reused_arrivals;
-        stats.timing_recomputed = timing.recomputed_arrivals;
-        s.ok(std::to_string(timing.reused_arrivals) + " arrival(s) spliced, " +
-             std::to_string(timing.recomputed_arrivals) + " recomputed (reuse " +
-             std::to_string(stats.timing_reuse_ratio()) + ")");
+        timing = analyze_timing(res.netlist, *state.lib, view, detailed.positions,
+                                state.opts.timing);
+        s.ok_if_unset();
     });
 
     if (ctx.checks_enabled()) {
@@ -381,7 +373,6 @@ StatusOr<EcoStats> run_eco_flow_checked(PipelineState& state, const NetDelta& de
     state.lily = std::move(res);
     state.detailed = std::move(detailed);
     state.routed = routed;
-    state.timing = std::move(timing);
     state.subject_size_at_map = state.subject.graph.size();
     const Version v = state.net.version();
     state.mapping_built_from = v;

@@ -12,9 +12,9 @@
 //               cones back onto existing nodes (append-only ids)
 //   mapping  -> LilyMapper::remap_checked: cone-scoped DP over the dirty
 //               cones, prior solutions/placements reused verbatim
-//   backend  -> place_incremental anchored on the clean boundary, full row
-//               re-legalization and routing (cheap relative to mapping),
-//               analyze_timing_incremental with equality-cutoff splicing
+//   backend  -> place_incremental anchored on the clean boundary, row
+//               re-legalization, route_incremental, and the batch STA pass
+//               (a few ms; legalization moves nearly every pin anyway)
 //
 // `delta = everything` (NetDelta::full_rebuild) degenerates to the batch
 // flow via the same code path the non-incremental entry points use, so the
@@ -61,7 +61,6 @@ struct PipelineState {
     FlowResult flow;            // netlist, positions, pads, region, metrics
     DetailedPlacement detailed;  // row structure the ECO legalizer extends
     RouteResult routed;          // replayable plan route_incremental patches
-    TimingReport timing;         // seed for incremental re-timing
     Version backend_built_from = kNeverBuilt;
 
     bool built() const {
@@ -86,9 +85,6 @@ struct EcoStats {
     std::size_t placed_cells = 0;  // cells re-solved by the local QP
     std::size_t total_cells = 0;
 
-    std::size_t timing_reused = 0;  // arrivals spliced from the prior report
-    std::size_t timing_recomputed = 0;
-
     /// The delta took the batch path (requested, or a fallback rung fired).
     bool full_reflow = false;
     FlowDiagnostics diagnostics;
@@ -102,10 +98,8 @@ struct EcoStats {
                    ? 0.0
                    : 1.0 - static_cast<double>(placed_cells) / static_cast<double>(total_cells);
     }
-    double timing_reuse_ratio() const {
-        const std::size_t n = timing_reused + timing_recomputed;
-        return n == 0 ? 0.0 : static_cast<double>(timing_reused) / static_cast<double>(n);
-    }
+    /// Always 0: ECO re-timing is the batch STA; kept for perfbench's reader.
+    double timing_reuse_ratio() const { return 0.0; }
 };
 
 /// Run the batch Lily flow once and capture every stage artifact into a

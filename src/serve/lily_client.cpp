@@ -93,11 +93,11 @@ bool parse_args(int argc, char** argv, ClientArgs& out) {
         } else if (arg.rfind("--flow=", 0) == 0) {
             const std::string kind = arg.substr(7);
             if (kind == "lily") {
-                out.options.kind = JobFlowKind::Lily;
+                out.options.kind = FlowKind::Lily;
             } else if (kind == "baseline") {
-                out.options.kind = JobFlowKind::Baseline;
+                out.options.kind = FlowKind::Baseline;
             } else if (kind == "adaptive") {
-                out.options.kind = JobFlowKind::Adaptive;
+                out.options.kind = FlowKind::Adaptive;
             } else {
                 std::fprintf(stderr, "lily_client: unknown flow kind '%s'\n", kind.c_str());
                 return false;

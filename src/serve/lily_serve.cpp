@@ -9,10 +9,9 @@
 //   lily_serve --socket=PATH --spool=DIR [options]
 //     --workers=N          sandbox slots (default 4)
 //     --queue-cap=N        admission-control queue bound (default 16)
-//     --pool=warm|cold     warm = preforked workers persist across jobs
-//                          (default); cold = fresh worker per job (A/B)
-//     --recycle-after=N    retire a warm worker after N jobs (default 256,
-//                          0 = never; bounds cache/heap soak)
+//     --recycle-after=N    retire a worker after N jobs (default 256,
+//                          0 = never, 1 = fresh worker per job; bounds
+//                          cache/heap soak)
 //     --wall-ms=N          per-job wall-clock ceiling (default 30000)
 //     --rss-mb=N           per-job resident-set ceiling (default 1024)
 //     --hb-timeout-ms=N    worker heartbeat-silence ceiling (default 2000)
@@ -40,7 +39,7 @@ using namespace lily;
 void usage(std::FILE* to) {
     std::fputs(
         "usage: lily_serve --socket=PATH --spool=DIR [--workers=N] [--queue-cap=N]\n"
-        "                  [--pool=warm|cold] [--recycle-after=N]\n"
+        "                  [--recycle-after=N]\n"
         "                  [--wall-ms=N] [--rss-mb=N] [--hb-timeout-ms=N]\n"
         "                  [--retries=N] [--backoff-ms=N] [--check-spool] [--verbose]\n",
         to);
@@ -72,10 +71,6 @@ int main(int argc, char** argv) {
             options.workers = n;
         } else if (arg.rfind("--queue-cap=", 0) == 0 && parse_u32(arg.substr(12), n) && n > 0) {
             options.queue_capacity = n;
-        } else if (arg == "--pool=warm") {
-            options.warm_pool = true;
-        } else if (arg == "--pool=cold") {
-            options.warm_pool = false;
         } else if (arg.rfind("--recycle-after=", 0) == 0 && parse_u32(arg.substr(16), n)) {
             options.recycle_after_jobs = n;
         } else if (arg.rfind("--wall-ms=", 0) == 0 && parse_u32(arg.substr(10), n)) {

@@ -219,9 +219,8 @@ Status ServeServer::run() {
 
     log("listening on " + options_.socket_path + " (" +
         std::to_string(options_.workers) + " workers, queue capacity " +
-        std::to_string(options_.queue_capacity) + ", pool " +
-        (options_.warm_pool ? "warm" : "cold") + ", recycle after " +
-        std::to_string(options_.warm_pool ? options_.recycle_after_jobs : 1) + ")");
+        std::to_string(options_.queue_capacity) + ", recycle after " +
+        std::to_string(options_.recycle_after_jobs) + ")");
     // Prefork the pool before accepting traffic: the first burst must not
     // pay N forks.
     ensure_workers();
@@ -528,8 +527,6 @@ void ServeServer::account_cache(const JobOutcome& outcome) {
 }
 
 void ServeServer::poll_workers() {
-    const std::uint32_t recycle_after =
-        options_.warm_pool ? options_.recycle_after_jobs : 1;
     for (Slot& slot : slots_) {
         if (slot.worker == nullptr || !slot.worker->poll()) continue;
 
@@ -545,6 +542,7 @@ void ServeServer::poll_workers() {
                 result.outcome.retries = it->second.retries;
                 finish_job(it->second, std::move(result.outcome));
             }
+            const std::uint32_t recycle_after = options_.recycle_after_jobs;  // 0 = never
             if (recycle_after > 0 && slot.worker->jobs_completed() >= recycle_after) {
                 ++stats_.workers_recycled;
                 log("worker pid " + std::to_string(slot.worker->pid()) + " retiring after " +

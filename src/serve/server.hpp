@@ -12,8 +12,8 @@
 //    persistent pipes; each keeps a process-local ArtifactCache so
 //    steady-state jobs skip fork and both parses. A dead worker (crash,
 //    ceiling kill) is respawned; a worker that served recycle_after_jobs
-//    is retired and replaced to bound memory soak. --pool=cold degrades to
-//    the fork-per-job model (recycle after every job) for comparison.
+//    is retired and replaced to bound memory soak (--recycle-after=1 is the
+//    fork-per-job model).
 //  * Every accepted job is journaled to the spool before the client hears
 //    "accepted"; every state transition re-journals. Kill the server at
 //    any instant and a restart resumes or fails over the journaled jobs.
@@ -45,12 +45,8 @@ struct ServeOptions {
     WorkerLimits limits;            // per-job ceilings
     std::uint32_t max_retries = 1;  // crash retries per job (degraded tier)
     double retry_backoff_ms = 50.0;
-    /// Warm pool (default): workers persist across jobs with their
-    /// artifact caches. Cold (--pool=cold) retires every worker after one
-    /// job — the PR 6 fork-per-job behavior, kept for A/B benchmarking.
-    bool warm_pool = true;
     /// Retire a worker after this many jobs (bounds cache/heap soak).
-    /// 0 = never. Forced to 1 by warm_pool=false.
+    /// 0 = never; 1 = a fresh worker, and a cold cache, for every job.
     std::uint32_t recycle_after_jobs = 256;
     bool verbose = false;           // per-event lines on stderr
 };

@@ -59,11 +59,8 @@ TimingReport analyze_timing(const MappedNetlist& m, const Library& lib,
 
     // Arrival time of a signal (instance output or primary input).
     std::unordered_map<SubjectId, RiseFall> signal_arrival;
-    std::unordered_map<SubjectId, Point> signal_pos;
-    for (std::size_t i = 0; i < m.subject_inputs.size(); ++i) {
-        signal_arrival[m.subject_inputs[i]] = {opts.input_arrival, opts.input_arrival};
-        signal_pos[m.subject_inputs[i]] =
-            view.netlist.pad_positions[view.pad_of_input(i)];
+    for (const SubjectId pi : m.subject_inputs) {
+        signal_arrival[pi] = {opts.input_arrival, opts.input_arrival};
     }
 
     // Sinks per signal: (instance, pin).
@@ -79,13 +76,12 @@ TimingReport analyze_timing(const MappedNetlist& m, const Library& lib,
     }
 
     // Per-instance critical fanin (for path tracing).
-    rep.crit_fanin.assign(n, MappedNetlist::npos);
+    std::vector<std::size_t> crit_fanin(n, MappedNetlist::npos);
 
     for (std::size_t i = 0; i < n; ++i) {
         const GateInstance& inst = m.gates[i];
         const Gate& gate = lib.gate(inst.gate);
         const Point out_pos = positions[i];
-        signal_pos[inst.driver] = out_pos;
 
         // Load: fanout pin caps + PO pads + wiring capacitance.
         double c_load = 0.0;
@@ -130,7 +126,7 @@ TimingReport analyze_timing(const MappedNetlist& m, const Library& lib,
             }
             const double t_rise = rise_from + pin.rise_block + pin.rise_fanout * c_load;
             const double t_fall = fall_from + pin.fall_block + pin.fall_fanout * c_load;
-            if (std::max(t_rise, t_fall) > out.worst()) rep.crit_fanin[i] = k;
+            if (std::max(t_rise, t_fall) > out.worst()) crit_fanin[i] = k;
             out.rise = std::max(out.rise, t_rise);
             out.fall = std::max(out.fall, t_fall);
         }
@@ -154,202 +150,7 @@ TimingReport analyze_timing(const MappedNetlist& m, const Library& lib,
                                                    : MappedNetlist::npos;
     while (inst != MappedNetlist::npos) {
         rep.critical_path.push_back(inst);
-        const std::size_t k = rep.crit_fanin[inst];
-        if (k == MappedNetlist::npos) break;
-        inst = m.instance_driving(m.gates[inst].inputs[k]);
-    }
-    std::reverse(rep.critical_path.begin(), rep.critical_path.end());
-    return rep;
-}
-
-TimingReport analyze_timing_incremental(const MappedNetlist& m, const Library& lib,
-                                        const MappedPlacementView& view,
-                                        std::span<const Point> positions,
-                                        const TimingSeed& seed, const TimingOptions& opts) {
-    // Unusable seed (or a changed PI/PO interface, which moves every pad
-    // index): fall back to the full pass.
-    if (seed.netlist == nullptr || seed.report == nullptr ||
-        seed.positions.size() != seed.netlist->gates.size() ||
-        seed.report->arrival.size() != seed.netlist->gates.size() ||
-        seed.report->load.size() != seed.netlist->gates.size() ||
-        seed.report->crit_fanin.size() != seed.netlist->gates.size() ||
-        seed.netlist->subject_inputs != m.subject_inputs ||
-        seed.netlist->outputs.size() != m.outputs.size()) {
-        return analyze_timing(m, lib, view, positions, opts);
-    }
-    const MappedNetlist& pm = *seed.netlist;
-    const TimingReport& pr = *seed.report;
-
-    TimingReport rep;
-    const std::size_t n = m.gates.size();
-    rep.arrival.assign(n, {});
-    rep.load.assign(n, 0.0);
-    rep.crit_fanin.assign(n, MappedNetlist::npos);
-
-    std::unordered_map<SubjectId, RiseFall> signal_arrival;
-    // Signals whose arrival differs from the prior run. Absent = unchanged;
-    // primary inputs never change (the interface match is checked above).
-    std::unordered_map<SubjectId, bool> signal_changed;
-    for (std::size_t i = 0; i < m.subject_inputs.size(); ++i) {
-        signal_arrival[m.subject_inputs[i]] = {opts.input_arrival, opts.input_arrival};
-    }
-
-    // Sink lists per signal for both netlists, in instance order. Instances
-    // are emitted in subject-id order by extraction, so equal profiles imply
-    // the same pin-cap summation order — equal context gives bit-identical
-    // loads without recomputing them.
-    const auto build_sinks = [](const MappedNetlist& net) {
-        std::unordered_map<SubjectId, std::vector<std::pair<std::size_t, std::size_t>>> s;
-        for (std::size_t i = 0; i < net.gates.size(); ++i) {
-            for (std::size_t k = 0; k < net.gates[i].inputs.size(); ++k) {
-                s[net.gates[i].inputs[k]].push_back({i, k});
-            }
-        }
-        return s;
-    };
-    const auto sinks = build_sinks(m);
-    const auto old_sinks = build_sinks(pm);
-    const auto build_po_pads = [&view](const MappedNetlist& net) {
-        std::unordered_map<SubjectId, std::vector<std::size_t>> p;
-        for (std::size_t o = 0; o < net.outputs.size(); ++o) {
-            p[net.outputs[o].driver].push_back(view.pad_of_output(o));
-        }
-        return p;
-    };
-    const auto po_pads = build_po_pads(m);
-    const auto old_po_pads = build_po_pads(pm);
-
-    const auto same_point = [](const Point& a, const Point& b) {
-        return a.x == b.x && a.y == b.y;
-    };
-    // The whole load context of signal `s` (driven by new instance i, prior
-    // instance j): own position, every sink's pin/gate/identity/position,
-    // and the PO pads it feeds.
-    const auto same_net_context = [&](SubjectId s, std::size_t i, std::size_t j) {
-        if (!same_point(positions[i], seed.positions[j])) return false;
-        const auto nit = sinks.find(s);
-        const auto oit = old_sinks.find(s);
-        const std::size_t n_sinks = nit != sinks.end() ? nit->second.size() : 0;
-        const std::size_t o_sinks = oit != old_sinks.end() ? oit->second.size() : 0;
-        if (n_sinks != o_sinks) return false;
-        for (std::size_t t = 0; t < n_sinks; ++t) {
-            const auto [si, sk] = nit->second[t];
-            const auto [oi, ok] = oit->second[t];
-            if (sk != ok) return false;
-            if (m.gates[si].gate != pm.gates[oi].gate) return false;
-            if (m.gates[si].driver != pm.gates[oi].driver) return false;
-            if (!same_point(positions[si], seed.positions[oi])) return false;
-        }
-        const auto npit = po_pads.find(s);
-        const auto opit = old_po_pads.find(s);
-        const bool has_new = npit != po_pads.end();
-        const bool has_old = opit != old_po_pads.end();
-        if (has_new != has_old) return false;
-        if (has_new && npit->second != opit->second) return false;
-        return true;
-    };
-
-    for (std::size_t i = 0; i < n; ++i) {
-        const GateInstance& inst = m.gates[i];
-        const std::size_t j = pm.instance_driving(inst.driver);
-
-        bool inputs_quiet = true;
-        for (const SubjectId in : inst.inputs) {
-            const auto it = signal_changed.find(in);
-            if (it != signal_changed.end() && it->second) {
-                inputs_quiet = false;
-                break;
-            }
-        }
-        const bool structure_same = j != MappedNetlist::npos &&
-                                    pm.gates[j].gate == inst.gate &&
-                                    pm.gates[j].inputs == inst.inputs;
-        if (structure_same && inputs_quiet && same_net_context(inst.driver, i, j)) {
-            // Splice: identical inputs through identical arithmetic — the
-            // prior numbers are what the full pass would produce.
-            rep.arrival[i] = pr.arrival[j];
-            rep.load[i] = pr.load[j];
-            rep.crit_fanin[i] = pr.crit_fanin[j];
-            signal_arrival[inst.driver] = rep.arrival[i];
-            ++rep.reused_arrivals;
-            continue;
-        }
-
-        // Recompute with exactly the full pass's arithmetic.
-        const Gate& gate = lib.gate(inst.gate);
-        const Point out_pos = positions[i];
-        double c_load = 0.0;
-        std::vector<Point> net_pins{out_pos};
-        if (const auto it = sinks.find(inst.driver); it != sinks.end()) {
-            for (const auto& [sink_inst, sink_pin] : it->second) {
-                c_load += lib.gate(m.gates[sink_inst].gate).pin(sink_pin).input_load;
-                net_pins.push_back(positions[sink_inst]);
-            }
-        }
-        if (const auto it = po_pads.find(inst.driver); it != po_pads.end()) {
-            for (const std::size_t pad : it->second) {
-                c_load += opts.po_pad_load;
-                net_pins.push_back(view.netlist.pad_positions[pad]);
-            }
-        }
-        const NetExtents ext = net_extents(net_pins, opts.wire_model);
-        c_load += opts.cap_per_unit_h * ext.x + opts.cap_per_unit_v * ext.y;
-        rep.load[i] = c_load;
-
-        RiseFall out{-1e300, -1e300};
-        for (std::size_t k = 0; k < inst.inputs.size(); ++k) {
-            const auto ait = signal_arrival.find(inst.inputs[k]);
-            const RiseFall in = ait != signal_arrival.end() ? ait->second : RiseFall{};
-            const PinTiming& pin = gate.pin(k);
-            double rise_from, fall_from;
-            switch (pin.phase) {
-                case PinPhase::Inv:
-                    rise_from = in.fall;
-                    fall_from = in.rise;
-                    break;
-                case PinPhase::NonInv:
-                    rise_from = in.rise;
-                    fall_from = in.fall;
-                    break;
-                case PinPhase::Unknown:
-                default:
-                    rise_from = in.worst();
-                    fall_from = in.worst();
-                    break;
-            }
-            const double t_rise = rise_from + pin.rise_block + pin.rise_fanout * c_load;
-            const double t_fall = fall_from + pin.fall_block + pin.fall_fanout * c_load;
-            if (std::max(t_rise, t_fall) > out.worst()) rep.crit_fanin[i] = k;
-            out.rise = std::max(out.rise, t_rise);
-            out.fall = std::max(out.fall, t_fall);
-        }
-        rep.arrival[i] = out;
-        signal_arrival[inst.driver] = out;
-        ++rep.recomputed_arrivals;
-        // Equality cutoff: a recomputed arrival that lands on the prior bits
-        // quiets every transitive fanout that is otherwise clean.
-        const bool same_as_prior = j != MappedNetlist::npos &&
-                                   pr.arrival[j].rise == out.rise &&
-                                   pr.arrival[j].fall == out.fall;
-        if (!same_as_prior) signal_changed[inst.driver] = true;
-    }
-
-    // Critical output and path, same as the full pass.
-    SubjectId crit_driver = kNullSubject;
-    for (const MappedOutput& po : m.outputs) {
-        const auto it = signal_arrival.find(po.driver);
-        const double t = it != signal_arrival.end() ? it->second.worst() : 0.0;
-        if (t > rep.critical_delay) {
-            rep.critical_delay = t;
-            rep.critical_output = po.name;
-            crit_driver = po.driver;
-        }
-    }
-    std::size_t inst = crit_driver != kNullSubject ? m.instance_driving(crit_driver)
-                                                   : MappedNetlist::npos;
-    while (inst != MappedNetlist::npos) {
-        rep.critical_path.push_back(inst);
-        const std::size_t k = rep.crit_fanin[inst];
+        const std::size_t k = crit_fanin[inst];
         if (k == MappedNetlist::npos) break;
         inst = m.instance_driving(m.gates[inst].inputs[k]);
     }

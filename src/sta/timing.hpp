@@ -48,18 +48,10 @@ struct TimingReport {
     std::vector<RiseFall> arrival;
     /// Load capacitance seen by each instance output.
     std::vector<double> load;
-    /// Worst input pin per instance (npos when all inputs are primary) —
-    /// kept in the report so incremental re-timing can splice prior path
-    /// data into its backtrace.
-    std::vector<std::size_t> crit_fanin;
     double critical_delay = 0.0;
     std::string critical_output;
     /// Instance indices from a primary input to the critical output driver.
     std::vector<std::size_t> critical_path;
-    /// Incremental bookkeeping (analyze_timing_incremental only): instances
-    /// whose arrival/load were spliced from the prior report vs. recomputed.
-    std::size_t reused_arrivals = 0;
-    std::size_t recomputed_arrivals = 0;
 };
 
 /// Analyze the mapped netlist. `positions` are instance centers (parallel to
@@ -69,30 +61,6 @@ TimingReport analyze_timing(const MappedNetlist& m, const Library& lib,
                             const MappedPlacementView& view,
                             std::span<const Point> positions,
                             const TimingOptions& opts = {});
-
-/// Seed for incremental re-timing: the previous netlist, the report analyzed
-/// from it, and the instance positions it was analyzed under (all borrowed;
-/// must outlive the call).
-struct TimingSeed {
-    const MappedNetlist* netlist = nullptr;
-    const TimingReport* report = nullptr;
-    std::span<const Point> positions;
-};
-
-/// ECO re-timing: instances whose gate, inputs, output-net context (own and
-/// sink positions, sink pins, PO pads) and input arrivals are unchanged
-/// against the seed splice their arrival/load from the prior report without
-/// touching a float; everything else is recomputed with exactly the full
-/// pass's arithmetic, and propagation stops at instances whose recomputed
-/// arrival is bit-identical to the prior one (equality cutoff). The result
-/// matches analyze_timing on the same inputs bit for bit. Falls back to the
-/// full pass when the seed is unusable (missing, sized wrong, or a changed
-/// PI/PO interface).
-TimingReport analyze_timing_incremental(const MappedNetlist& m, const Library& lib,
-                                        const MappedPlacementView& view,
-                                        std::span<const Point> positions,
-                                        const TimingSeed& seed,
-                                        const TimingOptions& opts = {});
 
 /// Slack view: required times propagated backward from the primary outputs
 /// against a target, slack = required - arrival per instance output.

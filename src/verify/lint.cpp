@@ -1,6 +1,7 @@
 #include "verify/lint.hpp"
 
 #include <algorithm>
+#include <map>
 #include <unordered_map>
 #include <vector>
 
@@ -96,8 +97,10 @@ CheckReport lint_network(const Network& net) {
     CheckReport report;
     const std::size_t n = net.node_count();
 
-    // Drivers and fanins must exist and be alive.
+    // Drivers and fanins must exist and be alive; PO drivers carry the
+    // is_po_driver flag.
     bool structure_ok = true;
+    std::vector<bool> drives_po(n, false);
     for (const PrimaryOutput& po : net.outputs()) {
         if (po.driver == kNullNode || po.driver >= n) {
             report.error(CheckStage::Verify, kNoCheckNode,
@@ -108,11 +111,39 @@ CheckReport lint_network(const Network& net) {
                          "output '" + po.name + "' is driven by dead node '" +
                              net.node(po.driver).name + "'");
             structure_ok = false;
+        } else {
+            drives_po[po.driver] = true;
+            if (!net.node(po.driver).is_po_driver) {
+                report.error(CheckStage::Verify, po.driver,
+                             "node '" + net.node(po.driver).name + "' drives output '" +
+                                 po.name + "' but its is_po_driver flag is unset");
+            }
         }
     }
+    // Edge multiplicities per (driver, sink): fanin-list count vs fanout-list
+    // count. Every edge is stored on both endpoints, so they must agree.
+    std::map<std::pair<NodeId, NodeId>, std::pair<std::size_t, std::size_t>> edges;
     for (NodeId id = 0; id < n; ++id) {
         const Node& node = net.node(id);
-        if (node.dead || node.kind != NodeKind::Logic) continue;
+        if (node.dead) continue;
+        if (node.name.empty()) report.error(CheckStage::Verify, id, "node has an empty name");
+        if (node.is_po_driver && !drives_po[id]) {
+            report.warning(CheckStage::Verify, id,
+                           "node '" + node.name + "' has is_po_driver set but drives no output");
+        }
+        if (node.kind == NodeKind::PrimaryInput && !node.fanins.empty()) {
+            report.error(CheckStage::Verify, id,
+                         "primary input '" + node.name + "' has fanins");
+            structure_ok = false;
+        }
+        if (node.function.max_fanin_index() > node.fanins.size()) {
+            report.error(CheckStage::Verify, id,
+                         "node '" + node.name + "': SOP references fanin slot " +
+                             std::to_string(node.function.max_fanin_index() - 1) +
+                             " but node has " + std::to_string(node.fanins.size()) +
+                             " fanins");
+            structure_ok = false;
+        }
         for (const NodeId f : node.fanins) {
             if (f >= n) {
                 report.error(CheckStage::Verify, id,
@@ -124,7 +155,35 @@ CheckReport lint_network(const Network& net) {
                              "node '" + node.name + "' reads dead node '" +
                                  net.node(f).name + "'");
                 structure_ok = false;
+            } else {
+                ++edges[{f, id}].first;
+                // Ids are a topological order (self-loops are reported as
+                // cycles below).
+                if (f > id) {
+                    report.error(CheckStage::Verify, id,
+                                 "node '" + node.name + "' reads fanin '" +
+                                     net.node(f).name +
+                                     "' that is not earlier in id order (cycle)");
+                    structure_ok = false;
+                }
             }
+        }
+        for (const NodeId fo : node.fanouts) {
+            if (fo >= n) {
+                report.error(CheckStage::Verify, id,
+                             "node '" + node.name + "' lists out-of-range fanout " +
+                                 std::to_string(fo));
+            } else {
+                ++edges[{id, fo}].second;
+            }
+        }
+    }
+    for (const auto& [edge, count] : edges) {
+        if (count.first != count.second) {
+            report.error(CheckStage::Verify, edge.second,
+                         "fanin/fanout asymmetry from node " + std::to_string(edge.first) +
+                             ": " + std::to_string(count.first) + " fanin edge(s) vs " +
+                             std::to_string(count.second) + " fanout edge(s)");
         }
     }
 

@@ -4,11 +4,16 @@
 // are legal by construction rules but almost always a bug upstream:
 //
 //   error   combinational cycle (Tarjan SCC over fanin edges, including
-//           self-loops — only reachable by mutating nodes in place)
-//   error   primary output with a null, out-of-range or dead driver
-//   error   logic node reading a dead or out-of-range fanin
-//   error   duplicate net name on two live nodes, duplicate PO name
-//           (a multi-driver net in BLIF terms)
+//           self-loops — only reachable by mutating nodes in place), or a
+//           fanin not earlier in id order (ids are a topological order)
+//   error   primary output with a null, out-of-range or dead driver, or
+//           whose driver lacks the is_po_driver flag
+//   error   node reading a dead or out-of-range fanin, a primary input
+//           with fanins, an SOP referencing a fanin slot the node lacks
+//   error   fanin/fanout edge lists that disagree
+//   error   empty node name, duplicate net name on two live nodes,
+//           duplicate PO name (a multi-driver net in BLIF terms)
+//   warning is_po_driver flag set on a node that drives no output
 //   warning floating primary input (reaches no primary output)
 //   warning dead cone (live logic node that reaches no primary output)
 //   warning constant-mergeable logic (a node with fanins whose function

@@ -8,7 +8,6 @@
 
 #include "check/mapped_checker.hpp"
 #include "check/match_checker.hpp"
-#include "check/network_checker.hpp"
 #include "check/placement_checker.hpp"
 #include "check/subject_checker.hpp"
 #include "circuits/benchmarks.hpp"
@@ -66,61 +65,6 @@ TEST(CheckLevelParse, TextAndEnvFallback) {
     EXPECT_EQ(parse_check_level("Light"), CheckLevel::Light);
     EXPECT_EQ(parse_check_level("PARANOID"), CheckLevel::Paranoid);
     EXPECT_EQ(parse_check_level("bogus", CheckLevel::Light), CheckLevel::Light);
-}
-
-// ---- NetworkChecker ---------------------------------------------------
-
-TEST(NetworkChecker, CleanNetworkHasNoIssues) {
-    const CheckReport rep = NetworkChecker{}.check(small_net());
-    EXPECT_FALSE(rep.has_errors());
-    EXPECT_EQ(rep.warning_count(), 0u);
-}
-
-TEST(NetworkChecker, DetectsCycle) {
-    Network net = small_net();
-    // Point an early logic node's fanin at the last node: a back edge that
-    // breaks the topological-order invariant standing in for acyclicity.
-    const NodeId last = static_cast<NodeId>(net.node_count() - 1);
-    const NodeId early = net.logic_nodes().front();
-    net.node(early).fanins.push_back(last);
-    const CheckReport rep = NetworkChecker{}.check(net);
-    EXPECT_TRUE(has_error(rep, CheckStage::Network, "cycle"));
-}
-
-TEST(NetworkChecker, DetectsSelfLoop) {
-    Network net = small_net();
-    const NodeId early = net.logic_nodes().front();
-    net.node(early).fanins.push_back(early);
-    EXPECT_TRUE(has_error(NetworkChecker{}.check(net), CheckStage::Network, "self-loop"));
-}
-
-TEST(NetworkChecker, DetectsFanoutAsymmetry) {
-    Network net = small_net();
-    const NodeId y = net.logic_nodes().back();
-    net.node(net.node(y).fanins.front()).fanouts.clear();  // drop the back edge
-    EXPECT_TRUE(has_error(NetworkChecker{}.check(net), CheckStage::Network, "asymmetry"));
-}
-
-TEST(NetworkChecker, WarnsOnDanglingNode) {
-    Network net = small_net();
-    net.make_not(net.inputs().front(), "unused_inv");
-    const CheckReport rep = NetworkChecker{}.check(net);
-    EXPECT_FALSE(rep.has_errors());
-    EXPECT_TRUE(rep.mentions("dangling"));
-}
-
-TEST(NetworkChecker, DetectsDuplicateNames) {
-    Network net = small_net();
-    net.node(net.logic_nodes().front()).name = "a";  // collides with the PI
-    EXPECT_TRUE(has_error(NetworkChecker{}.check(net), CheckStage::Network, "already used"));
-}
-
-TEST(NetworkChecker, DetectsSopOutOfBounds) {
-    Network net = small_net();
-    Node& y = net.node(net.logic_nodes().back());
-    y.function.cubes.push_back(Cube::literal(13, true));  // node has 2 fanins
-    EXPECT_TRUE(
-        has_error(NetworkChecker{}.check(net), CheckStage::Network, "SOP references"));
 }
 
 // ---- SubjectChecker ---------------------------------------------------

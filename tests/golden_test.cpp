@@ -129,7 +129,7 @@ TEST_P(GoldenFlow, ServedJob) {
     spec.name = "golden";
     spec.blif = write_blif(make_alu(4, false));
     spec.genlib = genlib_buf.str();
-    spec.options.kind = JobFlowKind::Lily;
+    spec.options.kind = FlowKind::Lily;
     spec.options.threads = static_cast<std::uint32_t>(GetParam());
     const JobOutcome out = run_flow_job(spec);
     ASSERT_EQ(out.state, JobState::Ok) << out.status_message;

@@ -5,6 +5,7 @@
 // load shedding, and mid-job SIGKILL + restart recovery from the spool.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -53,7 +54,7 @@ JobSpec small_job(const std::string& fault = "") {
     spec.name = "alu4";
     spec.blif = write_blif(make_alu(4));
     spec.genlib = tiny_genlib();
-    spec.options.kind = JobFlowKind::Lily;
+    spec.options.kind = FlowKind::Lily;
     spec.fault_spec = fault;
     return spec;
 }
@@ -156,19 +157,23 @@ TEST(ServeMessages, JobSpecRoundTrip) {
     spec.options.threads = 3;
     spec.tier = JobTier::Degraded;
 
-    const std::string bytes = encode_job_spec(spec);
-    WireReader r(bytes);
-    JobSpec out;
-    ASSERT_TRUE(decode_job_spec(r, out));
-    EXPECT_EQ(out.name, spec.name);
-    EXPECT_EQ(out.blif, spec.blif);
-    EXPECT_EQ(out.genlib, spec.genlib);
-    EXPECT_EQ(out.options.objective, MapObjective::Delay);
-    EXPECT_EQ(out.options.check, CheckLevel::Light);
-    EXPECT_EQ(out.options.budget_ms, 1234.0);
-    EXPECT_EQ(out.options.threads, 3u);
-    EXPECT_EQ(out.fault_spec, "serve:segv");
-    EXPECT_EQ(out.tier, JobTier::Degraded);
+    for (const FlowKind kind : {FlowKind::Baseline, FlowKind::Lily, FlowKind::Adaptive}) {
+        spec.options.kind = kind;
+        const std::string bytes = encode_job_spec(spec);
+        WireReader r(bytes);
+        JobSpec out;
+        ASSERT_TRUE(decode_job_spec(r, out));
+        EXPECT_EQ(out.name, spec.name);
+        EXPECT_EQ(out.blif, spec.blif);
+        EXPECT_EQ(out.genlib, spec.genlib);
+        EXPECT_EQ(out.options.kind, kind);
+        EXPECT_EQ(out.options.objective, MapObjective::Delay);
+        EXPECT_EQ(out.options.check, CheckLevel::Light);
+        EXPECT_EQ(out.options.budget_ms, 1234.0);
+        EXPECT_EQ(out.options.threads, 3u);
+        EXPECT_EQ(out.fault_spec, "serve:segv");
+        EXPECT_EQ(out.tier, JobTier::Degraded);
+    }
 }
 
 TEST(ServeMessages, JobOutcomeRoundTrip) {
@@ -231,6 +236,22 @@ TEST(ServeMessages, MalformedSpecRejected) {
     WireReader r(bytes);
     JobSpec out;
     EXPECT_FALSE(decode_job_spec(r, out));
+
+    // A flow-kind byte past Adaptive (2). The kind byte is the one where a
+    // Baseline and a Lily encoding of the same spec differ.
+    JobSpec spec = small_job();
+    spec.options.kind = FlowKind::Baseline;
+    const std::string baseline = encode_job_spec(spec);
+    spec.options.kind = FlowKind::Lily;
+    std::string bad_kind = encode_job_spec(spec);
+    ASSERT_EQ(baseline.size(), bad_kind.size());
+    const std::size_t at = static_cast<std::size_t>(
+        std::mismatch(baseline.begin(), baseline.end(), bad_kind.begin()).first -
+        baseline.begin());
+    ASSERT_LT(at, bad_kind.size());
+    bad_kind[at] = 3;
+    WireReader bad_reader(bad_kind);
+    EXPECT_FALSE(decode_job_spec(bad_reader, out));
 }
 
 // ---- Spool ----------------------------------------------------------------
@@ -469,17 +490,6 @@ TEST_F(ArtifactCacheTest, EvictionHonorsEntryCapLru) {
     EXPECT_EQ(probe, CacheProbe::Hit);
     ASSERT_TRUE(cache.network_for(b, &probe).is_ok());
     EXPECT_EQ(probe, CacheProbe::Miss);  // b was the eviction victim
-}
-
-TEST_F(ArtifactCacheTest, DisabledCacheStillParses) {
-    ArtifactCache& cache = ArtifactCache::instance();
-    cache.set_enabled(false);
-    CacheProbe probe = CacheProbe::Hit;
-    const auto parsed = cache.network_for(write_blif(make_alu(2)), &probe);
-    cache.set_enabled(true);
-    ASSERT_TRUE(parsed.is_ok());
-    EXPECT_EQ(probe, CacheProbe::Skipped);
-    EXPECT_EQ(cache.stats().entries, 0u);
 }
 
 TEST_F(ArtifactCacheTest, RepeatedFlowJobsParseOnce) {
@@ -953,7 +963,8 @@ TEST_F(ServeDaemonBase, CacheCountersExactAndRecycleAfterN) {
 }
 
 TEST_F(ServeDaemonBase, ColdPoolParsesEveryJob) {
-    start_server_n(1, {"--pool=cold"});
+    // A cold pool is a warm one that retires each worker after one job.
+    start_server_n(1, {"--recycle-after=1"});
     ServeClient client(socket_);
     const JobSpec spec = small_job();
     std::string first_mapped;

@@ -360,7 +360,7 @@ TEST(JobStageTimes, OutcomeListsEveryExecutedStage) {
     spec.blif = write_blif(make_alu(3, false));
     spec.genlib = msu_tiny_genlib_text();
     ASSERT_FALSE(spec.genlib.empty());
-    spec.options.kind = JobFlowKind::Lily;
+    spec.options.kind = FlowKind::Lily;
     const JobOutcome out = run_flow_job(spec);
     ASSERT_EQ(out.state, JobState::Ok) << out.status_message;
     ASSERT_FALSE(out.stage_times.empty());

@@ -483,6 +483,83 @@ TEST(Lint, FlagsDeadFaninAndDeadPoDriver) {
     EXPECT_TRUE(rep.mentions("reads dead node")) << rep.to_string();
 }
 
+// The structural checks: each case breaks one invariant of a small
+// healthy network in place.
+
+Network small_net() {
+    Network net("small");
+    const NodeId a = net.add_input("a");
+    const NodeId b = net.add_input("b");
+    const NodeId c = net.add_input("c");
+    const NodeId ab = net.make_and2(a, b);
+    const NodeId y = net.make_xor2(ab, c);
+    net.add_output("y", y);
+    return net;
+}
+
+bool has_error(const CheckReport& rep, std::string_view needle) {
+    for (const CheckIssue& i : rep.issues()) {
+        if (i.severity == CheckSeverity::Error && i.stage == CheckStage::Verify &&
+            i.message.find(needle) != std::string::npos) {
+            return true;
+        }
+    }
+    return false;
+}
+
+TEST(LintStructure, CleanNetworkHasNoIssues) {
+    const CheckReport rep = lint_network(small_net());
+    EXPECT_FALSE(rep.has_errors());
+    EXPECT_EQ(rep.warning_count(), 0u);
+}
+
+TEST(LintStructure, DetectsCycle) {
+    Network net = small_net();
+    // Point an early logic node's fanin at the last node: a back edge that
+    // breaks the id-order invariant standing in for acyclicity.
+    const NodeId last = static_cast<NodeId>(net.node_count() - 1);
+    const NodeId early = net.logic_nodes().front();
+    net.node(early).fanins.push_back(last);
+    EXPECT_TRUE(has_error(lint_network(net), "cycle"));
+}
+
+TEST(LintStructure, DetectsSelfLoop) {
+    Network net = small_net();
+    const NodeId early = net.logic_nodes().front();
+    net.node(early).fanins.push_back(early);
+    EXPECT_TRUE(has_error(lint_network(net), "self-loop"));
+}
+
+TEST(LintStructure, DetectsFanoutAsymmetry) {
+    Network net = small_net();
+    const NodeId y = net.logic_nodes().back();
+    net.node(net.node(y).fanins.front()).fanouts.clear();  // drop the back edge
+    EXPECT_TRUE(has_error(lint_network(net), "asymmetry"));
+}
+
+TEST(LintStructure, WarnsOnDanglingNode) {
+    Network net = small_net();
+    const NodeId inv = net.make_not(net.inputs().front(), "unused_inv");
+    const CheckReport rep = lint_network(net);
+    EXPECT_FALSE(rep.has_errors());
+    ASSERT_EQ(rep.warning_count(), 1u) << rep.to_string();
+    EXPECT_EQ(rep.issues().front().node, inv);
+    EXPECT_TRUE(rep.mentions("dead cone")) << rep.to_string();
+}
+
+TEST(LintStructure, DetectsDuplicateNames) {
+    Network net = small_net();
+    net.node(net.logic_nodes().front()).name = "a";  // collides with the PI
+    EXPECT_TRUE(has_error(lint_network(net), "'a' is driven by nodes"));
+}
+
+TEST(LintStructure, DetectsSopOutOfBounds) {
+    Network net = small_net();
+    Node& y = net.node(net.logic_nodes().back());
+    y.function.cubes.push_back(Cube::literal(13, true));  // node has 2 fanins
+    EXPECT_TRUE(has_error(lint_network(net), "SOP references"));
+}
+
 // ------------------------------------------------- flow integration
 
 FlowOptions prove_options() {
