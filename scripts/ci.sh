@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # CI entrypoint: build twice (release with -Werror, and ASan+UBSan with the
-# pipeline's CheckLevel forced to paranoid), run the full test suite on
-# both, then audit the example circuits with lily_lint — including the
-# injected-violation runs that prove the checkers still bite.
+# pipeline's Light checks and simulation verify stage forced on), run the
+# full test suite on both, then audit the example circuits with lily_lint —
+# including the injected-violation runs that prove the checkers still bite.
 #
 # Usage: scripts/ci.sh [--jobs N]
 set -euo pipefail
@@ -18,14 +18,16 @@ run cmake -B build-ci-release -S . -DCMAKE_BUILD_TYPE=Release -DLILY_WERROR=ON
 run cmake --build build-ci-release -j "$JOBS"
 run env -C build-ci-release ctest --output-on-failure -j "$JOBS"
 
-# ---- Build 2: ASan+UBSan, paranoid pipeline self-checks ----------------
+# ---- Build 2: ASan+UBSan, Light checks + simulation verify -------------
 run cmake -B build-ci-sanitize -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DLILY_WERROR=ON "-DLILY_SANITIZE=address;undefined"
 run cmake --build build-ci-sanitize -j "$JOBS"
-run env -C build-ci-sanitize LILY_CHECK_LEVEL=paranoid \
+run env -C build-ci-sanitize LILY_CHECK_LEVEL=light LILY_VERIFY=sim \
     ctest --output-on-failure -j "$JOBS"
 
 # ---- lily_lint over the example circuits (both libraries) --------------
+# The default audit runs every stage's local checkers and proves the mapped
+# netlist equivalent to its source (SAT-sweeping CEC).
 LINT=build-ci-sanitize/src/check/lily_lint
 for blif in examples/circuits/*.blif; do
   for lib in lib/msu_tiny.genlib lib/msu_big.genlib; do
@@ -50,12 +52,11 @@ done
 # ---- Recovery-path suite (sanitized build) -----------------------------
 # Injected recovery-ladder faults must be *survived*: the flow completes
 # (exit 0), reports itself degraded, and the fallback result passes the
-# paranoid checkers (lily_lint runs them inside the flow).
+# Light checks and the verify stage (lily_lint runs both inside the flow).
 for fault in parser:skip-gate placement:diverge matcher:no-match router:overbudget; do
   echo "+ $LINT --inject=$fault (expect exit 0, degraded)"
   set +e
-  out="$("$LINT" --level=paranoid --inject="$fault" \
-        examples/circuits/parity8.blif lib/msu_big.genlib)"
+  out="$("$LINT" --inject="$fault" examples/circuits/parity8.blif lib/msu_big.genlib)"
   status=$?
   set -e
   if [[ "$status" -ne 0 ]]; then
@@ -71,7 +72,7 @@ done
 
 # A starved wall-clock budget must also degrade gracefully, never abort.
 echo "+ $LINT --flow --budget-ms (60s smoke, expect exit 0)"
-run timeout 60 "$LINT" --flow --budget-ms=1 --level=paranoid \
+run timeout 60 "$LINT" --flow --budget-ms=1 \
     examples/circuits/parity8.blif lib/msu_big.genlib
 
 # And the unfaulted flow must report itself clean.
@@ -93,12 +94,12 @@ run python3 scripts/check_trace.py "$TRACE_DIR/flow.trace" "$TRACE_DIR/report.js
 rm -rf "$TRACE_DIR"
 
 # ---- Formal verification (sanitized build) -----------------------------
-# The prover must prove every example's mapped netlist equivalent to its
-# source, the netlist lint must stay quiet on the clean corpus and flag
-# every file in the malformed one, and an injected miscompare must be
-# refuted with a replayed counterexample (exit 0 = refuted-as-expected).
+# The audit above already proved every example's mapping. The netlist lint
+# must stay quiet on the clean corpus and flag every file in the malformed
+# one, and an injected miscompare must make the flow's proving verify stage
+# fail the run with a replayed counterexample (exit 0 = rejected as
+# expected).
 for blif in examples/circuits/*.blif; do
-  run "$LINT" --prove --quiet "$blif" lib/msu_big.genlib
   run "$LINT" --lint-netlist --quiet "$blif"
 done
 for bad in tests/data/bad/*.blif; do

@@ -2,25 +2,40 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <stdexcept>
 
 namespace lily {
 
-CheckLevel parse_check_level(std::string_view text, CheckLevel fallback) {
+namespace {
+
+std::optional<CheckLevel> match_check_level(std::string_view text) {
     std::string lower(text);
     std::transform(lower.begin(), lower.end(), lower.begin(),
                    [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
     if (lower == "off" || lower == "none" || lower == "0") return CheckLevel::Off;
     if (lower == "light" || lower == "1") return CheckLevel::Light;
-    if (lower == "paranoid" || lower == "full" || lower == "2") return CheckLevel::Paranoid;
-    return fallback;
+    return std::nullopt;
+}
+
+}  // namespace
+
+CheckLevel parse_check_level(std::string_view text, CheckLevel fallback) {
+    return match_check_level(text).value_or(fallback);
 }
 
 CheckLevel check_level_from_env() {
     static const CheckLevel cached = [] {
         const char* env = std::getenv("LILY_CHECK_LEVEL");
-        return env == nullptr ? CheckLevel::Off : parse_check_level(env, CheckLevel::Off);
+        if (env == nullptr) return CheckLevel::Off;
+        const std::optional<CheckLevel> level = match_check_level(env);
+        if (!level.has_value()) {
+            std::fprintf(stderr, "lily: LILY_CHECK_LEVEL='%s' is not one of off|light; "
+                                 "checks stay off\n", env);
+        }
+        return level.value_or(CheckLevel::Off);
     }();
     return cached;
 }

@@ -2,13 +2,14 @@
 //
 // Every stage of the mapping pipeline rests on invariants the paper states
 // but a transformation bug can silently break: the subject graph must stay
-// a NAND2/INV DAG equivalent to the source network, every chosen match must
-// compute the function of the cone it replaces, placements must keep every
-// position finite and inside the chip region, and the mapped netlist must
-// simulate identically to the inchoate network. The checkers in this
-// directory verify those invariants and report violations as CheckIssue
-// records, so callers (tests, the flow's CheckLevel knob, the lily_lint
-// CLI) decide whether to warn, throw, or exit non-zero.
+// a well-formed NAND2/INV DAG, every chosen match must compute the function
+// of the cone it replaces, placements must keep every position finite and
+// inside the chip region, and the mapped netlist must be well formed. The
+// checkers in this directory verify those local invariants and report
+// violations as CheckIssue records, so callers (tests, the flow's
+// CheckLevel knob, the lily_lint CLI) decide whether to warn, throw, or
+// exit non-zero. Equivalence of a whole mapped circuit with its source is
+// the verify stage's job (verify/cec.hpp).
 #pragma once
 
 #include <cstdint>
@@ -17,19 +18,20 @@
 
 namespace lily {
 
-/// How much self-verification the pipeline runs between stages.
-///  * Off      — no checking (production default).
-///  * Light    — structural invariants only: O(nodes) scans, no simulation.
-///  * Paranoid — Light plus functional equivalence via random simulation
-///               and per-match cone verification.
-enum class CheckLevel : std::uint8_t { Off, Light, Paranoid };
+/// How much local self-verification the pipeline runs between stages.
+/// Whole-circuit equivalence is not a check level: the flow's verify stage
+/// (VerifyLevel, LILY_VERIFY) owns it.
+///  * Off   — no checking (production default).
+///  * Light — the local checks: structural scans of every artifact plus
+///            the exact truth-table check of each chosen match's cone.
+enum class CheckLevel : std::uint8_t { Off, Light };
 
-/// Parse "off" / "light" / "paranoid" (case-insensitive). Unknown text
-/// returns `fallback`.
+/// Parse "off" / "light" (case-insensitive). Unknown text returns
+/// `fallback`.
 CheckLevel parse_check_level(std::string_view text, CheckLevel fallback = CheckLevel::Off);
 
-/// CheckLevel from the LILY_CHECK_LEVEL environment variable (unset or
-/// unparsable -> Off). Read once and cached.
+/// CheckLevel from the LILY_CHECK_LEVEL environment variable (unset -> Off;
+/// unparsable -> Off with one stderr line). Read once and cached.
 CheckLevel check_level_from_env();
 
 enum class CheckSeverity : std::uint8_t { Warning, Error };

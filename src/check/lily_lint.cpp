@@ -1,21 +1,12 @@
 // lily_lint: run every pipeline invariant checker over a BLIF circuit and a
 // genlib library, printing structured diagnostics and exit-coding on
-// errors. The tool drives the whole pipeline itself (decompose -> match ->
-// map -> place -> time) so each stage's invariants are audited even when
-// the flow-level CheckLevel knob is off.
+// errors. The default audit drives the whole pipeline itself (decompose ->
+// match -> map -> place -> time) so each stage's local invariants are
+// audited even when the flow-level CheckLevel knob is off, and its "mapped"
+// stage proves the mapped netlist equivalent to the source with the
+// SAT-sweeping CEC engine (anything short of a proof is an error).
 //
 //   lily_lint [options] <circuit.blif> <library.genlib>
-//     --level=light|paranoid   light = structural checks only (default:
-//                              paranoid, adds simulation equivalence and
-//                              per-match cone verification)
-//     --prove                  formal mode: map the circuit and prove the
-//                              mapped netlist equivalent to the source with
-//                              the SAT-sweeping CEC engine. Exit 0 only on
-//                              a complete proof. With
-//                              --inject=verify:miscompare the expectation
-//                              inverts: one gate function is flipped and
-//                              the run passes exactly when the engine
-//                              refutes it with a replayable counterexample.
 //     --lint-netlist           static netlist lint: run the src/verify/
 //                              lint passes (cycles, undriven/multi-driven
 //                              nets, floating inputs, dead cones, constant
@@ -23,45 +14,53 @@
 //                              argument is optional. A parse failure counts
 //                              as a finding.
 //     --inject=<kind>          deliberately corrupt one stage to prove the
-//                              checkers catch it: cycle, offchip, badpad,
-//                              wrong-cover, dup-drive. A kind of the form
-//                              stage:kind (e.g. placement:diverge) is a
-//                              recovery-ladder fault instead: it is fed to
-//                              the fault-injection registry and implies
-//                              --flow, proving the flow *survives* it.
+//                              audit catches it: cycle, offchip, badpad,
+//                              wrong-cover (refuted by the prover),
+//                              dup-drive. A kind of the form stage:kind
+//                              (e.g. placement:diverge) is a flow fault
+//                              instead: it is fed to the fault-injection
+//                              registry and implies --flow, proving the
+//                              flow *survives* it. verify:miscompare runs
+//                              the flow at VerifyLevel::Prove and passes
+//                              exactly when the flow's verify stage rejects
+//                              the flipped gate with a counterexample.
 //     --flow[=lily|baseline|adaptive]
-//                              run the checked flow engine end to end and
-//                              print its FlowDiagnostics instead of the
-//                              per-stage checker audit. Exit 0 even when
-//                              the run is degraded (the diagnostics say
-//                              so); non-zero only when no rung of the
-//                              recovery ladder produced a result.
+//                              run the checked flow engine end to end
+//                              (CheckLevel::Light, verify at least Sim;
+//                              LILY_VERIFY=prove raises it) and print its
+//                              FlowDiagnostics instead of the per-stage
+//                              audit. Exit 0 even when the run is degraded
+//                              (the diagnostics say so); non-zero only when
+//                              no rung of the recovery ladder produced a
+//                              verified result.
 //     --eco=<n-edits>          ECO smoke mode: build the incremental
 //                              pipeline, apply a random local delta of
-//                              n edits, and audit the maintained artifacts
-//                              (reuse ratios, version stamps, simulation
-//                              equivalence). With --inject=eco:stale-epoch
-//                              the run passes when the corrupted version
-//                              stamp is rejected with InvariantViolation.
+//                              n edits, and report the reuse ratios; the
+//                              ECO flow itself checks the maintained
+//                              artifacts (Light checks, version stamps,
+//                              verify stage as in --flow). With
+//                              --inject=eco:stale-epoch the run passes when
+//                              the corrupted version stamp is rejected with
+//                              InvariantViolation.
 //     --budget-ms=<n>          whole-flow wall-clock budget (flow mode)
-//     --max-match-nodes=<n>    bound the per-node match audit (0 = all)
 //     --quiet                  suppress per-issue lines, print summary only
+//     --json                   machine-readable report on stdout
 //
 // Exit codes: 0 = clean (warnings allowed), 1 = invariant errors found or
 // unrecoverable flow failure, 2 = usage or input error.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "check/check.hpp"
 #include "check/mapped_checker.hpp"
 #include "flow/pipeline.hpp"
-#include "netlist/simulate.hpp"
 #include "check/match_checker.hpp"
 #include "check/placement_checker.hpp"
 #include "check/subject_checker.hpp"
@@ -83,31 +82,26 @@ using namespace lily;
 struct LintArgs {
     std::string blif_path;
     std::string genlib_path;
-    CheckLevel level = CheckLevel::Paranoid;
     std::string inject = "none";
-    std::size_t max_match_nodes = 0;
     bool quiet = false;
     bool flow_mode = false;
     FlowKind flow_kind = FlowKind::Lily;
     double budget_ms = 0.0;
     bool eco_mode = false;
     std::size_t eco_edits = 0;
-    bool prove_mode = false;
     bool netlist_lint_mode = false;
     bool json = false;
 };
 
 void usage(std::FILE* to) {
     std::fputs(
-        "usage: lily_lint [--level=light|paranoid] [--inject=kind] "
-        "[--flow[=lily|baseline|adaptive]] [--prove] [--lint-netlist] [--eco=N] "
-        "[--budget-ms=N] [--max-match-nodes=N] [--quiet] [--json] "
+        "usage: lily_lint [--inject=kind] [--flow[=lily|baseline|adaptive]] "
+        "[--lint-netlist] [--eco=N] [--budget-ms=N] [--quiet] [--json] "
         "<circuit.blif> [<library.genlib>]\n"
         "  inject kinds: cycle offchip badpad wrong-cover dup-drive\n"
         "  fault specs (imply --flow): parser:skip-gate placement:diverge "
-        "matcher:no-match router:overbudget\n"
-        "  fault specs (imply --eco): eco:stale-epoch\n"
-        "  fault specs (imply --prove): verify:miscompare\n",
+        "matcher:no-match router:overbudget verify:miscompare\n"
+        "  fault specs (imply --eco): eco:stale-epoch\n",
         to);
 }
 
@@ -115,19 +109,12 @@ bool parse_args(int argc, char** argv, LintArgs& out) {
     std::vector<std::string> positional;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (arg.rfind("--level=", 0) == 0) {
-            const std::string level = arg.substr(8);
-            if (level != "light" && level != "paranoid") {
-                std::fprintf(stderr, "lily_lint: unknown level '%s'\n", level.c_str());
-                return false;
-            }
-            out.level = parse_check_level(level, CheckLevel::Paranoid);
-        } else if (arg.rfind("--inject=", 0) == 0) {
+        if (arg.rfind("--inject=", 0) == 0) {
             out.inject = arg.substr(9);
             if (out.inject.find(':') != std::string::npos) {
-                // stage:kind specs are recovery-ladder faults, handled by the
-                // flow engine's injection registry rather than local
-                // corruption; they only make sense in flow mode.
+                // stage:kind specs are flow faults, handled by the flow
+                // engine's injection registry rather than local corruption;
+                // they only make sense in flow mode.
                 static const char* kFaults[] = {"parser:skip-gate", "placement:diverge",
                                                 "matcher:no-match", "router:overbudget",
                                                 "eco:stale-epoch", "verify:miscompare"};
@@ -143,10 +130,6 @@ bool parse_args(int argc, char** argv, LintArgs& out) {
                     // This probe only fires inside run_eco_flow_checked.
                     out.eco_mode = true;
                     if (out.eco_edits == 0) out.eco_edits = 2;
-                } else if (out.inject == "verify:miscompare") {
-                    // Handled locally by the prove mode (the flipped gate
-                    // must be refuted with a counterexample).
-                    out.prove_mode = true;
                 } else {
                     out.flow_mode = true;
                 }
@@ -161,8 +144,6 @@ bool parse_args(int argc, char** argv, LintArgs& out) {
                     return false;
                 }
             }
-        } else if (arg == "--prove") {
-            out.prove_mode = true;
         } else if (arg == "--lint-netlist") {
             out.netlist_lint_mode = true;
         } else if (arg == "--flow" || arg.rfind("--flow=", 0) == 0) {
@@ -189,8 +170,6 @@ bool parse_args(int argc, char** argv, LintArgs& out) {
             }
         } else if (arg.rfind("--budget-ms=", 0) == 0) {
             out.budget_ms = std::stod(arg.substr(12));
-        } else if (arg.rfind("--max-match-nodes=", 0) == 0) {
-            out.max_match_nodes = static_cast<std::size_t>(std::stoull(arg.substr(18)));
         } else if (arg == "--json") {
             // Machine-readable report on stdout (flow/report.hpp — the same
             // document the serving daemon attaches to per-job verdicts).
@@ -243,57 +222,47 @@ bool load_inputs(const LintArgs& args, Network& net, Library& lib) {
     return true;
 }
 
-/// Prove mode: map the circuit with the baseline mapper and prove the
-/// mapped netlist equivalent to the source via SAT-sweeping CEC. With the
-/// verify:miscompare fault the expectation inverts — one gate function is
-/// flipped and the run passes exactly when the engine refutes it with a
-/// counterexample (whose mismatches check_equivalence already confirmed by
-/// replaying the model through simulate_block).
-int run_prove_mode(const LintArgs& args) {
-    Network net("lint");
-    Library lib;
-    if (!load_inputs(args, net, lib)) return 2;
+/// The audit's equivalence check: prove `mapped` computes the function of
+/// `net` with the SAT-sweeping CEC engine. Anything short of a proof (a
+/// refutation with its counterexample, an inconclusive run, an interface
+/// mismatch) is an error.
+CheckReport prove_mapped(const Network& net, const Library& lib, const MappedNetlist& mapped) {
+    CheckReport rep;
+    const StatusOr<CecResult> cec = check_equivalence(net, mapped.to_network(lib));
+    if (!cec.is_ok()) {
+        rep.error(CheckStage::Verify, kNoCheckNode, cec.status().to_string());
+    } else if (cec.value().verdict != CecVerdict::Proven) {
+        const CecResult& r = cec.value();
+        rep.error(CheckStage::Verify, kNoCheckNode,
+                  std::string("mapped netlist not proven equivalent to the source: ") +
+                      to_string(r.verdict) + " (" +
+                      (r.cex.has_value() ? r.cex->to_string() : r.note) + ")");
+    }
+    return rep;
+}
 
-    const bool expect_refuted = args.inject == "verify:miscompare";
-    std::optional<Network> impl;
-    try {
-        const DecomposeResult sub = decompose(net);
-        MapResult mapped = BaseMapper(lib).map(sub.graph);
-        if (expect_refuted && !inject_wrong_cover(mapped.netlist, lib)) {
-            std::fprintf(stderr, "lily_lint: library too small to inject verify:miscompare\n");
-            return 2;
-        }
-        impl = mapped.netlist.to_network(lib);
-    } catch (const std::exception& e) {
-        std::fprintf(stderr, "lily_lint: pipeline failed: %s\n", e.what());
-        return 2;
-    }
+/// Flow and ECO mode options: the Light local checks and at least the
+/// simulation rung of the verify stage (LILY_VERIFY=prove raises it).
+FlowOptions checked_options() {
+    FlowOptions opts;
+    opts.check = CheckLevel::Light;
+    opts.verify = std::max(opts.verify, VerifyLevel::Sim);
+    return opts;
+}
 
-    const StatusOr<CecResult> cec_or = check_equivalence(net, *impl);
-    if (!cec_or.is_ok()) {
-        std::fprintf(stderr, "lily_lint: prove failed: %s\n",
-                     cec_or.status().to_string().c_str());
-        return 1;
+/// The inverted check of a fault probe that corrupts an artifact: the run
+/// passes exactly when the flow rejected it with InvariantViolation whose
+/// message carries `evidence`.
+int expect_rejected(const Status& status, const std::string& fault, std::string_view evidence) {
+    const std::string text = status.to_string();
+    if (status.code() == StatusCode::InvariantViolation &&
+        text.find(evidence) != std::string::npos) {
+        std::printf("%s: rejected as expected (%s)\n", fault.c_str(), text.c_str());
+        return 0;
     }
-    const CecResult& cec = cec_or.value();
-    if (!args.quiet) {
-        std::printf("prove: %s (aig-ands=%zu merged=%zu sat-calls=%zu conflicts=%llu)\n",
-                    to_string(cec.verdict), cec.stats.aig_and_nodes, cec.stats.merged_nodes,
-                    cec.stats.sat_calls,
-                    static_cast<unsigned long long>(cec.stats.conflicts));
-        if (cec.cex.has_value()) std::printf("prove: %s\n", cec.cex->to_string().c_str());
-        if (!cec.note.empty()) std::printf("prove: %s\n", cec.note.c_str());
-    }
-    if (expect_refuted) {
-        if (cec.verdict == CecVerdict::Refuted) {
-            std::printf("prove: injected miscompare refuted as expected\n");
-            return 0;
-        }
-        std::fprintf(stderr,
-                     "lily_lint: verify:miscompare fault was NOT refuted (prover gap)\n");
-        return 1;
-    }
-    return cec.verdict == CecVerdict::Proven ? 0 : 1;
+    std::fprintf(stderr, "lily_lint: %s fault was NOT rejected (%s)\n", fault.c_str(),
+                 text.c_str());
+    return 1;
 }
 
 /// Netlist lint mode: the static src/verify/ lint passes over the BLIF
@@ -326,10 +295,12 @@ int run_netlist_lint_mode(const LintArgs& args) {
 /// Flow mode: drive the fault-tolerant flow engine end to end and report
 /// its FlowDiagnostics. Degraded-but-complete runs exit 0 — that is the
 /// engine keeping its promise — while an unrecoverable failure exits 1 and
-/// a parse/usage error exits 2.
+/// a parse/usage error exits 2. Under verify:miscompare the expectation
+/// inverts: the proving verify stage must reject the run.
 int run_flow_mode(const LintArgs& args) {
-    FlowOptions opts;
-    opts.check = args.level;
+    FlowOptions opts = checked_options();
+    const bool expect_refuted = args.inject == "verify:miscompare";
+    if (expect_refuted) opts.verify = VerifyLevel::Prove;
     opts.budget.total_ms = args.budget_ms;
     // One sink for the whole run: the executor's spans land here, feed the
     // --json report's "trace" block, and are dumped as JSON-lines when
@@ -347,6 +318,7 @@ int run_flow_mode(const LintArgs& args) {
                          dumped.to_string().c_str());
         }
     }
+    if (expect_refuted) return expect_rejected(result.status(), args.inject, "counterexample");
     if (!result.is_ok()) {
         if (args.json) {
             std::fputs(flow_report_json(result.status(), nullptr, nullptr, nullptr, &sink)
@@ -376,7 +348,8 @@ int run_flow_mode(const LintArgs& args) {
 }
 
 /// ECO smoke mode: build the incremental pipeline from the input circuit,
-/// apply one random local delta, and audit the maintained artifacts. With
+/// apply one random local delta, and let the ECO flow's own checks and
+/// verify stage audit the maintained artifacts. With
 /// the eco:stale-epoch fault injected the expected outcome inverts: the
 /// corrupted version stamp must be rejected with InvariantViolation.
 int run_eco_mode(const LintArgs& args) {
@@ -384,7 +357,7 @@ int run_eco_mode(const LintArgs& args) {
     Library lib;
     if (!load_inputs(args, net, lib)) return 2;
 
-    StatusOr<PipelineState> built = build_pipeline(net, lib);
+    StatusOr<PipelineState> built = build_pipeline(net, lib, checked_options());
     if (!built.is_ok()) {
         std::fprintf(stderr, "lily_lint: build_pipeline failed: %s\n",
                      built.status().to_string().c_str());
@@ -395,14 +368,7 @@ int run_eco_mode(const LintArgs& args) {
     const StatusOr<EcoStats> eco = run_eco_flow_checked(state, delta);
 
     if (args.inject == "eco:stale-epoch") {
-        if (!eco.is_ok() && eco.status().code() == StatusCode::InvariantViolation) {
-            std::printf("eco: stale version stamp rejected as expected (%s)\n",
-                        eco.status().to_string().c_str());
-            return 0;
-        }
-        std::fprintf(stderr,
-                     "lily_lint: eco:stale-epoch fault was NOT rejected (checker gap)\n");
-        return 1;
+        return expect_rejected(eco.status(), args.inject, "stale stage artifacts");
     }
     if (!eco.is_ok()) {
         std::fprintf(stderr, "lily_lint: eco flow failed: %s\n",
@@ -413,11 +379,9 @@ int run_eco_mode(const LintArgs& args) {
     if (!args.quiet) std::fputs(s.diagnostics.to_string().c_str(), stdout);
     std::printf("eco: %zu edit(s), reuse map %.2f place %.2f%s\n", args.eco_edits,
                 s.map_reuse_ratio(), s.place_reuse_ratio(), s.full_reflow ? " (full reflow)" : "");
-    const bool equivalent =
-        equivalent_random(state.net, state.flow.netlist.to_network(lib), 8, 0xEC0);
-    std::printf("eco: maintained netlist %s the edited circuit\n",
-                equivalent ? "matches" : "DOES NOT match");
-    return equivalent ? 0 : 1;
+    std::printf("eco: maintained netlist verified against the edited circuit (%s)\n",
+                to_string(state.opts.verify));
+    return 0;
 }
 
 }  // namespace
@@ -432,10 +396,8 @@ int main(int argc, char** argv) {
         return 2;
     }
     if (args.netlist_lint_mode) return run_netlist_lint_mode(args);
-    if (args.prove_mode) return run_prove_mode(args);
     if (args.eco_mode) return run_eco_mode(args);
     if (args.flow_mode) return run_flow_mode(args);
-    const bool paranoid = args.level == CheckLevel::Paranoid;
 
     Network net("lint");
     Library lib;
@@ -468,13 +430,10 @@ int main(int argc, char** argv) {
 
         // Stage 2: decomposition into the subject graph.
         const DecomposeResult sub = decompose(net);
-        SubjectChecker subject_checker;
-        run_stage("subject", paranoid ? subject_checker.check_against_source(sub.graph, net)
-                                      : subject_checker.check(sub.graph));
+        run_stage("subject", SubjectChecker().check(sub.graph));
 
         // Stage 3: pattern matches at every node.
-        run_stage("match",
-                  MatchChecker(lib).check_all(sub.graph, args.max_match_nodes, paranoid));
+        run_stage("match", MatchChecker(lib).check_all(sub.graph));
 
         // Stage 4: technology mapping.
         MapResult mapped = BaseMapper(lib).map(sub.graph);
@@ -485,9 +444,14 @@ int main(int argc, char** argv) {
         if (args.inject == "dup-drive" && !mapped.netlist.gates.empty()) {
             mapped.netlist.gates.push_back(mapped.netlist.gates.back());
         }
+        // Proving a corrupted source or a malformed netlist means nothing,
+        // so the proof runs only on an audit that is clean so far.
         MappedChecker mapped_checker(lib);
-        run_stage("mapped", paranoid ? mapped_checker.check_against(mapped.netlist, net)
-                                     : mapped_checker.check(mapped.netlist));
+        CheckReport mapped_report = mapped_checker.check(mapped.netlist);
+        if (!all.has_errors() && !mapped_report.has_errors()) {
+            mapped_report.merge(prove_mapped(net, lib, mapped.netlist));
+        }
+        run_stage("mapped", mapped_report);
         if (all.has_errors() && (args.inject == "dup-drive" || args.inject == "cycle")) {
             // The remaining stages would operate on the corrupted data;
             // report and stop (mirrors the flow, which throws here).

@@ -5,8 +5,6 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "netlist/simulate.hpp"
-
 namespace lily {
 
 CheckReport MappedChecker::check(const MappedNetlist& m) const {
@@ -68,29 +66,6 @@ CheckReport MappedChecker::check(const MappedNetlist& m) const {
         if (!used.contains(signal)) {
             rep.warning(stage, index, "instance output feeds no pin and no primary output");
         }
-    }
-    return rep;
-}
-
-CheckReport MappedChecker::check_against(const MappedNetlist& m, const Network& reference) const {
-    CheckReport rep = check(m);
-    if (rep.has_errors()) return rep;  // to_network would throw on a broken netlist
-
-    if (m.subject_inputs.size() != reference.inputs().size() ||
-        m.outputs.size() != reference.outputs().size()) {
-        rep.error(CheckStage::Mapped, kNoCheckNode,
-                  "PI/PO interface mismatch with reference network: " +
-                      std::to_string(m.subject_inputs.size()) + "/" +
-                      std::to_string(m.outputs.size()) + " vs " +
-                      std::to_string(reference.inputs().size()) + "/" +
-                      std::to_string(reference.outputs().size()));
-        return rep;
-    }
-    if (!equivalent_random(reference, m.to_network(*lib_), opts_.sim_blocks, opts_.sim_seed)) {
-        rep.error(CheckStage::Mapped, kNoCheckNode,
-                  "mapped netlist not equivalent to the reference network "
-                  "(random simulation, " +
-                      std::to_string(opts_.sim_blocks * 64) + " vectors)");
     }
     return rep;
 }

@@ -1,9 +1,7 @@
 // Mapped-netlist invariants: structural well-formedness (every pin driven,
-// topological instance order, no double drivers), functional equivalence of
-// the mapped circuit against a reference network (the inchoate/source
-// network) via random simulation, and sanity of a timing report over the
-// netlist (finite, non-negative, monotone arrivals; loads at least the
-// connected pin capacitance — wire load can only add).
+// topological instance order, no double drivers) and sanity of a timing
+// report over the netlist (finite, non-negative, monotone arrivals; loads at
+// least the connected pin capacitance — wire load can only add).
 #pragma once
 
 #include "check/check.hpp"
@@ -12,23 +10,12 @@
 
 namespace lily {
 
-struct MappedCheckerOptions {
-    std::size_t sim_blocks = 16;
-    std::uint64_t sim_seed = 0x5eedf00d;
-};
-
 class MappedChecker {
 public:
-    explicit MappedChecker(const Library& lib, MappedCheckerOptions opts = {})
-        : lib_(&lib), opts_(opts) {}
+    explicit MappedChecker(const Library& lib) : lib_(&lib) {}
 
-    /// Structural invariants only (CheckLevel::Light).
+    /// Structural invariants (CheckLevel::Light).
     CheckReport check(const MappedNetlist& m) const;
-
-    /// Structural invariants plus equivalence against `reference` (the
-    /// source network or the subject graph's network view) by random
-    /// simulation (CheckLevel::Paranoid).
-    CheckReport check_against(const MappedNetlist& m, const Network& reference) const;
 
     /// Timing-report sanity for this netlist: arrivals finite, non-negative
     /// and monotone along gate connectivity; loads no smaller than the
@@ -37,7 +24,6 @@ public:
 
 private:
     const Library* lib_;
-    MappedCheckerOptions opts_;
 };
 
 /// Deliberately corrupt `mapped` for checker/verifier self-tests: replace

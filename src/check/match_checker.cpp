@@ -152,24 +152,18 @@ CheckReport MatchChecker::check_function(const SubjectGraph& g, const Match& m) 
     return rep;
 }
 
-CheckReport MatchChecker::check_all(const SubjectGraph& g, std::size_t max_nodes,
-                                    bool verify_function) const {
+CheckReport MatchChecker::check_all(const SubjectGraph& g) const {
     CheckReport rep;
     const Matcher matcher(*lib_);
-    std::size_t scanned = 0;
     for (SubjectId v = 0; v < g.size(); ++v) {
         if (g.node(v).kind == SubjectKind::Input) continue;
-        if (max_nodes != 0 && scanned >= max_nodes) break;
-        ++scanned;
         const std::vector<Match> matches = matcher.matches_at(g, v);
         if (matches.empty()) {
             rep.error(CheckStage::Match, v,
                       "gate node has no library match (base gates missing?)");
             continue;
         }
-        for (const Match& m : matches) {
-            rep.merge(verify_function ? check_function(g, m) : check(g, m));
-        }
+        for (const Match& m : matches) rep.merge(check_function(g, m));
     }
     return rep;
 }

@@ -24,11 +24,8 @@ public:
     CheckReport check_function(const SubjectGraph& g, const Match& m) const;
 
     /// Run every match the matcher produces at every gate node of `g`
-    /// through check_function (or legality-only check when `verify_function`
-    /// is false) — the exhaustive audit lily_lint uses. `max_nodes` bounds
-    /// the scan (0 = all nodes).
-    CheckReport check_all(const SubjectGraph& g, std::size_t max_nodes = 0,
-                          bool verify_function = true) const;
+    /// through check_function — the exhaustive audit lily_lint uses.
+    CheckReport check_all(const SubjectGraph& g) const;
 
 private:
     const Library* lib_;

@@ -7,6 +7,13 @@ namespace lily {
 
 namespace {
 
+/// Relative tolerance (fraction of the region half-perimeter) used for
+/// containment and row-alignment comparisons.
+constexpr double kTolerance = 1e-9;
+/// Pads farther than this fraction of the region half-perimeter from the
+/// boundary are flagged.
+constexpr double kPadBoundaryTolerance = 1e-6;
+
 bool finite(const Point& p) { return std::isfinite(p.x) && std::isfinite(p.y); }
 
 std::string fmt(const Point& p) {
@@ -67,7 +74,7 @@ CheckReport PlacementChecker::check_positions(std::span<const Point> positions,
         rep.error(stage, kNoCheckNode, "placement region is empty");
         return rep;
     }
-    const double eps = opts_.tolerance * std::max(region.half_perimeter(), 1.0) + slack;
+    const double eps = kTolerance * std::max(region.half_perimeter(), 1.0) + slack;
     const Rect grown{{region.ll.x - eps, region.ll.y - eps},
                      {region.ur.x + eps, region.ur.y + eps}};
     for (std::size_t c = 0; c < positions.size(); ++c) {
@@ -115,7 +122,7 @@ CheckReport PlacementChecker::check_detailed(const PlacementNetlist& nl,
         return rep;
     }
     const double pitch = dp.region.height() / static_cast<double>(dp.n_rows);
-    const double eps = opts_.tolerance * std::max(dp.region.half_perimeter(), 1.0) +
+    const double eps = kTolerance * std::max(dp.region.half_perimeter(), 1.0) +
                        1e-9 * std::max(pitch, 1.0);
     for (std::size_t c = 0; c < nl.n_cells; ++c) {
         const int row = dp.row_of[c];
@@ -145,7 +152,7 @@ CheckReport PlacementChecker::check_pads(std::span<const Point> pads, const Rect
         if (!pads.empty()) rep.error(stage, kNoCheckNode, "pad region is empty");
         return rep;
     }
-    const double eps = opts_.pad_boundary_tolerance * std::max(region.half_perimeter(), 1.0);
+    const double eps = kPadBoundaryTolerance * std::max(region.half_perimeter(), 1.0);
     for (std::size_t p = 0; p < pads.size(); ++p) {
         if (!finite(pads[p])) {
             rep.error(stage, p, "pad position " + fmt(pads[p]) + " is not finite");

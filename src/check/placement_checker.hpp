@@ -12,19 +12,8 @@
 
 namespace lily {
 
-struct PlacementCheckerOptions {
-    /// Relative tolerance (fraction of the region half-perimeter) used for
-    /// containment and row-alignment comparisons.
-    double tolerance = 1e-9;
-    /// Pads farther than this fraction of the region half-perimeter from
-    /// the boundary are flagged.
-    double pad_boundary_tolerance = 1e-6;
-};
-
 class PlacementChecker {
 public:
-    explicit PlacementChecker(PlacementCheckerOptions opts = {}) : opts_(opts) {}
-
     /// Index validity of the placement view itself (net pin indices, array
     /// sizes, non-negative areas).
     CheckReport check_netlist(const PlacementNetlist& nl) const;
@@ -44,9 +33,6 @@ public:
 
     /// Pads: finite and on (or within tolerance of) the region boundary.
     CheckReport check_pads(std::span<const Point> pads, const Rect& region) const;
-
-private:
-    PlacementCheckerOptions opts_;
 };
 
 }  // namespace lily

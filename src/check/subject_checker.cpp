@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <unordered_map>
 
-#include "netlist/simulate.hpp"
-
 namespace lily {
 
 CheckReport SubjectChecker::check(const SubjectGraph& g) const {
@@ -132,29 +130,6 @@ CheckReport SubjectChecker::check(const SubjectGraph& g) const {
             rep.error(stage, po.driver,
                       "drives output '" + po.name + "' but po_driver flag unset");
         }
-    }
-    return rep;
-}
-
-CheckReport SubjectChecker::check_against_source(const SubjectGraph& g,
-                                                 const Network& source) const {
-    CheckReport rep = check(g);
-    if (rep.has_errors()) return rep;  // simulation on a broken graph can crash
-
-    if (g.inputs().size() != source.inputs().size() ||
-        g.outputs().size() != source.outputs().size()) {
-        rep.error(CheckStage::Subject, kNoCheckNode,
-                  "PI/PO interface mismatch with source network: " +
-                      std::to_string(g.inputs().size()) + "/" +
-                      std::to_string(g.outputs().size()) + " vs " +
-                      std::to_string(source.inputs().size()) + "/" +
-                      std::to_string(source.outputs().size()));
-        return rep;
-    }
-    if (!equivalent_random(source, g.to_network(), opts_.sim_blocks, opts_.sim_seed)) {
-        rep.error(CheckStage::Subject, kNoCheckNode,
-                  "decomposition not equivalent to the source network (random simulation, " +
-                      std::to_string(opts_.sim_blocks * 64) + " vectors)");
     }
     return rep;
 }

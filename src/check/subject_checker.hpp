@@ -1,36 +1,17 @@
 // Invariants of the NAND2/INV subject graph (the inchoate network):
 // base-function-only ops, topological fanin order, fanin/fanout edge
-// symmetry, I/O sanity — plus, in paranoid mode, functional equivalence of
-// the decomposition against the source network via random simulation.
+// symmetry, I/O sanity.
 #pragma once
 
 #include "check/check.hpp"
-#include "netlist/network.hpp"
 #include "subject/subject_graph.hpp"
 
 namespace lily {
 
-struct SubjectCheckerOptions {
-    /// Random-simulation volume for equivalence checking (64 patterns per
-    /// block).
-    std::size_t sim_blocks = 16;
-    std::uint64_t sim_seed = 0x11febe11;
-};
-
 class SubjectChecker {
 public:
-    explicit SubjectChecker(SubjectCheckerOptions opts = {}) : opts_(opts) {}
-
-    /// Structural invariants only (CheckLevel::Light).
+    /// Structural invariants (CheckLevel::Light).
     CheckReport check(const SubjectGraph& g) const;
-
-    /// Structural invariants plus decomposition equivalence: the subject
-    /// graph, converted back to a NAND2/INV network, must simulate
-    /// identically to `source` on random vectors (CheckLevel::Paranoid).
-    CheckReport check_against_source(const SubjectGraph& g, const Network& source) const;
-
-private:
-    SubjectCheckerOptions opts_;
 };
 
 }  // namespace lily

@@ -6,9 +6,7 @@
 #include "flow/stage.hpp"
 
 #include "check/mapped_checker.hpp"
-#include "check/match_checker.hpp"
 #include "check/placement_checker.hpp"
-#include "check/subject_checker.hpp"
 #include "netlist/blif.hpp"
 #include "netlist/simulate.hpp"
 #include "subject/decompose.hpp"
@@ -16,39 +14,6 @@
 namespace lily {
 
 namespace {
-
-// ---- CheckLevel wiring: per-stage self-verification --------------------
-
-void verify_subject(CheckLevel level, const SubjectGraph& g, const Network& source,
-                    const char* context) {
-    if (level == CheckLevel::Off) return;
-    const SubjectChecker checker;
-    (level == CheckLevel::Paranoid ? checker.check_against_source(g, source)
-                                   : checker.check(g))
-        .throw_if_errors(context);
-}
-
-/// Paranoid only: every match a mapper chose must be a legal cover that
-/// computes its cone's function.
-template <typename Solution>
-void verify_chosen_matches(CheckLevel level, const Library& lib, const SubjectGraph& g,
-                           const std::vector<Solution>& solution, const char* context) {
-    if (level != CheckLevel::Paranoid) return;
-    const MatchChecker checker(lib);
-    CheckReport rep;
-    for (const Solution& s : solution) {
-        if (s.has_match) rep.merge(checker.check_function(g, s.match));
-    }
-    rep.throw_if_errors(context);
-}
-
-void verify_mapped(CheckLevel level, const Library& lib, const MappedNetlist& m,
-                   const Network& source, const char* context) {
-    if (level == CheckLevel::Off) return;
-    const MappedChecker checker(lib);
-    (level == CheckLevel::Paranoid ? checker.check_against(m, source) : checker.check(m))
-        .throw_if_errors(context);
-}
 
 /// The stages every pipeline shares once a mapped netlist exists:
 /// placement, routing (with the HPWL rung of the degradation ladder),
@@ -229,9 +194,7 @@ Status run_decompose_stage(StageExecutor& exec, const Network& net,
         return Status::ok();
     });
     LILY_RETURN_IF_ERROR(decomposed);
-    return guarded_check([&] {
-        verify_subject(ctx.check(), sub->graph, net, ctx.context("decompose").c_str());
-    });
+    return check_subject(ctx, sub->graph, "decompose");
 }
 
 }  // namespace
@@ -379,11 +342,8 @@ StatusOr<FlowResult> run_baseline_flow_checked(const Network& net, const Library
         return Status::ok();
     });
     LILY_RETURN_IF_ERROR(mapped);
-    LILY_RETURN_IF_ERROR(guarded_check([&] {
-        verify_chosen_matches(opts.check, lib, sub->graph, res->solution,
-                              "run_baseline_flow: matches");
-        verify_mapped(opts.check, lib, res->netlist, net, "run_baseline_flow: mapping");
-    }));
+    LILY_RETURN_IF_ERROR(check_mapping(ctx, lib, sub->graph, res->solution, res->netlist,
+                                       "mapping"));
     LILY_RETURN_IF_ERROR(run_verify_stage(ctx, net, lib, res->netlist));
     return run_backend_stages(exec, res->netlist, lib, std::nullopt, std::nullopt);
 }
@@ -454,12 +414,8 @@ StatusOr<FlowResult> run_lily_flow_checked(const Network& net, const Library& li
     LILY_RETURN_IF_ERROR(map_status);
 
     if (fallback.has_value()) {
-        LILY_RETURN_IF_ERROR(guarded_check([&] {
-            verify_chosen_matches(opts.check, lib, sub->graph, fallback->solution,
-                                  "run_lily_flow: fallback matches");
-            verify_mapped(opts.check, lib, fallback->netlist, net,
-                          "run_lily_flow: fallback mapping");
-        }));
+        LILY_RETURN_IF_ERROR(check_mapping(ctx, lib, sub->graph, fallback->solution,
+                                           fallback->netlist, "fallback mapping"));
         LILY_RETURN_IF_ERROR(run_verify_stage(ctx, net, lib, fallback->netlist));
         StatusOr<FlowResult> out = run_backend_stages(exec, fallback->netlist, lib,
                                                       std::nullopt, std::nullopt, capture);
@@ -472,11 +428,10 @@ StatusOr<FlowResult> run_lily_flow_checked(const Network& net, const Library& li
     }
 
     const LilyResult& res = mapped.value();
-    LILY_RETURN_IF_ERROR(guarded_check([&] {
-        verify_chosen_matches(opts.check, lib, sub->graph, res.solution,
-                              "run_lily_flow: matches");
-        verify_mapped(opts.check, lib, res.netlist, net, "run_lily_flow: mapping");
-        if (opts.check != CheckLevel::Off) {
+    LILY_RETURN_IF_ERROR(check_mapping(ctx, lib, sub->graph, res.solution, res.netlist,
+                                       "mapping"));
+    if (ctx.checks_enabled()) {
+        LILY_RETURN_IF_ERROR(guarded_check([&] {
             // The inchoate placement every wire estimate was drawn from, and
             // the pre-mapping pad ring the back end will reuse.
             const PlacementChecker placement_checker;
@@ -486,9 +441,9 @@ StatusOr<FlowResult> run_lily_flow_checked(const Network& net, const Library& li
                                                   res.inchoate_placement.region);
             rep.merge(placement_checker.check_pads(res.pad_positions,
                                                    res.inchoate_placement.region));
-            rep.throw_if_errors("run_lily_flow: inchoate placement");
-        }
-    }));
+            rep.throw_if_errors(ctx.context("inchoate placement"));
+        }));
+    }
 
     LILY_RETURN_IF_ERROR(run_verify_stage(ctx, net, lib, res.netlist));
 

@@ -88,12 +88,13 @@ struct FlowOptions {
     ChipAreaOptions chip;
     TimingOptions timing;
     double placement_utilization = 0.5;
-    /// Pipeline self-verification: every stage runs its invariant checkers
-    /// and throws std::logic_error (with the full CheckReport) on a
-    /// violation. Light = structural scans; Paranoid adds simulation
-    /// equivalence and per-match cone verification. Defaults to the
-    /// LILY_CHECK_LEVEL environment variable (off when unset), so test and
-    /// CI runs can turn the whole pipeline paranoid without code changes.
+    /// Pipeline self-verification: at Light every stage runs its local
+    /// invariant checkers (structural scans plus the exact cone check of
+    /// each chosen match) and fails the flow with InvariantViolation (the
+    /// full CheckReport) on a violation. Whole-circuit equivalence is
+    /// `verify`'s job. Defaults to the LILY_CHECK_LEVEL environment variable
+    /// (off when unset), so test and CI runs can turn the checks on without
+    /// code changes.
     CheckLevel check = check_level_from_env();
     /// Post-mapping equivalence verification: compare the mapped netlist
     /// (through its library cell functions) against the source network.

@@ -4,9 +4,7 @@
 #include <utility>
 
 #include "check/mapped_checker.hpp"
-#include "check/match_checker.hpp"
 #include "check/placement_checker.hpp"
-#include "check/subject_checker.hpp"
 #include "flow/stage.hpp"
 #include "place/netlist_adapters.hpp"
 
@@ -156,15 +154,7 @@ StatusOr<EcoStats> run_eco_flow_checked(PipelineState& state, const NetDelta& de
         return full_reflow(state, std::move(stats), std::move(*reflow_reason),
                            StageState::Recovered);
     }
-    if (ctx.checks_enabled()) {
-        LILY_RETURN_IF_ERROR(guarded_check([&] {
-            const SubjectChecker checker;
-            (ctx.check() == CheckLevel::Paranoid
-                 ? checker.check_against_source(state.subject.graph, state.net)
-                 : checker.check(state.subject.graph))
-                .throw_if_errors("run_eco_flow: incremental decompose");
-        }));
-    }
+    LILY_RETURN_IF_ERROR(check_subject(ctx, state.subject.graph, "incremental decompose"));
 
     // ---- Mapping stage: cone-scoped DP over the dirty cones only.
     LilyResult res;
@@ -197,22 +187,8 @@ StatusOr<EcoStats> run_eco_flow_checked(PipelineState& state, const NetDelta& de
         return full_reflow(state, std::move(stats), std::move(*reflow_reason),
                            StageState::Recovered);
     }
-    if (ctx.checks_enabled()) {
-        LILY_RETURN_IF_ERROR(guarded_check([&] {
-            if (ctx.check() == CheckLevel::Paranoid) {
-                const MatchChecker mc(*state.lib);
-                CheckReport rep;
-                for (const LilyNodeSolution& s : res.solution) {
-                    if (s.has_match) rep.merge(mc.check_function(state.subject.graph, s.match));
-                }
-                rep.throw_if_errors("run_eco_flow: remap matches");
-            }
-            const MappedChecker mc(*state.lib);
-            (ctx.check() == CheckLevel::Paranoid ? mc.check_against(res.netlist, state.net)
-                                                 : mc.check(res.netlist))
-                .throw_if_errors("run_eco_flow: remap");
-        }));
-    }
+    LILY_RETURN_IF_ERROR(
+        check_mapping(ctx, *state.lib, state.subject.graph, res.solution, res.netlist, "remap"));
 
     // ---- Backend: keep the floorplan (region and pad ring) and re-solve
     // only the cells whose instance changed; everything else is anchored.

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdio>
 
+#include "check/subject_checker.hpp"
 #include "util/fault.hpp"
 #include "util/parallel.hpp"
 
@@ -130,8 +131,6 @@ StageBudget FlowContext::stage_budget(StageId id) {
     return parent != nullptr ? StageBudget::stage(ms, *parent) : StageBudget(ms);
 }
 
-CheckLevel FlowContext::check() const { return opts_.check; }
-
 bool FlowContext::checks_enabled() const { return opts_.check != CheckLevel::Off; }
 
 bool FlowContext::fault(StageId id, std::string_view kind) const {
@@ -235,5 +234,10 @@ void StageScope::recovered(std::string note) {
 }
 
 void StageScope::failed(std::string note) { set_state(StageState::Failed, std::move(note)); }
+
+Status check_subject(const FlowContext& ctx, const SubjectGraph& g, std::string_view what) {
+    if (!ctx.checks_enabled()) return Status::ok();
+    return guarded_check([&] { SubjectChecker().check(g).throw_if_errors(ctx.context(what)); });
+}
 
 }  // namespace lily

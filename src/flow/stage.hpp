@@ -34,7 +34,10 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
+#include "check/mapped_checker.hpp"
+#include "check/match_checker.hpp"
 #include "flow/flow.hpp"
 #include "util/alloc_stats.hpp"
 #include "util/trace.hpp"
@@ -146,7 +149,7 @@ public:
     /// derive_stage_budget.
     StageBudget stage_budget(StageId id);
 
-    CheckLevel check() const;
+    /// True unless FlowOptions::check is Off.
     bool checks_enabled() const;
 
     /// Fault probe for `kind` against the stage's registry name; always
@@ -257,5 +260,27 @@ private:
 /// function first, so tests can prove the refutation path stays live.
 Status run_verify_stage(FlowContext& ctx, const Network& source, const Library& lib,
                         const MappedNetlist& mapped);
+
+/// CheckLevel::Light over a subject graph; Ok when checks are off.
+Status check_subject(const FlowContext& ctx, const SubjectGraph& g, std::string_view what);
+
+/// CheckLevel::Light over a fresh mapping: every chosen match is a legal
+/// cover computing its cone's function (exact truth tables), and the mapped
+/// netlist is well formed. Ok when checks are off.
+template <typename Solution>
+Status check_mapping(const FlowContext& ctx, const Library& lib, const SubjectGraph& g,
+                     const std::vector<Solution>& solution, const MappedNetlist& mapped,
+                     std::string_view what) {
+    if (!ctx.checks_enabled()) return Status::ok();
+    return guarded_check([&] {
+        const MatchChecker match_checker(lib);
+        CheckReport rep;
+        for (const Solution& s : solution) {
+            if (s.has_match) rep.merge(match_checker.check_function(g, s.match));
+        }
+        rep.merge(MappedChecker(lib).check(mapped));
+        rep.throw_if_errors(ctx.context(what));
+    });
+}
 
 }  // namespace lily

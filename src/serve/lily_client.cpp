@@ -24,7 +24,7 @@
 //   job options (map / submit / load):
 //     --flow=lily|baseline|adaptive  checked flow to run (default lily)
 //     --objective=area|delay         mapping objective (default area)
-//     --check=off|light|paranoid     in-flow checker level (default off)
+//     --check=off|light              in-flow checker level (default off)
 //     --verify=off|sim|prove         in-flow equivalence level (default off)
 //     --budget-ms=N                  whole-flow wall budget (default 0)
 //     --threads=N                    worker-side thread count (default 1)
@@ -113,7 +113,15 @@ bool parse_args(int argc, char** argv, ClientArgs& out) {
                 return false;
             }
         } else if (arg.rfind("--check=", 0) == 0) {
-            out.options.check = parse_check_level(arg.substr(8), CheckLevel::Off);
+            const std::string level = arg.substr(8);
+            if (level == "off") {
+                out.options.check = CheckLevel::Off;
+            } else if (level == "light") {
+                out.options.check = CheckLevel::Light;
+            } else {
+                std::fprintf(stderr, "lily_client: unknown check level '%s'\n", level.c_str());
+                return false;
+            }
         } else if (arg.rfind("--verify=", 0) == 0) {
             const std::string level = arg.substr(9);
             if (level == "off") {

@@ -217,7 +217,7 @@ bool decode_job_spec(WireReader& r, JobSpec& out) {
                     r.u8(verify) && r.f64(out.options.budget_ms) &&
                     r.u32(out.options.threads) && r.str(out.fault_spec) && r.u8(tier);
     if (!ok || version != kProtocolVersion) return false;
-    if (kind > 2 || objective > 1 || check > 2 || verify > 2 || tier > 1) return false;
+    if (kind > 2 || objective > 1 || check > 1 || verify > 2 || tier > 1) return false;
     out.options.kind = static_cast<FlowKind>(kind);
     out.options.objective = static_cast<MapObjective>(objective);
     out.options.check = static_cast<CheckLevel>(check);

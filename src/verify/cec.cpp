@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <sstream>
 #include <unordered_map>
 
@@ -14,20 +16,34 @@
 
 namespace lily {
 
-VerifyLevel parse_verify_level(std::string_view text, VerifyLevel fallback) {
+namespace {
+
+std::optional<VerifyLevel> match_verify_level(std::string_view text) {
     std::string lower(text);
     std::transform(lower.begin(), lower.end(), lower.begin(),
                    [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
     if (lower == "off") return VerifyLevel::Off;
     if (lower == "sim") return VerifyLevel::Sim;
     if (lower == "prove") return VerifyLevel::Prove;
-    return fallback;
+    return std::nullopt;
+}
+
+}  // namespace
+
+VerifyLevel parse_verify_level(std::string_view text, VerifyLevel fallback) {
+    return match_verify_level(text).value_or(fallback);
 }
 
 VerifyLevel verify_level_from_env() {
     static const VerifyLevel cached = [] {
         const char* text = std::getenv("LILY_VERIFY");
-        return text == nullptr ? VerifyLevel::Off : parse_verify_level(text, VerifyLevel::Off);
+        if (text == nullptr) return VerifyLevel::Off;
+        const std::optional<VerifyLevel> level = match_verify_level(text);
+        if (!level.has_value()) {
+            std::fprintf(stderr, "lily: LILY_VERIFY='%s' is not one of off|sim|prove; "
+                                 "verify stays off\n", text);
+        }
+        return level.value_or(VerifyLevel::Off);
     }();
     return cached;
 }

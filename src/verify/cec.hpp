@@ -40,8 +40,8 @@ enum class VerifyLevel : std::uint8_t { Off, Sim, Prove };
 /// `fallback`.
 VerifyLevel parse_verify_level(std::string_view text, VerifyLevel fallback = VerifyLevel::Off);
 
-/// VerifyLevel from the LILY_VERIFY environment variable (unset or
-/// unparsable -> Off). Read once and cached.
+/// VerifyLevel from the LILY_VERIFY environment variable (unset -> Off;
+/// unparsable -> Off with one stderr line). Read once and cached.
 VerifyLevel verify_level_from_env();
 
 const char* to_string(VerifyLevel level);

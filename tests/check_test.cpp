@@ -16,6 +16,7 @@
 #include "map/base_mapper.hpp"
 #include "place/netlist_adapters.hpp"
 #include "subject/decompose.hpp"
+#include "verify/cec.hpp"
 
 namespace lily {
 namespace {
@@ -28,6 +29,12 @@ bool has_error(const CheckReport& rep, CheckStage stage, std::string_view needle
         }
     }
     return false;
+}
+
+/// True when the equivalence engine refutes `a` == `b` with a counterexample.
+bool refuted(const Network& a, const Network& b) {
+    const StatusOr<CecResult> cec = check_equivalence(a, b);
+    return cec.is_ok() && cec.value().verdict == CecVerdict::Refuted;
 }
 
 Network small_net() {
@@ -63,18 +70,12 @@ TEST(CheckReport, CountsAndThrow) {
 TEST(CheckLevelParse, TextAndEnvFallback) {
     EXPECT_EQ(parse_check_level("off"), CheckLevel::Off);
     EXPECT_EQ(parse_check_level("Light"), CheckLevel::Light);
-    EXPECT_EQ(parse_check_level("PARANOID"), CheckLevel::Paranoid);
+    // Not a level: whole-circuit equivalence belongs to the verify stage.
+    EXPECT_EQ(parse_check_level("paranoid", CheckLevel::Light), CheckLevel::Light);
     EXPECT_EQ(parse_check_level("bogus", CheckLevel::Light), CheckLevel::Light);
 }
 
 // ---- SubjectChecker ---------------------------------------------------
-
-TEST(SubjectChecker, CleanDecompositionPassesParanoid) {
-    const Network net = make_symmetric9();
-    const DecomposeResult sub = decompose(net);
-    const CheckReport rep = SubjectChecker{}.check_against_source(sub.graph, net);
-    EXPECT_FALSE(rep.has_errors()) << rep.to_string();
-}
 
 TEST(SubjectChecker, DetectsWrongDecomposition) {
     // Source computes AND(a, b); the "decomposition" computes NAND(a, b).
@@ -87,9 +88,9 @@ TEST(SubjectChecker, DetectsWrongDecomposition) {
     const SubjectId sa = g.add_input("a", a);
     const SubjectId sb = g.add_input("b", b);
     g.add_output("y", g.add_nand(sa, sb));
+    // Structurally legal, so only the equivalence engine can catch it.
     EXPECT_FALSE(SubjectChecker{}.check(g).has_errors());
-    EXPECT_TRUE(has_error(SubjectChecker{}.check_against_source(g, net), CheckStage::Subject,
-                          "not equivalent"));
+    EXPECT_TRUE(refuted(net, g.to_network()));
 }
 
 TEST(SubjectChecker, DetectsBrokenFanoutEdge) {
@@ -257,12 +258,6 @@ struct MappedFixture {
     MapResult mapped = BaseMapper(lib).map(sub.graph);
 };
 
-TEST(MappedChecker, CleanMappingPassesParanoid) {
-    MappedFixture f;
-    const CheckReport rep = MappedChecker(f.lib).check_against(f.mapped.netlist, f.net);
-    EXPECT_FALSE(rep.has_errors()) << rep.to_string();
-}
-
 TEST(MappedChecker, DetectsWrongFunctionCover) {
     MappedFixture f;
     // Swap one instance's gate for a same-arity gate with a different truth
@@ -282,8 +277,7 @@ TEST(MappedChecker, DetectsWrongFunctionCover) {
     ASSERT_TRUE(swapped);
     const MappedChecker checker(f.lib);
     EXPECT_FALSE(checker.check(f.mapped.netlist).has_errors());  // structure still fine
-    EXPECT_TRUE(has_error(checker.check_against(f.mapped.netlist, f.net), CheckStage::Mapped,
-                          "not equivalent"));
+    EXPECT_TRUE(refuted(f.net, f.mapped.netlist.to_network(f.lib)));
 }
 
 TEST(MappedChecker, DetectsDoubleDriverAndUndrivenPin) {
@@ -341,11 +335,12 @@ TEST(MappedChecker, TimingMonotonicityAndLoads) {
 
 // ---- Flow integration -------------------------------------------------
 
-TEST(FlowCheck, ParanoidPipelinesStayQuiet) {
+TEST(FlowCheck, LightChecksWithSimVerifyStayQuiet) {
     const Library lib = load_msu_big();
     const Network net = make_priority_controller(8);
     FlowOptions opts;
-    opts.check = CheckLevel::Paranoid;
+    opts.check = CheckLevel::Light;
+    opts.verify = VerifyLevel::Sim;
     EXPECT_NO_THROW(run_baseline_flow(net, lib, opts));
     EXPECT_NO_THROW(run_lily_flow(net, lib, opts));
     opts.objective = MapObjective::Delay;

@@ -252,6 +252,20 @@ TEST(ServeMessages, MalformedSpecRejected) {
     bad_kind[at] = 3;
     WireReader bad_reader(bad_kind);
     EXPECT_FALSE(decode_job_spec(bad_reader, out));
+
+    // A check byte past Light (1), located the same way: Off and Light
+    // encodings of the same spec differ only there.
+    spec.options.check = CheckLevel::Off;
+    const std::string off = encode_job_spec(spec);
+    spec.options.check = CheckLevel::Light;
+    std::string bad_check = encode_job_spec(spec);
+    ASSERT_EQ(off.size(), bad_check.size());
+    const std::size_t check_at = static_cast<std::size_t>(
+        std::mismatch(off.begin(), off.end(), bad_check.begin()).first - off.begin());
+    ASSERT_LT(check_at, bad_check.size());
+    bad_check[check_at] = 2;
+    WireReader bad_check_reader(bad_check);
+    EXPECT_FALSE(decode_job_spec(bad_check_reader, out));
 }
 
 // ---- Spool ----------------------------------------------------------------
