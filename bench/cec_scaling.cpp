@@ -60,6 +60,7 @@ struct Row {
     std::string prove_verdict;
     std::size_t merged_nodes = 0;
     std::size_t sat_calls = 0;
+    std::size_t cex_pruned = 0;
     std::size_t conflicts = 0;
     double nosweep_ms = 0.0;
     std::size_t nosweep_conflicts = 0;
@@ -135,6 +136,7 @@ int main(int argc, char** argv) {
         row.aig_ands = cec.stats.aig_and_nodes;
         row.merged_nodes = cec.stats.merged_nodes;
         row.sat_calls = cec.stats.sat_calls;
+        row.cex_pruned = cec.stats.cex_pruned;
         row.conflicts = cec.stats.conflicts;
 
         // The ablation is budget-capped and skipped on the largest
@@ -157,12 +159,13 @@ int main(int argc, char** argv) {
 
         std::fprintf(stderr,
                      "%s: %zu nodes -> %zu gates, %zu AIG ands; sim %.2f ms (%s), "
-                     "prove %.2f ms (%s, %zu/%zu merged, %zu SAT calls, %zu conflicts), "
-                     "no-sweep %.2f ms (%zu conflicts)\n",
+                     "prove %.2f ms (%s, %zu/%zu merged, %zu SAT calls, %zu cex-pruned, "
+                     "%zu conflicts), no-sweep %.2f ms (%zu conflicts)\n",
                      name.c_str(), row.source_nodes, row.mapped_gates, row.aig_ands,
                      row.sim_ms, row.sim_equivalent ? "clean" : "MISCOMPARE", row.prove_ms,
                      row.prove_verdict.c_str(), row.merged_nodes, row.aig_ands,
-                     row.sat_calls, row.conflicts, row.nosweep_ms, row.nosweep_conflicts);
+                     row.sat_calls, row.cex_pruned, row.conflicts, row.nosweep_ms,
+                     row.nosweep_conflicts);
         rows.push_back(row);
     }
 
@@ -183,7 +186,8 @@ int main(int argc, char** argv) {
            << ", \"equivalent\": " << (r.sim_equivalent ? "true" : "false") << "},\n";
         os << "    \"prove\": {\"ms\": " << json_num(r.prove_ms) << ", \"verdict\": \""
            << r.prove_verdict << "\", \"merged_nodes\": " << r.merged_nodes
-           << ", \"sat_calls\": " << r.sat_calls << ", \"conflicts\": " << r.conflicts
+           << ", \"sat_calls\": " << r.sat_calls << ", \"cex_pruned\": " << r.cex_pruned
+           << ", \"conflicts\": " << r.conflicts
            << "},\n";
         os << "    \"prove_nosweep\": {\"ms\": " << json_num(r.nosweep_ms)
            << ", \"conflicts\": " << r.nosweep_conflicts << "}\n";

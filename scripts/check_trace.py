@@ -20,6 +20,10 @@ Checks (all hard failures):
     dp_ms / replace_ms) come as one full set per Lily mapping span, just
     before that span's memory triple; each is non-negative and their sum
     fits inside the span (a wire-blind mapping span carries none);
+  * prover counters (verify.sat_calls / conflicts / merged_nodes /
+    cex_pruned) come the same way: one full non-negative set per proving
+    verify span, closed by alloc_count.verify (a simulation-only verify
+    span carries none);
   * the report's embedded "trace" block agrees with the file dump.
 
 Exit code 0 on success, 1 on any violation.
@@ -30,11 +34,46 @@ import sys
 
 MAPPING_PHASES = ("mapping.inchoate_place_ms", "mapping.cone_order_ms",
                   "mapping.dp_ms", "mapping.replace_ms")
+VERIFY_COUNTERS = ("verify.sat_calls", "verify.conflicts",
+                   "verify.merged_nodes", "verify.cex_pruned")
 
 
 def fail(msg):
     print(f"check_trace: FAIL: {msg}", file=sys.stderr)
     sys.exit(1)
+
+
+def check_stage_counters(counters, spans, stage, names, sum_within_span):
+    """Counters named <stage>.* must be from `names`, non-negative, and
+    come as one full set (or none) per <stage> span. Pending ones belong to
+    the span whose alloc_count.<stage> closes them (spans and their memory
+    triples are both recorded in order, one flow at a time per sink). With
+    `sum_within_span` the set is in ms and must fit inside its span."""
+    stage_spans = [s for s in spans if s["name"] == stage]
+    pending, closed = {}, 0
+    for c in counters:
+        name, value = c.get("name", ""), c.get("value", 0.0)
+        if name.startswith(stage + "."):
+            if name not in names:
+                fail(f"unknown {stage} counter {name!r}")
+            if name in pending:
+                fail(f"counter {name!r} repeated within one {stage} span")
+            if value < 0:
+                fail(f"counter {name!r} is negative: {value!r}")
+            pending[name] = value
+        elif name == "alloc_count." + stage:
+            if pending:
+                if len(pending) != len(names):
+                    fail(f"{stage} span {closed} has an incomplete counter set "
+                         f"{sorted(pending)!r}")
+                span_ms = stage_spans[closed]["elapsed_ms"]
+                if sum_within_span and sum(pending.values()) > span_ms:
+                    fail(f"{stage} span {closed}: counter sum {sum(pending.values())!r} "
+                         f"exceeds the span's {span_ms!r} ms")
+            pending = {}
+            closed += 1
+    if pending:
+        fail(f"{stage} counters {sorted(pending)!r} follow the last {stage} span")
 
 
 def main():
@@ -112,34 +151,8 @@ def main():
             fail(f"{p}* counters per stage {mem_count[p]!r} do not match "
                  f"span executions {span_count!r}")
 
-    # Mapping phase counters: pending ones belong to the mapping span whose
-    # alloc_count.mapping closes them (spans and their memory triples are
-    # both recorded in order, one flow at a time per sink).
-    mapping_spans = [s for s in spans if s["name"] == "mapping"]
-    pending, closed = {}, 0
-    for c in counters:
-        name, value = c.get("name", ""), c.get("value", 0.0)
-        if name.startswith("mapping."):
-            if name not in MAPPING_PHASES:
-                fail(f"unknown mapping phase counter {name!r}")
-            if name in pending:
-                fail(f"counter {name!r} repeated within one mapping span")
-            if value < 0:
-                fail(f"counter {name!r} is negative: {value!r}")
-            pending[name] = value
-        elif name == "alloc_count.mapping":
-            if pending:
-                if len(pending) != len(MAPPING_PHASES):
-                    fail(f"mapping span {closed} has an incomplete phase set "
-                         f"{sorted(pending)!r}")
-                span_ms = mapping_spans[closed]["elapsed_ms"]
-                if sum(pending.values()) > span_ms:
-                    fail(f"mapping span {closed}: phase sum {sum(pending.values())!r} "
-                         f"exceeds the span's {span_ms!r} ms")
-            pending = {}
-            closed += 1
-    if pending:
-        fail(f"mapping phase counters {sorted(pending)!r} follow the last mapping span")
+    check_stage_counters(counters, spans, "mapping", MAPPING_PHASES, sum_within_span=True)
+    check_stage_counters(counters, spans, "verify", VERIFY_COUNTERS, sum_within_span=False)
 
     embedded = report.get("trace")
     if embedded is None:

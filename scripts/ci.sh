@@ -91,6 +91,12 @@ echo "+ LILY_TRACE trace smoke"
 LILY_TRACE="$TRACE_DIR/flow.trace" "$LINT" --flow --json \
     examples/circuits/parity8.blif lib/msu_big.genlib > "$TRACE_DIR/report.json"
 run python3 scripts/check_trace.py "$TRACE_DIR/flow.trace" "$TRACE_DIR/report.json"
+# The same at LILY_VERIFY=prove, so the verify span's prover counters
+# (verify.sat_calls/conflicts/merged_nodes/cex_pruned) are checked too.
+echo "+ LILY_TRACE trace smoke (LILY_VERIFY=prove)"
+LILY_VERIFY=prove LILY_TRACE="$TRACE_DIR/prove.trace" "$LINT" --flow --json \
+    examples/circuits/parity8.blif lib/msu_big.genlib > "$TRACE_DIR/prove.json"
+run python3 scripts/check_trace.py "$TRACE_DIR/prove.trace" "$TRACE_DIR/prove.json"
 rm -rf "$TRACE_DIR"
 
 # ---- Formal verification (sanitized build) -----------------------------

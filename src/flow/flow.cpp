@@ -259,6 +259,10 @@ Status run_verify_stage(FlowContext& ctx, const Network& source, const Library& 
             return bad.with_context(verify_ctx);
         }
         const CecResult& cec = cec_or.value();
+        s.counter("sat_calls", static_cast<double>(cec.stats.sat_calls));
+        s.counter("conflicts", static_cast<double>(cec.stats.conflicts));
+        s.counter("merged_nodes", static_cast<double>(cec.stats.merged_nodes));
+        s.counter("cex_pruned", static_cast<double>(cec.stats.cex_pruned));
         switch (cec.verdict) {
             case CecVerdict::Proven:
                 s.ok("proven equivalent (" + std::to_string(cec.stats.sat_calls) +

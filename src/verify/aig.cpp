@@ -84,11 +84,12 @@ AigLit Aig::make_or(std::span<const AigLit> lits) {
     return acc;
 }
 
-std::vector<std::uint64_t> Aig::simulate(std::span<const std::uint64_t> input_words) const {
-    if (input_words.size() != inputs_.size()) {
-        throw std::invalid_argument("Aig::simulate: wrong number of input words");
+void Aig::simulate(std::span<const std::uint64_t> input_words,
+                   std::span<std::uint64_t> value) const {
+    if (input_words.size() != inputs_.size() || value.size() != nodes_.size()) {
+        throw std::invalid_argument("Aig::simulate: wrong number of input or value words");
     }
-    std::vector<std::uint64_t> value(nodes_.size(), 0);
+    value[0] = 0;
     for (std::uint32_t id = 1; id < nodes_.size(); ++id) {
         const AigNode& n = nodes_[id];
         if (n.f1 == kInputMark) {
@@ -99,7 +100,6 @@ std::vector<std::uint64_t> Aig::simulate(std::span<const std::uint64_t> input_wo
         const std::uint64_t w1 = value[aig_node(n.f1)] ^ (aig_sign(n.f1) ? ~0ULL : 0);
         value[id] = w0 & w1;
     }
-    return value;
 }
 
 std::vector<AigLit> lower_network(const Network& net, Aig& aig,

@@ -61,9 +61,12 @@ public:
     AigLit make_and(std::span<const AigLit> lits);
     AigLit make_or(std::span<const AigLit> lits);
 
-    /// 64 parallel patterns: word i is the value of node i, bit k = pattern
-    /// k. `input_words` are by input position.
-    std::vector<std::uint64_t> simulate(std::span<const std::uint64_t> input_words) const;
+    /// 64 parallel patterns into the caller's node_count() words: word i is
+    /// the value of node i, bit k = pattern k. `input_words` are by input
+    /// position. Repeated simulation (counterexample resimulation) reuses
+    /// one buffer and allocates nothing.
+    void simulate(std::span<const std::uint64_t> input_words,
+                  std::span<std::uint64_t> value) const;
 
 private:
     // f1 == kInputMark marks an input node; f0 then holds its position.

@@ -4,9 +4,9 @@
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
+#include <numeric>
 #include <optional>
 #include <sstream>
-#include <unordered_map>
 
 #include "netlist/interface.hpp"
 #include "netlist/simulate.hpp"
@@ -97,11 +97,19 @@ AigLit deref(const std::vector<AigLit>& repl, AigLit l) {
 }
 
 /// Tseitin encoder for AIG cones, reading fanins through the replacement
-/// map so proven merges shrink every later query's CNF.
+/// map so proven merges shrink every later query's CNF. One builder serves
+/// every query of a check: reset() forgets the previous query's encoding by
+/// clearing only the nodes it touched, and the DFS stack keeps its capacity.
 class CnfBuilder {
 public:
     CnfBuilder(const Aig& aig, const std::vector<AigLit>& repl, SatSolver& solver)
         : aig_(aig), repl_(repl), solver_(solver), node2var_(aig.node_count(), 0) {}
+
+    /// Forget every encoded node; pair with SatSolver::reset().
+    void reset() {
+        for (const std::uint32_t n : touched_) node2var_[n] = 0;
+        touched_.clear();
+    }
 
     /// DIMACS literal carrying `l` (which must already be deref'd). Encodes
     /// the cone on first use.
@@ -121,9 +129,17 @@ private:
         return aig_sign(l) ? -v : v;
     }
 
+    int bind(std::uint32_t n) {
+        const int v = solver_.new_var();
+        node2var_[n] = v;
+        touched_.push_back(n);
+        return v;
+    }
+
     void encode_node(std::uint32_t root) {
         if (node2var_[root] != 0) return;
-        std::vector<std::uint32_t> stack{root};
+        std::vector<std::uint32_t>& stack = stack_;
+        stack.assign(1, root);
         while (!stack.empty()) {
             const std::uint32_t n = stack.back();
             if (node2var_[n] != 0) {
@@ -131,14 +147,12 @@ private:
                 continue;
             }
             if (aig_.is_const(n)) {
-                const int v = solver_.new_var();
-                solver_.add_clause({-v});  // constant false
-                node2var_[n] = v;
+                solver_.add_clause({-bind(n)});  // constant false
                 stack.pop_back();
                 continue;
             }
             if (aig_.is_input(n)) {
-                node2var_[n] = solver_.new_var();
+                bind(n);
                 stack.pop_back();
                 continue;
             }
@@ -154,8 +168,7 @@ private:
                 ready = false;
             }
             if (!ready) continue;
-            const int c = solver_.new_var();
-            node2var_[n] = c;
+            const int c = bind(n);
             const int a = dimacs(f0);
             const int b = dimacs(f1);
             solver_.add_clause({-c, a});
@@ -169,18 +182,21 @@ private:
     const std::vector<AigLit>& repl_;
     SatSolver& solver_;
     std::vector<int> node2var_;
+    std::vector<std::uint32_t> touched_;  // nodes with node2var_ != 0
+    std::vector<std::uint32_t> stack_;    // encode_node's DFS
 };
 
 /// One budgeted (in)equivalence query: is `la != lb` satisfiable? Both
-/// literals must already be deref'd. Unsat means proven equal. On Sat,
-/// `model_inputs` (when non-null) receives one separating value per AIG
-/// input.
-SatResult prove_pair(const Aig& aig, const std::vector<AigLit>& repl, AigLit la, AigLit lb,
+/// literals must already be deref'd. Unsat means proven equal. The shared
+/// solver and builder are reset first, so the query searches exactly as a
+/// fresh solver would. On Sat, `model_inputs` (when non-null) receives one
+/// separating value per AIG input.
+SatResult prove_pair(const Aig& aig, SatSolver& solver, CnfBuilder& cnf, AigLit la, AigLit lb,
                      std::uint64_t conflict_budget, CecStats& stats,
                      std::vector<bool>* model_inputs) {
     if (la == lb) return SatResult::Unsat;  // structurally identical: no SAT needed
-    SatSolver solver;
-    CnfBuilder cnf(aig, repl, solver);
+    solver.reset();
+    cnf.reset();
     const int da = cnf.encode(la);
     const int db = cnf.encode(lb);
     solver.add_clause({da, db});
@@ -206,16 +222,17 @@ SatResult prove_pair(const Aig& aig, const std::vector<AigLit>& repl, AigLit la,
 /// Partition AIG nodes into candidate equivalence classes by random
 /// simulation signature, canonicalized under complementation, and prove the
 /// candidates fringe-first. Proven merges land in `repl`.
-void sat_sweep(const Aig& aig, std::vector<AigLit>& repl, const CecOptions& opts,
-               CecStats& stats) {
+void sat_sweep(const Aig& aig, std::vector<AigLit>& repl, SatSolver& solver, CnfBuilder& cnf,
+               const CecOptions& opts, CecStats& stats) {
     const std::size_t blocks = std::max<std::size_t>(1, opts.sim_blocks);
     const std::size_t n_nodes = aig.node_count();
     std::vector<std::uint64_t> sig(n_nodes * blocks);
+    std::vector<std::uint64_t> value(n_nodes);
     Rng rng(opts.seed ^ 0x5eedULL);
     std::vector<std::uint64_t> input_words(aig.input_count());
     for (std::size_t b = 0; b < blocks; ++b) {
         for (std::uint64_t& w : input_words) w = rng.next_u64();
-        const std::vector<std::uint64_t> value = aig.simulate(input_words);
+        aig.simulate(input_words, value);
         for (std::size_t n = 0; n < n_nodes; ++n) sig[n * blocks + b] = value[n];
     }
 
@@ -236,35 +253,70 @@ void sat_sweep(const Aig& aig, std::vector<AigLit>& repl, const CecOptions& opts
         hash[n] = h;
     }
 
-    // Group by signature hash, members in id (= topological) order. A hash
+    // Group by signature hash: a class's leader is its lowest id. A hash
     // collision only wastes one SAT call — merges happen on UNSAT proofs,
     // never on the grouping itself.
-    std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> classes;
-    classes.reserve(n_nodes);
-    std::vector<std::uint64_t> class_order;
-    for (std::uint32_t n = 0; n < n_nodes; ++n) {
-        std::vector<std::uint32_t>& members = classes[hash[n]];
-        if (members.empty()) class_order.push_back(hash[n]);
-        members.push_back(n);
+    std::vector<std::uint32_t> order(n_nodes);
+    std::iota(order.begin(), order.end(), 0u);
+    std::sort(order.begin(), order.end(), [&](std::uint32_t x, std::uint32_t y) {
+        return hash[x] != hash[y] ? hash[x] < hash[y] : x < y;
+    });
+    std::vector<std::uint32_t> leader(n_nodes);
+    for (std::size_t i = 0; i < n_nodes; ++i) {
+        const bool first = i == 0 || hash[order[i]] != hash[order[i - 1]];
+        leader[order[i]] = first ? order[i] : leader[order[i - 1]];
     }
+    // Candidates are the AND members (inputs and the constant only ever
+    // lead), classes in leader (= topological) order, members in id order.
+    std::vector<std::uint32_t> members;
+    for (std::uint32_t n = 0; n < n_nodes; ++n) {
+        if (leader[n] != n && aig.is_and(n)) members.push_back(n);
+    }
+    std::sort(members.begin(), members.end(), [&](std::uint32_t x, std::uint32_t y) {
+        return leader[x] != leader[y] ? leader[x] < leader[y] : x < y;
+    });
+    const auto flip = [&](std::uint32_t m) {
+        return phase[m] != phase[leader[m]] ? ~0ULL : 0ULL;
+    };
 
-    for (const std::uint64_t key : class_order) {
-        const std::vector<std::uint32_t>& members = classes[key];
-        if (members.size() < 2) continue;
-        const std::uint32_t leader = members[0];
-        for (std::size_t i = 1; i < members.size(); ++i) {
-            const std::uint32_t m = members[i];
-            if (!aig.is_and(m)) continue;  // inputs/constant only ever lead
-            const AigLit lm = deref(repl, aig_lit(m, false));
-            const AigLit lt = deref(repl, aig_lit(leader, phase[m] != phase[leader]));
-            if (lm == lt) continue;  // already merged transitively
-            if (aig_node(lm) != m) continue;  // m follows another class now
-            ++stats.candidate_pairs;
-            const SatResult res = prove_pair(aig, repl, lm, lt,
-                                             opts.sweep_conflict_budget, stats, nullptr);
-            if (res == SatResult::Unsat) {
-                repl[m] = aig_sign(lm) ? aig_not(lt) : lt;
-                ++stats.merged_nodes;
+    // Counterexample refinement: each satisfying model of a sweep query is
+    // one more input pattern, packed 64 to a word block and resimulated into
+    // `value`. A candidate that differs from its leader under a collected
+    // pattern cannot be merged, so it is skipped without a SAT call. A full
+    // block is folded into `separated` and the block starts over.
+    std::vector<std::uint64_t> cex_words(aig.input_count(), 0);
+    unsigned cex_bits = 0;
+    std::vector<std::uint8_t> separated(n_nodes, 0);
+    std::vector<bool> model;
+
+    for (const std::uint32_t m : members) {
+        const std::uint32_t lead = leader[m];
+        const AigLit lm = deref(repl, aig_lit(m, false));
+        const AigLit lt = deref(repl, aig_lit(lead, phase[m] != phase[lead]));
+        if (lm == lt) continue;  // already merged transitively
+        if (aig_node(lm) != m) continue;  // m follows another class now
+        ++stats.candidate_pairs;
+        const std::uint64_t live = (1ULL << cex_bits) - 1;
+        if (separated[m] != 0 || ((value[m] ^ value[lead] ^ flip(m)) & live) != 0) {
+            ++stats.cex_pruned;
+            continue;
+        }
+        const SatResult res = prove_pair(aig, solver, cnf, lm, lt,
+                                         opts.sweep_conflict_budget, stats, &model);
+        if (res == SatResult::Unsat) {
+            repl[m] = aig_sign(lm) ? aig_not(lt) : lt;
+            ++stats.merged_nodes;
+        } else if (res == SatResult::Sat) {
+            for (std::size_t i = 0; i < cex_words.size(); ++i) {
+                if (model[i]) cex_words[i] |= 1ULL << cex_bits;
+            }
+            aig.simulate(cex_words, value);
+            if (++cex_bits == 64) {
+                for (const std::uint32_t n : members) {
+                    if ((value[n] ^ value[leader[n]] ^ flip(n)) != 0) separated[n] = 1;
+                }
+                std::fill(cex_words.begin(), cex_words.end(), 0);
+                cex_bits = 0;
             }
         }
     }
@@ -315,14 +367,17 @@ StatusOr<CecResult> check_equivalence(const Network& a, const Network& b,
         return result;
     }
 
-    if (opts.sweep) sat_sweep(aig, repl, opts, result.stats);
+    // One solver and one encoder serve every query of this check.
+    SatSolver solver;
+    CnfBuilder cnf(aig, repl, solver);
+    if (opts.sweep) sat_sweep(aig, repl, solver, cnf, opts, result.stats);
 
     std::string inconclusive_note;
     std::vector<bool> model_inputs;
     for (const PoPair& pair : pairs) {
         const AigLit la = deref(repl, pair.la);
         const AigLit lb = deref(repl, pair.lb);
-        const SatResult res = prove_pair(aig, repl, la, lb, opts.output_conflict_budget,
+        const SatResult res = prove_pair(aig, solver, cnf, la, lb, opts.output_conflict_budget,
                                          result.stats, &model_inputs);
         if (res == SatResult::Unsat) continue;
         if (res == SatResult::Unknown) {

@@ -8,6 +8,14 @@
 // queries see ever-smaller cones. The primary-output miters are proven
 // last, on the swept graph.
 //
+// Every query is logically fresh, but one SatSolver and one CNF encoder
+// serve the whole check: both are reset between queries and keep their
+// storage, so a sweep allocates nothing per query. Each satisfying sweep
+// model is kept as an input pattern and resimulated; a later candidate that
+// some kept pattern already separates from its leader is skipped without a
+// SAT call (CecStats::cex_pruned). Merges still happen only on UNSAT, so
+// pruning removes satisfiable queries and never changes a merge.
+//
 // Three outcomes, never a wrong one:
 //   Proven       — every PO pair is UNSAT-equal: a complete proof.
 //   Refuted      — a concrete input assignment separates some PO pair; the
@@ -84,7 +92,8 @@ struct CecOptions {
 
 struct CecStats {
     std::size_t aig_and_nodes = 0;   // AND nodes in the shared miter
-    std::size_t candidate_pairs = 0; // sweeping queries attempted
+    std::size_t candidate_pairs = 0; // sweep pairs considered (queried or pruned)
+    std::size_t cex_pruned = 0;      // pairs a kept counterexample separated
     std::size_t merged_nodes = 0;    // nodes replaced by an equivalent
     std::size_t sat_calls = 0;
     std::size_t sat_unsat = 0;

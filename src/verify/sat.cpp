@@ -31,9 +31,30 @@ constexpr std::uint64_t kRestartBase = 100;
 
 }  // namespace
 
+void SatSolver::reset() {
+    for (std::size_t l = 0; l < 2 * n_vars_; ++l) watches_[l].clear();
+    n_vars_ = 0;
+    arena_.clear();
+    clause_start_.resize(1);
+    assigns_.clear();
+    phase_.clear();
+    level_.clear();
+    reason_.clear();
+    trail_.clear();
+    trail_lim_.clear();
+    qhead_ = 0;
+    activity_.clear();
+    var_inc_ = 1.0;
+    heap_.clear();
+    heap_index_.clear();
+    seen_.clear();
+    unsat_ = false;
+    stats_ = SatStats{};
+}
+
 int SatSolver::new_var() {
     const std::uint32_t v = static_cast<std::uint32_t>(n_vars_++);
-    watches_.resize(2 * n_vars_);
+    if (watches_.size() < 2 * n_vars_) watches_.resize(2 * n_vars_);
     assigns_.push_back(kUndef);
     phase_.push_back(kFalse);
     level_.push_back(0);
@@ -105,40 +126,44 @@ void SatSolver::rescale() {
 
 // ---- clause management -------------------------------------------------
 
-void SatSolver::attach(std::int32_t ci) {
-    const std::vector<Lit>& c = clauses_[ci];
-    watches_[c[0]].push_back(ci);
-    watches_[c[1]].push_back(ci);
+std::int32_t SatSolver::push_clause(std::span<const Lit> lits) {
+    const std::int32_t ci = static_cast<std::int32_t>(clause_start_.size()) - 1;
+    arena_.insert(arena_.end(), lits.begin(), lits.end());
+    clause_start_.push_back(static_cast<std::uint32_t>(arena_.size()));
+    watches_[lits[0]].push_back(ci);
+    watches_[lits[1]].push_back(ci);
+    return ci;
 }
 
 void SatSolver::add_clause(std::span<const int> lits) {
     if (unsat_) return;
-    std::vector<Lit> c;
-    c.reserve(lits.size());
+    // Simplify against root facts only: after a solve() the trail still
+    // holds that call's decisions (the model), which are not facts.
+    backtrack_to(0);
+    std::vector<Lit>& c = add_buf_;
+    c.clear();
     for (const int dl : lits) c.push_back(lit_of(dl));
     std::sort(c.begin(), c.end());
     c.erase(std::unique(c.begin(), c.end()), c.end());
     for (std::size_t i = 0; i + 1 < c.size(); ++i) {
         if (negate(c[i]) == c[i + 1]) return;  // tautology: l and !l
     }
-    // Simplify against the level-0 assignment (add_clause runs pre-solve,
-    // so every current assignment is a root fact).
-    std::vector<Lit> kept;
+    std::size_t kept = 0;
     for (const Lit l : c) {
         const std::int8_t v = value(l);
         if (v == kTrue) return;  // already satisfied forever
-        if (v == kUndef) kept.push_back(l);
+        if (v == kUndef) c[kept++] = l;
     }
-    if (kept.empty()) {
+    c.resize(kept);
+    if (c.empty()) {
         unsat_ = true;
         return;
     }
-    if (kept.size() == 1) {
-        if (!enqueue(kept[0], kNoReason)) unsat_ = true;
+    if (c.size() == 1) {
+        if (!enqueue(c[0], kNoReason)) unsat_ = true;
         return;
     }
-    clauses_.push_back(std::move(kept));
-    attach(static_cast<std::int32_t>(clauses_.size()) - 1);
+    push_clause(c);
 }
 
 // ---- search ------------------------------------------------------------
@@ -163,7 +188,7 @@ std::int32_t SatSolver::propagate() {
         std::size_t keep = 0;
         for (std::size_t wi = 0; wi < ws.size(); ++wi) {
             const std::int32_t ci = ws[wi];
-            std::vector<Lit>& c = clauses_[ci];
+            const std::span<Lit> c = clause(ci);
             if (c[0] == fl) std::swap(c[0], c[1]);
             // c[1] == fl now; if the other watch is true the clause rests.
             if (value(c[0]) == kTrue) {
@@ -195,8 +220,8 @@ std::int32_t SatSolver::propagate() {
     return kNoReason;
 }
 
-void SatSolver::analyze(std::int32_t conflict, std::vector<Lit>& learnt,
-                        std::uint32_t& backtrack) {
+void SatSolver::analyze(std::int32_t conflict, std::uint32_t& backtrack) {
+    std::vector<Lit>& learnt = learnt_;
     learnt.clear();
     learnt.push_back(kLitUndef);  // slot for the asserting literal
     const std::uint32_t current = static_cast<std::uint32_t>(trail_lim_.size());
@@ -206,8 +231,7 @@ void SatSolver::analyze(std::int32_t conflict, std::vector<Lit>& learnt,
 
     std::int32_t reason = conflict;
     do {
-        const std::vector<Lit>& c = clauses_[reason];
-        for (const Lit q : c) {
+        for (const Lit q : clause(reason)) {
             if (p != kLitUndef && q == p) continue;
             const std::uint32_t v = var_of(q);
             if (!seen_[v] && level_[v] > 0) {
@@ -272,10 +296,10 @@ SatSolver::Lit SatSolver::pick_branch() {
 
 SatResult SatSolver::solve(std::uint64_t conflict_budget) {
     if (unsat_) return SatResult::Unsat;
+    backtrack_to(0);  // a repeated solve() starts from the root facts
     const std::uint64_t start_conflicts = stats_.conflicts;
     std::uint64_t restart_budget = kRestartBase * luby(stats_.restarts);
     std::uint64_t restart_conflicts = 0;
-    std::vector<Lit> learnt;
 
     for (;;) {
         const std::int32_t conflict = propagate();
@@ -292,16 +316,14 @@ SatResult SatSolver::solve(std::uint64_t conflict_budget) {
                 return SatResult::Unknown;
             }
             std::uint32_t back_level = 0;
-            analyze(conflict, learnt, back_level);
+            analyze(conflict, back_level);
             backtrack_to(back_level);
-            if (learnt.size() == 1) {
-                enqueue(learnt[0], kNoReason);
+            if (learnt_.size() == 1) {
+                enqueue(learnt_[0], kNoReason);
             } else {
-                clauses_.push_back(learnt);
-                const std::int32_t ci = static_cast<std::int32_t>(clauses_.size()) - 1;
-                attach(ci);
+                const std::int32_t ci = push_clause(learnt_);
                 ++stats_.learned;
-                enqueue(learnt[0], ci);
+                enqueue(learnt_[0], ci);
             }
             decay();
             continue;

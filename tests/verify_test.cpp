@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "check/mapped_checker.hpp"
+#include "circuits/benchmarks.hpp"
 #include "flow/flow.hpp"
 #include "flow/pipeline.hpp"
 #include "library/standard_cells.hpp"
@@ -18,6 +19,7 @@
 #include "netlist/interface.hpp"
 #include "netlist/simulate.hpp"
 #include "subject/decompose.hpp"
+#include "util/alloc_stats.hpp"
 #include "util/fault.hpp"
 #include "util/rng.hpp"
 #include "verify/aig.hpp"
@@ -63,6 +65,23 @@ TEST(Sat, ContradictingUnitsAreUnsat) {
     SatSolver s;
     const int x = s.new_var();
     s.add_clause({x});
+    s.add_clause({-x});
+    EXPECT_EQ(s.solve(), SatResult::Unsat);
+}
+
+TEST(Sat, AddClauseAfterSatStaysSound) {
+    // After a Sat answer the trail holds the model, not just root facts;
+    // clauses added then must not be simplified against that model.
+    SatSolver s;
+    const int x = s.new_var();
+    const int y = s.new_var();
+    s.add_clause({x, y});
+    ASSERT_EQ(s.solve(), SatResult::Sat);
+    s.add_clause({x});
+    s.add_clause({-y});
+    ASSERT_EQ(s.solve(), SatResult::Sat);
+    EXPECT_TRUE(s.model_value(x));
+    EXPECT_FALSE(s.model_value(y));
     s.add_clause({-x});
     EXPECT_EQ(s.solve(), SatResult::Unsat);
 }
@@ -150,9 +169,12 @@ TEST(Sat, PigeonholeSixIntoFiveSurvivesManyAnalyzeRounds) {
 TEST(Sat, RandomThreeSatAgreesWithBruteForce) {
     // 12-variable random 3-SAT at varying densities, cross-checked against
     // exhaustive enumeration. Exercises learning, restarts and phase saving
-    // on both satisfiable and unsatisfiable instances.
+    // on both satisfiable and unsatisfiable instances. Every instance is
+    // also solved on one solver reset() between instances, which must
+    // search exactly as the fresh one does.
     Rng rng(0x3A7);
     const int n = 12;
+    SatSolver reused;
     for (int round = 0; round < 40; ++round) {
         const int n_clauses = 30 + static_cast<int>(rng.next_u64() % 40);
         std::vector<std::array<int, 3>> cnf;
@@ -182,6 +204,16 @@ TEST(Sat, RandomThreeSatAgreesWithBruteForce) {
         for (const auto& cl : cnf) s.add_clause({cl[0], cl[1], cl[2]});
         const SatResult res = s.solve();
         ASSERT_EQ(res, brute_sat ? SatResult::Sat : SatResult::Unsat) << "round " << round;
+
+        reused.reset();
+        for (int v = 0; v < n; ++v) reused.new_var();
+        for (const auto& cl : cnf) reused.add_clause({cl[0], cl[1], cl[2]});
+        EXPECT_EQ(reused.solve(), res) << "round " << round;
+        EXPECT_EQ(reused.stats().decisions, s.stats().decisions) << "round " << round;
+        EXPECT_EQ(reused.stats().propagations, s.stats().propagations) << "round " << round;
+        EXPECT_EQ(reused.stats().conflicts, s.stats().conflicts) << "round " << round;
+        EXPECT_EQ(reused.stats().restarts, s.stats().restarts) << "round " << round;
+        EXPECT_EQ(reused.stats().learned, s.stats().learned) << "round " << round;
         if (res == SatResult::Sat) {
             for (const auto& cl : cnf) {
                 bool any = false;
@@ -223,7 +255,8 @@ TEST(Aig, SimulateXor) {
     const AigLit y = aig_lit(aig.add_input(), false);
     const AigLit z = aig.make_xor(x, y);
     const std::array<std::uint64_t, 2> words = {0b1100u, 0b1010u};
-    const std::vector<std::uint64_t> value = aig.simulate(words);
+    std::vector<std::uint64_t> value(aig.node_count());
+    aig.simulate(words, value);
     const std::uint64_t got =
         value[aig_node(z)] ^ (aig_sign(z) ? ~0ULL : 0ULL);
     EXPECT_EQ(got & 0xFu, 0b0110u);
@@ -244,7 +277,8 @@ TEST(Aig, LowerNetworkMatchesSimulateBlockOnExamples) {
         for (int block = 0; block < 4; ++block) {
             std::vector<std::uint64_t> words(net.inputs().size());
             for (std::uint64_t& w : words) w = rng.next_u64();
-            const std::vector<std::uint64_t> aig_val = aig.simulate(words);
+            std::vector<std::uint64_t> aig_val(aig.node_count());
+            aig.simulate(words, aig_val);
             const std::vector<std::uint64_t> net_val = simulate_block(net, words);
             for (const PrimaryOutput& po : net.outputs()) {
                 const AigLit l = lit[po.driver];
@@ -363,6 +397,49 @@ TEST(Cec, RefutesFlippedGateWithReplayableCounterexample) {
         EXPECT_EQ(bit_a, m.value_a);
         EXPECT_EQ(bit_b, m.value_b);
         EXPECT_NE(bit_a, bit_b);
+    }
+}
+
+TEST(Cec, SweepAllocationsStayLinear) {
+    // A control circuit whose sweep meets satisfiable candidates. One solver
+    // and one encoder serve every query, so a whole check allocates O(1)
+    // per AIG node, and kept counterexamples skip later disproofs.
+    const Library lib = load_msu_big();
+    const Network net = make_control_logic(23, 11, 120, 0xCEC, "control_120");
+    MapResult mapped = BaseMapper(lib).map(decompose(net).graph);
+    const Network impl = mapped.netlist.to_network(lib);
+
+    const std::uint64_t allocs_before = alloc_stats_snapshot().count;
+    const StatusOr<CecResult> cec = check_equivalence(net, impl);
+    const std::uint64_t allocs = alloc_stats_snapshot().count - allocs_before;
+    ASSERT_TRUE(cec.is_ok()) << cec.status().to_string();
+    const CecStats& stats = cec.value().stats;
+    EXPECT_EQ(cec.value().verdict, CecVerdict::Proven);
+    EXPECT_GT(stats.cex_pruned, 0u);
+    EXPECT_LE(allocs, 16 * stats.aig_and_nodes);
+
+    // Pruning never hides a real difference: a wrong cover is refuted with a
+    // counterexample that replays under simulate_block.
+    ASSERT_TRUE(inject_wrong_cover(mapped.netlist, lib));
+    const Network wrong = mapped.netlist.to_network(lib);
+    const StatusOr<CecResult> refuted = check_equivalence(net, wrong);
+    ASSERT_TRUE(refuted.is_ok()) << refuted.status().to_string();
+    ASSERT_EQ(refuted.value().verdict, CecVerdict::Refuted);
+    const Counterexample& cex = *refuted.value().cex;
+    ASSERT_FALSE(cex.mismatches.empty());
+    const InterfaceAlignment align = align_interfaces(net, wrong).value();
+    std::vector<std::uint64_t> ins_a(net.inputs().size());
+    for (std::size_t i = 0; i < ins_a.size(); ++i) ins_a[i] = cex.pi_values[i] ? ~0ULL : 0ULL;
+    std::vector<std::uint64_t> ins_b(wrong.inputs().size());
+    for (std::size_t i = 0; i < ins_b.size(); ++i) ins_b[i] = ins_a[align.pi_of_b[i]];
+    const std::vector<std::uint64_t> va = simulate_block(net, ins_a);
+    const std::vector<std::uint64_t> vb = simulate_block(wrong, ins_b);
+    for (const Counterexample::Mismatch& m : cex.mismatches) {
+        std::size_t j = 0;
+        while (wrong.outputs()[j].name != m.po_name) ++j;
+        EXPECT_EQ((va[net.outputs()[align.po_of_b[j]].driver] & 1) != 0, m.value_a);
+        EXPECT_EQ((vb[wrong.outputs()[j].driver] & 1) != 0, m.value_b);
+        EXPECT_NE(m.value_a, m.value_b);
     }
 }
 
