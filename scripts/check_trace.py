@@ -24,6 +24,9 @@ Checks (all hard failures):
     cex_pruned) come the same way: one full non-negative set per proving
     verify span, closed by alloc_count.verify (a simulation-only verify
     span carries none);
+  * library counters (parse-genlib.gates / patterns / skipped) come the
+    same way, and every parse-genlib span of a run_flow_from_files flow
+    that did not fail must carry them;
   * the report's embedded "trace" block agrees with the file dump.
 
 Exit code 0 on success, 1 on any violation.
@@ -36,6 +39,9 @@ MAPPING_PHASES = ("mapping.inchoate_place_ms", "mapping.cone_order_ms",
                   "mapping.dp_ms", "mapping.replace_ms")
 VERIFY_COUNTERS = ("verify.sat_calls", "verify.conflicts",
                    "verify.merged_nodes", "verify.cex_pruned")
+GENLIB_COUNTERS = ("parse-genlib.gates", "parse-genlib.patterns",
+                   "parse-genlib.skipped")
+FROM_FILES_FLOW = "run_flow_from_files"
 
 
 def fail(msg):
@@ -43,12 +49,14 @@ def fail(msg):
     sys.exit(1)
 
 
-def check_stage_counters(counters, spans, stage, names, sum_within_span):
+def check_stage_counters(counters, spans, stage, names, sum_within_span,
+                         required=lambda span: False):
     """Counters named <stage>.* must be from `names`, non-negative, and
     come as one full set (or none) per <stage> span. Pending ones belong to
     the span whose alloc_count.<stage> closes them (spans and their memory
     triples are both recorded in order, one flow at a time per sink). With
-    `sum_within_span` the set is in ms and must fit inside its span."""
+    `sum_within_span` the set is in ms and must fit inside its span; a span
+    for which `required(span)` holds must carry the set."""
     stage_spans = [s for s in spans if s["name"] == stage]
     pending, closed = {}, 0
     for c in counters:
@@ -62,6 +70,8 @@ def check_stage_counters(counters, spans, stage, names, sum_within_span):
                 fail(f"counter {name!r} is negative: {value!r}")
             pending[name] = value
         elif name == "alloc_count." + stage:
+            if not pending and required(stage_spans[closed]):
+                fail(f"{stage} span {closed} lacks its counters {list(names)!r}")
             if pending:
                 if len(pending) != len(names):
                     fail(f"{stage} span {closed} has an incomplete counter set "
@@ -153,6 +163,11 @@ def main():
 
     check_stage_counters(counters, spans, "mapping", MAPPING_PHASES, sum_within_span=True)
     check_stage_counters(counters, spans, "verify", VERIFY_COUNTERS, sum_within_span=False)
+    from_files = {f["id"] for f in flows if f.get("name") == FROM_FILES_FLOW}
+    check_stage_counters(counters, spans, "parse-genlib", GENLIB_COUNTERS,
+                         sum_within_span=False,
+                         required=lambda span: span.get("flow") in from_files
+                         and span.get("state") != "failed")
 
     embedded = report.get("trace")
     if embedded is None:

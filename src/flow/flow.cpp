@@ -538,7 +538,13 @@ StatusOr<FlowResult> run_flow_from_files(const std::string& blif_path,
             Status bad = lib->status();
             return bad.with_context(flow_label::kFromFiles);
         }
-        const auto& skipped = lib->value().skipped_gates();
+        const Library& parsed = lib->value();
+        const auto& skipped = parsed.skipped_gates();
+        std::size_t patterns = 0;
+        for (const Gate& g : parsed.gates()) patterns += g.patterns.size();
+        s.counter("gates", static_cast<double>(parsed.size()));
+        s.counter("patterns", static_cast<double>(patterns));
+        s.counter("skipped", static_cast<double>(skipped.size()));
         if (!skipped.empty()) {
             std::string note = std::to_string(skipped.size()) + " gate(s) skipped:";
             for (const Library::SkippedGate& g : skipped) {

@@ -6,6 +6,7 @@
 #include "library/library.hpp"
 #include "library/pattern.hpp"
 #include "library/standard_cells.hpp"
+#include "pattern_oracle.hpp"
 
 namespace lily {
 namespace {
@@ -155,6 +156,81 @@ TEST(Pattern, DepthIsLongestPath) {
     EXPECT_EQ(max_d, 5u);
 }
 
+/// Full PatternGraph lists equal node for node (not just canonical()).
+void expect_same_patterns(const std::vector<PatternGraph>& got,
+                          const std::vector<PatternGraph>& want, const std::string& what) {
+    ASSERT_EQ(got.size(), want.size()) << what;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].n_vars, want[i].n_vars) << what << " pattern " << i;
+        EXPECT_EQ(got[i].root, want[i].root) << what << " pattern " << i;
+        ASSERT_EQ(got[i].nodes.size(), want[i].nodes.size()) << what << " pattern " << i;
+        for (std::size_t j = 0; j < got[i].nodes.size(); ++j) {
+            const PatternNode& a = got[i].nodes[j];
+            const PatternNode& b = want[i].nodes[j];
+            EXPECT_TRUE(a.kind == b.kind && a.child0 == b.child0 && a.child1 == b.child1 &&
+                        a.var == b.var)
+                << what << " pattern " << i << " node " << j;
+        }
+    }
+}
+
+TEST(Pattern, MatchesOracle) {
+    // Every library gate, as loaded.
+    for (const Library& lib : {load_msu_tiny(), load_msu_big()}) {
+        for (const Gate& g : lib.gates()) {
+            expect_same_patterns(g.patterns,
+                                 oracle::oracle_generate_patterns(g.expression, g.n_inputs()),
+                                 lib.name() + "/" + g.name);
+        }
+    }
+    // The genlib snippets and pattern-test equations of this suite and
+    // fanout_opt_test, plus buffers, constants, XOR-like leaf DAGs and wide
+    // blocks where the cap truncates the enumeration.
+    struct Case {
+        const char* equation;
+        std::size_t cap;
+    };
+    const Case cases[] = {
+        {"O=!a", 64},
+        {"O=a", 64},
+        {"O=CONST1", 64},
+        {"O=!(a*b)", 64},
+        {"O=!(a*b*c)", 64},
+        {"O=!(a*b+c*d)", 64},
+        {"O=!(a*b*c*d)", 64},
+        {"O=!(a*b*c*d*e*f)", 256},
+        {"O=a*!b+!a*b", 64},
+        {"O=!(a*b+c)", 128},
+        {"O=!((a+b)*c)", 128},
+        {"O=!(a*b+c*d)", 128},
+        {"O=a+b+c+d", 128},
+        {"O=!((a+b)*(c+d)*e)", 128},
+        {"O=!s*a+s*b", 128},
+        {"O=a*b*c*d*e", 128},
+        {"O=!(a*b*a+c)", 64},
+        {"O=(a+b)*(c+!d)", 1},
+        // The cross product stops at 8x the cap, yet every later split
+        // still adds its first pair, and one of those survives here.
+        {"O=((b+c+a)+e+!(d+!a+c))", 4},
+        // 12 variables, some repeated: keys order numbers >= 10 as digit
+        // strings ("v10" < "v2"), which changes the survivors at cap 16.
+        {"O=!((a+b)*(c+d)*(e+f)*(g+h)*(i+j)*(k+l)+l*e+k*h)", 16},
+        {"O=!(a*b*c*d*e*f*g*h)", 4},
+        {"O=!(a*b*c*d*e*f*g*h)", 16},
+        {"O=!(a*b*c*d*e*f*g*h)", 64},
+        {"O=!(a+b+c+d+e+f+g+h)", 4},
+        {"O=!(a+b+c+d+e+f+g+h)", 16},
+        {"O=!(a+b+c+d+e+f+g+h)", 64},
+    };
+    for (const Case& c : cases) {
+        const ParsedEquation eq = parse_equation(c.equation);
+        const unsigned n = static_cast<unsigned>(eq.input_names.size());
+        expect_same_patterns(generate_patterns(eq.expr, n, c.cap),
+                             oracle::oracle_generate_patterns(eq.expr, n, c.cap),
+                             std::string(c.equation) + " cap " + std::to_string(c.cap));
+    }
+}
+
 // ----------------------------------------------------------------- library
 
 TEST(Genlib, ParseMinimal) {
@@ -209,6 +285,38 @@ TEST(Genlib, OverFaninGateSkippedNotFatal) {
     EXPECT_EQ(lib.skipped_gates()[0].line_no, 1u);
     EXPECT_NE(lib.skipped_gates()[0].reason.find("limit 10"), std::string::npos)
         << lib.skipped_gates()[0].reason;
+}
+
+TEST(Genlib, WideGatesLoadInBoundedTime) {
+    // The widest legal gates (10 inputs) and blocks (12 kids, here with
+    // repeated variables) enumerate every sub-block once; an exhaustive
+    // enumeration took minutes on them. The ctest TIMEOUT bounds the load.
+    const Library lib = read_genlib(R"(
+GATE inv 1.0 O=!a;
+PIN * INV 0.1 1 1 1 1 1
+GATE nd2 2.0 O=!(a*b);
+PIN * INV 0.1 1 1 1 1 1
+GATE nand10 10.0 O=!(a*b*c*d*e*f*g*h*i*j);
+PIN * INV 0.1 1 1 1 1 1
+GATE nor10 11.0 O=!(a+b+c+d+e+f+g+h+i+j);
+PIN * INV 0.1 1 1 1 1 1
+GATE rep12 12.0 O=!(a*b*c*d*e*f*g*h*i*j*a*b);
+PIN * INV 0.1 1 1 1 1 1
+GATE rep13 13.0 O=!(a*b*c*d*e*f*g*h*i*j*a*b*c);
+PIN * INV 0.1 1 1 1 1 1
+)");
+    // A 13-kid block is past the enumeration limit: skipped, not loaded.
+    ASSERT_EQ(lib.skipped_gates().size(), 1u);
+    EXPECT_EQ(lib.skipped_gates()[0].name, "rep13");
+    EXPECT_NE(lib.skipped_gates()[0].reason.find("fanin too large"), std::string::npos)
+        << lib.skipped_gates()[0].reason;
+    for (const char* name : {"nand10", "nor10", "rep12"}) {
+        const std::optional<GateId> id = lib.find(name);
+        ASSERT_TRUE(id.has_value()) << name;
+        EXPECT_EQ(lib.gate(*id).patterns.size(), 64u) << name;
+    }
+    EXPECT_EQ(lib.gate(*lib.find("rep12")).expression->kids[0]->kids.size(), 12u);
+    EXPECT_NO_THROW(lib.validate());
 }
 
 TEST(Genlib, CheckedReaderReportsLineNumbers) {
