@@ -21,9 +21,12 @@ Checks (all hard failures):
     before that span's memory triple; each is non-negative and their sum
     fits inside the span (a wire-blind mapping span carries none);
   * prover counters (verify.sat_calls / conflicts / merged_nodes /
-    cex_pruned) come the same way: one full non-negative set per proving
-    verify span, closed by alloc_count.verify (a simulation-only verify
-    span carries none);
+    cex_pruned / obligations / fallback) come the same way: one full
+    non-negative set per proving verify span, closed by
+    alloc_count.verify. Every verify span whose note reports a proof
+    ("proven ..." or "proof inconclusive ...") must carry the set, and
+    verify.fallback is 0 (the mapping certificate proved it) or 1 (SAT
+    sweeping did); a simulation-only verify span carries none;
   * library counters (parse-genlib.gates / patterns / skipped) come the
     same way, and every parse-genlib span of a run_flow_from_files flow
     that did not fail must carry them;
@@ -38,7 +41,9 @@ import sys
 MAPPING_PHASES = ("mapping.inchoate_place_ms", "mapping.cone_order_ms",
                   "mapping.dp_ms", "mapping.replace_ms")
 VERIFY_COUNTERS = ("verify.sat_calls", "verify.conflicts",
-                   "verify.merged_nodes", "verify.cex_pruned")
+                   "verify.merged_nodes", "verify.cex_pruned",
+                   "verify.obligations", "verify.fallback")
+PROVING_NOTES = ("proven", "proof inconclusive")
 GENLIB_COUNTERS = ("parse-genlib.gates", "parse-genlib.patterns",
                    "parse-genlib.skipped")
 FROM_FILES_FLOW = "run_flow_from_files"
@@ -162,7 +167,11 @@ def main():
                  f"span executions {span_count!r}")
 
     check_stage_counters(counters, spans, "mapping", MAPPING_PHASES, sum_within_span=True)
-    check_stage_counters(counters, spans, "verify", VERIFY_COUNTERS, sum_within_span=False)
+    check_stage_counters(counters, spans, "verify", VERIFY_COUNTERS, sum_within_span=False,
+                         required=lambda span: span.get("note", "").startswith(PROVING_NOTES))
+    for c in counters:
+        if c.get("name") == "verify.fallback" and c.get("value") not in (0, 1):
+            fail(f"verify.fallback must be 0 or 1, got {c.get('value')!r}")
     from_files = {f["id"] for f in flows if f.get("name") == FROM_FILES_FLOW}
     check_stage_counters(counters, spans, "parse-genlib", GENLIB_COUNTERS,
                          sum_within_span=False,

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # CI entrypoint: build twice (release with -Werror, and ASan+UBSan with the
-# pipeline's Light checks and simulation verify stage forced on), run the
+# pipeline's Light checks and proving verify stage forced on), run the
 # full test suite on both, then audit the example circuits with lily_lint —
 # including the injected-violation runs that prove the checkers still bite.
 #
@@ -18,11 +18,13 @@ run cmake -B build-ci-release -S . -DCMAKE_BUILD_TYPE=Release -DLILY_WERROR=ON
 run cmake --build build-ci-release -j "$JOBS"
 run env -C build-ci-release ctest --output-on-failure -j "$JOBS"
 
-# ---- Build 2: ASan+UBSan, Light checks + simulation verify -------------
+# ---- Build 2: ASan+UBSan, Light checks + proving verify ----------------
+# Every flow in the suite proves its mapping: the mapping certificate first,
+# SAT sweeping when it declines.
 run cmake -B build-ci-sanitize -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DLILY_WERROR=ON "-DLILY_SANITIZE=address;undefined"
 run cmake --build build-ci-sanitize -j "$JOBS"
-run env -C build-ci-sanitize LILY_CHECK_LEVEL=light LILY_VERIFY=sim \
+run env -C build-ci-sanitize LILY_CHECK_LEVEL=light LILY_VERIFY=prove \
     ctest --output-on-failure -j "$JOBS"
 
 # ---- lily_lint over the example circuits (both libraries) --------------
@@ -92,11 +94,18 @@ LILY_TRACE="$TRACE_DIR/flow.trace" "$LINT" --flow --json \
     examples/circuits/parity8.blif lib/msu_big.genlib > "$TRACE_DIR/report.json"
 run python3 scripts/check_trace.py "$TRACE_DIR/flow.trace" "$TRACE_DIR/report.json"
 # The same at LILY_VERIFY=prove, so the verify span's prover counters
-# (verify.sat_calls/conflicts/merged_nodes/cex_pruned) are checked too.
+# (verify.sat_calls/conflicts/merged_nodes/cex_pruned/obligations/fallback)
+# are checked too — and a proving trace with them stripped must fail.
 echo "+ LILY_TRACE trace smoke (LILY_VERIFY=prove)"
 LILY_VERIFY=prove LILY_TRACE="$TRACE_DIR/prove.trace" "$LINT" --flow --json \
     examples/circuits/parity8.blif lib/msu_big.genlib > "$TRACE_DIR/prove.json"
 run python3 scripts/check_trace.py "$TRACE_DIR/prove.trace" "$TRACE_DIR/prove.json"
+grep -v '"verify\.' "$TRACE_DIR/prove.trace" > "$TRACE_DIR/stripped.trace"
+echo "+ check_trace.py on a trace without verify counters (expect failure)"
+if python3 scripts/check_trace.py "$TRACE_DIR/stripped.trace" "$TRACE_DIR/prove.json"; then
+  echo "FAIL: check_trace.py accepted a proving verify span without its counters" >&2
+  exit 1
+fi
 rm -rf "$TRACE_DIR"
 
 # ---- Formal verification (sanitized build) -----------------------------
@@ -149,7 +158,9 @@ cat BENCH_eco.json
 
 # ---- CEC cost curve (release build) ------------------------------------
 # cec_scaling proves every mapped workload equivalent (exit non-zero on any
-# non-Proven verdict) and records the sim-vs-prove cost curve.
+# non-Proven verdict, on a certificate verdict that disagrees with the
+# prover, or on a baseline mapping the certificate declines) and records
+# the sim / certificate / prove cost curve. Verdicts gate; times do not.
 run build-ci-release/bench/cec_scaling --quick --out=BENCH_cec.json
 echo "+ BENCH_cec.json:"
 cat BENCH_cec.json

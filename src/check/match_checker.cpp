@@ -1,7 +1,6 @@
 #include "check/match_checker.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 
 namespace lily {
 
@@ -100,54 +99,23 @@ CheckReport MatchChecker::check_function(const SubjectGraph& g, const Match& m) 
     CheckReport rep = check(g, m);
     if (rep.has_errors()) return rep;
 
+    // check() established closure, so the walk from the root stays inside
+    // the cover and the cone reads exactly the covered nodes.
     const Gate& gate = lib_->gate(m.gate);
     const std::string what = describe(*lib_, m);
-    const unsigned n = gate.n_inputs();
-    if (n > 16) {
+    if (cone_.evaluate(g, m.root(), m.inputs) != ConeFunction::Outcome::Exact) {
         rep.warning(CheckStage::Match, m.root(),
-                    what + ": gate too wide for exact verification (" + std::to_string(n) +
-                        " inputs), skipped");
+                    what + ": gate too wide for exact verification (" +
+                        std::to_string(cone_.n_vars()) + " distinct inputs), skipped");
         return rep;
     }
-
-    // Leaf-DAG semantics: when the same subject node feeds several pins,
-    // those pins are electrically tied. Identify every pin with the first
-    // pin bound to the same node, and compare both sides under that
-    // identification.
-    std::unordered_map<SubjectId, unsigned> first_pin;
-    std::vector<unsigned> pin_alias(n);
-    for (unsigned i = 0; i < n; ++i) {
-        pin_alias[i] = first_pin.emplace(m.inputs[i], i).first->second;
-    }
-
-    // Exact truth table of the covered cone over the gate's pin variables.
-    std::unordered_map<SubjectId, TruthTable> value;
-    for (const auto& [node, pin] : first_pin) value.emplace(node, TruthTable::variable(pin, n));
-    for (const SubjectId c : m.covered) {
-        const SubjectNode& node = g.node(c);
-        const TruthTable& a = value.at(node.fanin0);
-        if (node.kind == SubjectKind::Inv) {
-            value.insert_or_assign(c, ~a);
-        } else {
-            value.insert_or_assign(c, ~(a & value.at(node.fanin1)));
-        }
-    }
-    const TruthTable& cone = value.at(m.root());
-
-    // The gate function under the same pin identification.
-    TruthTable realized(n);
-    for (std::size_t minterm = 0; minterm < (std::size_t{1} << n); ++minterm) {
-        std::size_t folded = 0;
-        for (unsigned i = 0; i < n; ++i) {
-            folded |= ((minterm >> pin_alias[i]) & 1u) << i;
-        }
-        realized.set(minterm, gate.function.get(folded));
-    }
-    if (!(cone == realized)) {
+    const auto gate_fn = [&](std::uint64_t pins) { return gate.function.get(pins); };
+    if (!cone_.equals(gate_fn)) {
         rep.error(CheckStage::Match, m.root(),
                   what + ": cover is not functionally equivalent to the cone it replaces "
                         "(cone " +
-                      cone.to_hex() + " vs gate " + realized.to_hex() + ")");
+                      cone_.table().to_hex() + " vs gate " + cone_.realized(gate_fn).to_hex() +
+                      ")");
     }
     return rep;
 }

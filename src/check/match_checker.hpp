@@ -4,11 +4,13 @@
 // verifies the claim two ways: structurally (the covered set is a
 // well-formed cone whose internal fanins stay inside the cover) and
 // functionally (the cone's exact truth table over the bound inputs equals
-// the gate function, with repeated bindings identified).
+// the gate function, with repeated bindings identified — the rule
+// ConeFunction owns).
 #pragma once
 
 #include "check/check.hpp"
 #include "match/matcher.hpp"
+#include "subject/cone_function.hpp"
 
 namespace lily {
 
@@ -29,6 +31,7 @@ public:
 
 private:
     const Library* lib_;
+    mutable ConeFunction cone_;  // scratch reused across checks; not thread-safe
 };
 
 }  // namespace lily

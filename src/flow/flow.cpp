@@ -10,6 +10,7 @@
 #include "netlist/blif.hpp"
 #include "netlist/simulate.hpp"
 #include "subject/decompose.hpp"
+#include "verify/certificate.hpp"
 
 namespace lily {
 
@@ -199,30 +200,57 @@ Status run_decompose_stage(StageExecutor& exec, const Network& net,
 
 }  // namespace
 
-Status run_verify_stage(FlowContext& ctx, const Network& source, const Library& lib,
-                        const MappedNetlist& mapped) {
+Status run_verify_stage(FlowContext& ctx, const Network& source, const DecomposeResult& sub,
+                        const Library& lib, const MappedNetlist& mapped) {
     if (ctx.opts().verify == VerifyLevel::Off) return Status::ok();
     const FlowOptions& opts = ctx.opts();
     const std::string verify_ctx = ctx.context("verify");
     StageExecutor exec(ctx);
     return exec.run(StageId::Verify, [&](StageScope& s) -> Status {
+        // The verify:miscompare probe flips one gate first so the refutation
+        // path can be exercised deterministically.
+        std::optional<MappedNetlist> corrupted;
+        if (s.fault("miscompare")) {
+            corrupted = mapped;
+            if (!inject_wrong_cover(*corrupted, lib)) {
+                s.failed("verify:miscompare probe found no same-arity gate pair");
+                return Status(StatusCode::InvariantViolation,
+                              verify_ctx + ": miscompare probe could not corrupt the "
+                                           "netlist (library too small)");
+            }
+        }
+        const MappedNetlist& checked = corrupted.has_value() ? *corrupted : mapped;
+
+        // Prove rung, first path: the mapping's own certificate. It proves
+        // or declines; a decline falls through to SAT sweeping, which
+        // proves, refutes with a replayed counterexample, or is inconclusive.
+        // Both paths stamp the same counter set on the span.
+        CertificateResult cert;
+        const auto prover_counters = [&](std::size_t sat_calls, std::uint64_t conflicts,
+                                         std::size_t merged_nodes, std::size_t cex_pruned) {
+            s.counter("sat_calls", static_cast<double>(sat_calls));
+            s.counter("conflicts", static_cast<double>(conflicts));
+            s.counter("merged_nodes", static_cast<double>(merged_nodes));
+            s.counter("cex_pruned", static_cast<double>(cex_pruned));
+            s.counter("obligations", static_cast<double>(cert.stats.obligations()));
+            s.counter("fallback", cert.proven ? 0.0 : 1.0);
+        };
+        if (opts.verify == VerifyLevel::Prove) {
+            cert = check_certificate(source, sub, lib, checked, opts.cec.output_conflict_budget);
+            if (cert.proven) {
+                prover_counters(cert.stats.sat_calls, cert.stats.conflicts, 0, 0);
+                s.ok("proven by the mapping certificate (" +
+                     std::to_string(cert.stats.obligations()) + " local obligations, " +
+                     std::to_string(cert.stats.sat_calls) + " local SAT call(s))");
+                return Status::ok();
+            }
+        }
+
         // Expand the mapped netlist into a Boolean network through its
-        // library cell functions; the verify:miscompare probe flips one gate
-        // first so the refutation path can be exercised deterministically.
+        // library cell functions.
         std::optional<Network> impl;
         try {
-            if (s.fault("miscompare")) {
-                MappedNetlist corrupted = mapped;
-                if (!inject_wrong_cover(corrupted, lib)) {
-                    s.failed("verify:miscompare probe found no same-arity gate pair");
-                    return Status(StatusCode::InvariantViolation,
-                                  verify_ctx + ": miscompare probe could not corrupt the "
-                                               "netlist (library too small)");
-                }
-                impl = corrupted.to_network(lib);
-            } else {
-                impl = mapped.to_network(lib);
-            }
+            impl = checked.to_network(lib);
         } catch (const std::exception& e) {
             s.failed(e.what());
             return Status(StatusCode::InvariantViolation, e.what()).with_context(verify_ctx);
@@ -251,7 +279,7 @@ Status run_verify_stage(FlowContext& ctx, const Network& source, const Library& 
             return Status::ok();
         }
 
-        // Prove rung: SAT-sweeping CEC.
+        // Prove rung, fallback path: SAT-sweeping CEC.
         StatusOr<CecResult> cec_or = check_equivalence(source, *impl, opts.cec);
         if (!cec_or.is_ok()) {
             s.failed(cec_or.status().to_string());
@@ -259,14 +287,14 @@ Status run_verify_stage(FlowContext& ctx, const Network& source, const Library& 
             return bad.with_context(verify_ctx);
         }
         const CecResult& cec = cec_or.value();
-        s.counter("sat_calls", static_cast<double>(cec.stats.sat_calls));
-        s.counter("conflicts", static_cast<double>(cec.stats.conflicts));
-        s.counter("merged_nodes", static_cast<double>(cec.stats.merged_nodes));
-        s.counter("cex_pruned", static_cast<double>(cec.stats.cex_pruned));
+        prover_counters(cec.stats.sat_calls, cec.stats.conflicts, cec.stats.merged_nodes,
+                        cec.stats.cex_pruned);
+        const std::string declined = "certificate declined: " + cert.decline;
         switch (cec.verdict) {
             case CecVerdict::Proven:
-                s.ok("proven equivalent (" + std::to_string(cec.stats.sat_calls) +
-                     " SAT call(s), " + std::to_string(cec.stats.merged_nodes) + " of " +
+                s.ok("proven equivalent by SAT sweeping (" + declined + "; " +
+                     std::to_string(cec.stats.sat_calls) + " SAT call(s), " +
+                     std::to_string(cec.stats.merged_nodes) + " of " +
                      std::to_string(cec.stats.aig_and_nodes) + " AIG nodes merged)");
                 return Status::ok();
             case CecVerdict::Refuted:
@@ -294,7 +322,7 @@ Status run_verify_stage(FlowContext& ctx, const Network& source, const Library& 
                           verify_ctx + ": proof inconclusive (" + cec.note +
                               ") and random simulation found a miscompare");
         }
-        s.degraded("proof inconclusive (" + cec.note +
+        s.degraded("proof inconclusive (" + declined + "; " + cec.note +
                    "); fell back to the random-simulation verdict: no miscompare on " +
                    std::to_string(opts.cec.sim_blocks) + " blocks");
         return Status::ok();
@@ -348,7 +376,7 @@ StatusOr<FlowResult> run_baseline_flow_checked(const Network& net, const Library
     LILY_RETURN_IF_ERROR(mapped);
     LILY_RETURN_IF_ERROR(check_mapping(ctx, lib, sub->graph, res->solution, res->netlist,
                                        "mapping"));
-    LILY_RETURN_IF_ERROR(run_verify_stage(ctx, net, lib, res->netlist));
+    LILY_RETURN_IF_ERROR(run_verify_stage(ctx, net, *sub, lib, res->netlist));
     return run_backend_stages(exec, res->netlist, lib, std::nullopt, std::nullopt);
 }
 
@@ -420,7 +448,7 @@ StatusOr<FlowResult> run_lily_flow_checked(const Network& net, const Library& li
     if (fallback.has_value()) {
         LILY_RETURN_IF_ERROR(check_mapping(ctx, lib, sub->graph, fallback->solution,
                                            fallback->netlist, "fallback mapping"));
-        LILY_RETURN_IF_ERROR(run_verify_stage(ctx, net, lib, fallback->netlist));
+        LILY_RETURN_IF_ERROR(run_verify_stage(ctx, net, *sub, lib, fallback->netlist));
         StatusOr<FlowResult> out = run_backend_stages(exec, fallback->netlist, lib,
                                                       std::nullopt, std::nullopt, capture);
         if (out.is_ok() && capture != nullptr) {
@@ -449,7 +477,7 @@ StatusOr<FlowResult> run_lily_flow_checked(const Network& net, const Library& li
         }));
     }
 
-    LILY_RETURN_IF_ERROR(run_verify_stage(ctx, net, lib, res.netlist));
+    LILY_RETURN_IF_ERROR(run_verify_stage(ctx, net, *sub, lib, res.netlist));
 
     // Reuse the pre-mapping pad assignment for the back end; the pad ring
     // was chosen on the inchoate region, so pass that region for rescaling.

@@ -98,8 +98,9 @@ struct FlowOptions {
     CheckLevel check = check_level_from_env();
     /// Post-mapping equivalence verification: compare the mapped netlist
     /// (through its library cell functions) against the source network.
-    /// Sim = random simulation; Prove = SAT-sweeping CEC, falling back to
-    /// the simulation verdict when a proof is inconclusive (recorded as a
+    /// Sim = random simulation; Prove = the mapping certificate, or
+    /// SAT-sweeping CEC when the certificate declines, falling back to the
+    /// simulation verdict when that proof is inconclusive (recorded as a
     /// Degraded "verify" stage). A refuted/miscompared netlist fails the
     /// flow with InvariantViolation carrying the counterexample. Defaults
     /// to the LILY_VERIFY environment variable (off when unset).

@@ -329,7 +329,8 @@ StatusOr<EcoStats> run_eco_flow_checked(PipelineState& state, const NetDelta& de
     // ---- Verify stage: the incrementally maintained netlist must match
     // the *edited* network — proven (not just simulated) at VerifyLevel
     // Prove, so an ECO splice bug cannot hide behind a lucky vector set.
-    LILY_RETURN_IF_ERROR(run_verify_stage(ctx, state.net, *state.lib, res.netlist));
+    LILY_RETURN_IF_ERROR(
+        run_verify_stage(ctx, state.net, state.subject, *state.lib, res.netlist));
 
     // ---- Commit: artifacts and version stamps advance together so the
     // PipelineChecker sees a consistent generation on the next delta.

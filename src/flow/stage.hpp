@@ -251,15 +251,18 @@ private:
 
 /// The verify stage shared by the batch and ECO entry points: check that
 /// `mapped` (through its library cell functions) computes the same function
-/// as `source`, honoring FlowOptions::verify (Off is a no-op). Outcomes
-/// land in the context's diagnostics under stage "verify": Ok on a proof or
-/// clean simulation, Degraded when a proof was inconclusive and the
-/// simulation fallback found no miscompare. A disagreement returns
-/// InvariantViolation carrying the counterexample (replayed through
-/// simulate_block). The verify:miscompare fault probe flips one gate
-/// function first, so tests can prove the refutation path stays live.
-Status run_verify_stage(FlowContext& ctx, const Network& source, const Library& lib,
-                        const MappedNetlist& mapped);
+/// as `source`, honoring FlowOptions::verify (Off is a no-op). `sub` is the
+/// decomposition `mapped` covers. At Prove the mapping's certificate
+/// (check_certificate) is tried first; when it declines, the stage proves by
+/// SAT sweeping (check_equivalence). Outcomes land in the context's
+/// diagnostics under stage "verify": Ok on a proof or clean simulation,
+/// Degraded when a proof was inconclusive and the simulation fallback found
+/// no miscompare. A disagreement returns InvariantViolation carrying the
+/// counterexample (replayed through simulate_block). The verify:miscompare
+/// fault probe flips one gate function first, so tests can prove the
+/// refutation path stays live.
+Status run_verify_stage(FlowContext& ctx, const Network& source, const DecomposeResult& sub,
+                        const Library& lib, const MappedNetlist& mapped);
 
 /// CheckLevel::Light over a subject graph; Ok when checks are off.
 Status check_subject(const FlowContext& ctx, const SubjectGraph& g, std::string_view what);

@@ -1,4 +1,8 @@
-// Combinational equivalence checking (CEC) by SAT sweeping.
+// Combinational equivalence checking (CEC) by SAT sweeping: the
+// whole-circuit prover. The flow's verify stage proves a mapping by its own
+// certificate first (verify/certificate.hpp, linear in circuit size) and
+// runs this engine only when the certificate declines; lily_lint's audit,
+// the src/opt checker and the tests call it directly.
 //
 // Both networks are lowered into one shared AIG miter (structural hashing
 // already merges identical logic). Random simulation then partitions the
@@ -23,8 +27,9 @@
 //                  reported PI/PO values come from the reference simulator,
 //                  not from the prover's own model.
 //   Inconclusive — some PO query exhausted its conflict budget. Callers
-//                  (the flow's verify stage) fall back to the random-
-//                  simulation verdict and record the degradation.
+//                  (the flow's verify stage, after a declined certificate)
+//                  fall back to the random-simulation verdict and record the
+//                  degradation.
 #pragma once
 
 #include <cstdint>
@@ -41,7 +46,9 @@ namespace lily {
 /// How much equivalence verification the flow runs after mapping.
 ///  * Off   — none (production default).
 ///  * Sim   — random-simulation comparison only (fast, probabilistic).
-///  * Prove — SAT-sweeping CEC with fallback to Sim when inconclusive.
+///  * Prove — a complete proof: the mapping certificate (check_certificate)
+///            when it discharges every obligation; otherwise SAT-sweeping
+///            CEC, with fallback to Sim when that is inconclusive.
 enum class VerifyLevel : std::uint8_t { Off, Sim, Prove };
 
 /// Parse "off" / "sim" / "prove" (case-insensitive). Unknown text returns
