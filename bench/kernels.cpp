@@ -15,13 +15,18 @@
 //                  same subject graph, single thread)
 //   genlib_parse   read_genlib(msu_big_genlib()): equation parsing plus
 //                  NAND2/INV pattern enumeration for every gate
+//   maze_route     route_global on a fixed, congested (scattered)
+//                  placement of the same subject graph: L-shape passes
+//                  plus the goal-bounded maze detours; its items column
+//                  is the heap entries the maze searches popped per sweep
 //
 // Each kernel reports best-of-rep wall milliseconds per sweep plus the
 // heap-allocation delta of a *warmed* sweep — the pooled-scratch design
 // makes the steady-state matcher and rectangle sweeps allocation-free, and
-// this harness is where that claim is checked numerically. genlib_parse is
-// report-only and exempt from that gate: every parse builds a fresh Library,
-// so its allocation count is the per-parse cost, not warm-state churn.
+// this harness is where that claim is checked numerically. genlib_parse and
+// maze_route are report-only and exempt from that gate: every parse builds a
+// fresh Library and every route a fresh RouteResult, so their allocation
+// counts are per-call costs, not warm-state churn.
 //
 // Usage: kernels [--quick] [--out=BENCH_kernels.json]
 #include <algorithm>
@@ -37,6 +42,8 @@
 #include "library/standard_cells.hpp"
 #include "lily/lily_mapper.hpp"
 #include "match/matcher.hpp"
+#include "place/netlist_adapters.hpp"
+#include "route/global_router.hpp"
 #include "subject/decompose.hpp"
 #include "util/alloc_stats.hpp"
 #include "util/geometry.hpp"
@@ -176,6 +183,27 @@ KernelReport bench_genlib_parse(int reps) {
     });
 }
 
+KernelReport bench_maze_route(const SubjectGraph& g, int reps) {
+    SubjectPlacementView view = make_placement_view(g);
+    const Rect region = make_region(view.netlist.total_cell_area());
+    view.netlist.pad_positions = uniform_pad_ring(view.netlist.pad_positions.size(), region);
+    // Deterministic scattered placement: long, crossing connections overflow
+    // the demand-derived capacity, so many of them take maze detours.
+    std::vector<Point> pos(view.netlist.n_cells);
+    for (std::size_t i = 0; i < pos.size(); ++i) {
+        pos[i] = {region.ll.x + region.width() * static_cast<double>((i * 37) % 101) / 101.0,
+                  region.ll.y + region.height() * static_cast<double>((i * 53) % 89) / 89.0};
+    }
+    std::size_t expanded = 0;
+    KernelReport rep = run_kernel("maze_route", 0, reps, [&] {
+        const RouteResult r = route_global(view.netlist, pos, region);
+        expanded = r.maze_expanded;
+        return r.total_wirelength + r.total_overflow;
+    });
+    rep.work_items = expanded;
+    return rep;
+}
+
 std::string json_num(double v) {
     if (!std::isfinite(v)) return "null";
     char buf[64];
@@ -222,6 +250,7 @@ int main(int argc, char** argv) {
     reports.push_back(bench_rect_assembly(g, reps));
     reports.push_back(bench_dp_scan(g, lib, reps));
     reports.push_back(bench_genlib_parse(quick ? 5 : 20));
+    reports.push_back(bench_maze_route(g, reps));
 
     bool ok = true;
     for (const KernelReport& r : reports) {

@@ -30,6 +30,10 @@ Checks (all hard failures):
   * library counters (parse-genlib.gates / patterns / skipped) come the
     same way, and every parse-genlib span of a run_flow_from_files flow
     that did not fail must carry them;
+  * router counters (<stage>.connections / mazed / maze_expanded /
+    overflow / kept) come the same way for the routing and eco-routing
+    stages, and every such span that completed (state ok or degraded)
+    must carry them;
   * the report's embedded "trace" block agrees with the file dump.
 
 Exit code 0 on success, 1 on any violation.
@@ -47,6 +51,9 @@ PROVING_NOTES = ("proven", "proof inconclusive")
 GENLIB_COUNTERS = ("parse-genlib.gates", "parse-genlib.patterns",
                    "parse-genlib.skipped")
 FROM_FILES_FLOW = "run_flow_from_files"
+ROUTING_STAGES = ("routing", "eco-routing")
+ROUTER_COUNTERS = ("connections", "mazed", "maze_expanded", "overflow", "kept")
+COMPLETED_STATES = ("ok", "degraded")
 
 
 def fail(msg):
@@ -177,6 +184,12 @@ def main():
                          sum_within_span=False,
                          required=lambda span: span.get("flow") in from_files
                          and span.get("state") != "failed")
+
+    for stage in ROUTING_STAGES:
+        check_stage_counters(counters, spans, stage,
+                             tuple(f"{stage}.{c}" for c in ROUTER_COUNTERS),
+                             sum_within_span=False,
+                             required=lambda span: span.get("state") in COMPLETED_STATES)
 
     embedded = report.get("trace")
     if embedded is None:

@@ -93,6 +93,14 @@ echo "+ LILY_TRACE trace smoke"
 LILY_TRACE="$TRACE_DIR/flow.trace" "$LINT" --flow --json \
     examples/circuits/parity8.blif lib/msu_big.genlib > "$TRACE_DIR/report.json"
 run python3 scripts/check_trace.py "$TRACE_DIR/flow.trace" "$TRACE_DIR/report.json"
+# The routing span's router counters (routing.connections/mazed/
+# maze_expanded/overflow/kept) are required too: stripped, the trace fails.
+grep -v '"routing\.' "$TRACE_DIR/flow.trace" > "$TRACE_DIR/noroute.trace"
+echo "+ check_trace.py on a trace without router counters (expect failure)"
+if python3 scripts/check_trace.py "$TRACE_DIR/noroute.trace" "$TRACE_DIR/report.json"; then
+  echo "FAIL: check_trace.py accepted a routing span without its counters" >&2
+  exit 1
+fi
 # The same at LILY_VERIFY=prove, so the verify span's prover counters
 # (verify.sat_calls/conflicts/merged_nodes/cex_pruned/obligations/fallback)
 # are checked too — and a proving trace with them stripped must fail.

@@ -121,20 +121,23 @@ StatusOr<FlowResult> run_backend_stages(StageExecutor& exec, const MappedNetlist
             routed.total_wirelength = total_hpwl(view.netlist, detailed.positions);
             s.degraded(rung_reason +
                        "; wirelength/chip-area are HPWL estimates, congestion unknown");
-            return;
-        }
-        routed = route_global(view.netlist, detailed.positions, region, router_opts);
-        if (routed.budget_exhausted) {
-            s.degraded("routing budget exhausted; refinement passes skipped (" +
-                       route_budget.describe() + ")");
         } else {
-            s.ok_if_unset();
+            routed = route_global(view.netlist, detailed.positions, region, router_opts);
+            if (routed.budget_exhausted) {
+                s.degraded("routing budget exhausted; refinement passes skipped (" +
+                           route_budget.describe() + ")");
+            } else {
+                s.ok_if_unset();
+            }
         }
+        route_counters(s, routed);
     });
 
     const ChipAreaEstimate chip =
         estimate_chip_area(view.netlist.total_cell_area(), routed, opts.chip);
-    if (capture != nullptr) capture->routed = routed;
+    out.metrics.wirelength = routed.total_wirelength;
+    out.metrics.max_congestion = routed.max_congestion;
+    if (capture != nullptr) capture->routed = std::move(routed);
 
     TimingReport timing;
     exec.run(StageId::Timing, [&](StageScope& s) {
@@ -173,9 +176,7 @@ StatusOr<FlowResult> run_backend_stages(StageExecutor& exec, const MappedNetlist
     out.metrics.gate_count = mapped.gate_count();
     out.metrics.cell_area = chip.cell_area;
     out.metrics.chip_area = chip.chip_area;
-    out.metrics.wirelength = routed.total_wirelength;
     out.metrics.critical_delay = timing.critical_delay;
-    out.metrics.max_congestion = routed.max_congestion;
     out.diagnostics = std::move(ctx.diag());
     return out;
 }

@@ -299,10 +299,23 @@ StatusOr<EcoStats> run_eco_flow_checked(PipelineState& state, const NetDelta& de
     // the diff is pure geometry); vanished routes are subtracted from the
     // congestion map and new connections routed against the patched map.
     exec.run(StageId::EcoRouting, [&](StageScope& s) {
+        StageBudget& route_budget = s.budget();
+        RouterOptions router_opts = state.opts.router;
+        if (router_opts.budget == nullptr && route_budget.limited()) {
+            router_opts.budget = &route_budget;
+        }
         routed = route_incremental(view.netlist, detailed.positions, region, state.routed,
-                                   state.opts.router);
-        s.ok(std::to_string(routed.kept_connections) + " connection(s) kept, " +
-             std::to_string(routed.rerouted_connections) + " re-routed");
+                                   router_opts);
+        route_counters(s, routed);
+        const std::string note = std::to_string(routed.kept_connections) +
+                                 " connection(s) kept, " +
+                                 std::to_string(routed.rerouted_connections) + " re-routed";
+        if (routed.budget_exhausted) {
+            s.degraded(note + "; routing budget exhausted, remaining detours skipped (" +
+                       route_budget.describe() + ")");
+        } else {
+            s.ok(note);
+        }
     });
     const ChipAreaEstimate chip =
         estimate_chip_area(view.netlist.total_cell_area(), routed, state.opts.chip);
@@ -349,7 +362,7 @@ StatusOr<EcoStats> run_eco_flow_checked(PipelineState& state, const NetDelta& de
     state.flow = std::move(out);
     state.lily = std::move(res);
     state.detailed = std::move(detailed);
-    state.routed = routed;
+    state.routed = std::move(routed);
     state.subject_size_at_map = state.subject.graph.size();
     const Version v = state.net.version();
     state.mapping_built_from = v;

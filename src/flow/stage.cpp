@@ -235,6 +235,14 @@ void StageScope::recovered(std::string note) {
 
 void StageScope::failed(std::string note) { set_state(StageState::Failed, std::move(note)); }
 
+void route_counters(StageScope& s, const RouteResult& routed) {
+    s.counter("connections", static_cast<double>(routed.plan.size()));
+    s.counter("mazed", static_cast<double>(routed.maze_searches));
+    s.counter("maze_expanded", static_cast<double>(routed.maze_expanded));
+    s.counter("overflow", routed.total_overflow);
+    s.counter("kept", static_cast<double>(routed.kept_connections));
+}
+
 Status check_subject(const FlowContext& ctx, const SubjectGraph& g, std::string_view what) {
     if (!ctx.checks_enabled()) return Status::ok();
     return guarded_check([&] { SubjectChecker().check(g).throw_if_errors(ctx.context(what)); });

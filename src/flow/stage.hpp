@@ -264,6 +264,11 @@ private:
 Status run_verify_stage(FlowContext& ctx, const Network& source, const DecomposeResult& sub,
                         const Library& lib, const MappedNetlist& mapped);
 
+/// The routing stages' trace counters: <stage>.connections, .mazed (maze
+/// searches run), .maze_expanded (heap entries they popped), .overflow and
+/// .kept (0 on the batch stage). One full set per routing span.
+void route_counters(StageScope& s, const RouteResult& routed);
+
 /// CheckLevel::Light over a subject graph; Ok when checks are off.
 Status check_subject(const FlowContext& ctx, const SubjectGraph& g, std::string_view what);
 
