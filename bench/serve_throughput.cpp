@@ -7,10 +7,10 @@
 // in-process run_flow_job output for the same spec byte for byte (the PR 3
 // determinism guarantee extended across the process boundary).
 //
-// The two pool modes are an A/B: `cold` runs the daemon with
-// --recycle-after=1, retiring every worker after one job (fork + double
-// parse per job), while `warm` reuses preforked workers and
-// their process-local artifact caches. The report carries both so the
+// The two pool modes are an A/B of pool vs fork per job: `cold` runs the
+// daemon with --recycle-after=1, retiring every worker after one job (a
+// fork per job), while `warm` reuses its preforked workers. Every job
+// parses its own inputs in both modes. The report carries both so the
 // speedup is measured, not asserted.
 //
 //   serve_throughput [--out=BENCH_serve.json] [--quick]
@@ -71,8 +71,6 @@ struct SlotResult {
     double jobs_per_sec = 0.0;
     double p50_ms = 0.0;
     double p99_ms = 0.0;
-    std::uint64_t cache_hits = 0;
-    std::uint64_t cache_misses = 0;
     std::uint32_t overload_submits = 0;
     std::uint32_t overload_shed = 0;
     double shed_rate = 0.0;
@@ -124,7 +122,7 @@ bool measure(const BenchInputs& in, const std::string& dir, const std::string& m
         "--workers=" + std::to_string(workers),
         "--queue-cap=" + std::to_string(in.queue_cap),
     };
-    // A cold pool is a fresh worker, and so a cold cache, for every job.
+    // A cold pool is a fresh worker for every job.
     if (mode == "cold") daemon_argv.push_back("--recycle-after=1");
     StatusOr<pid_t> spawned = spawn_process(daemon_argv, dir + "/server-" + tag + ".log");
     if (!spawned.is_ok()) {
@@ -143,7 +141,7 @@ bool measure(const BenchInputs& in, const std::string& dir, const std::string& m
     row.batch_jobs = in.batch_n;
     row.bit_identical = true;
 
-    // Phase 1: bit-identity gate (also warms the daemon's caches).
+    // Phase 1: bit-identity gate (also warms the pool).
     for (std::size_t c = 0; c < in.circuits.size(); ++c) {
         JobSpec spec;
         spec.name = in.circuits[c].first;
@@ -210,12 +208,6 @@ bool measure(const BenchInputs& in, const std::string& dir, const std::string& m
     row.p50_ms = percentile(latencies, 0.50);
     row.p99_ms = percentile(latencies, 0.99);
 
-    // Cache effectiveness so far (before the overload burst muddies it).
-    if (const StatusOr<HealthReply> h = client.health(); h.is_ok()) {
-        row.cache_hits = h.value().cache_hits;
-        row.cache_misses = h.value().cache_misses;
-    }
-
     // Phase 4: 2x overload burst. A sequential submitter cannot outrun
     // many fast workers, so first wedge every slot with an injected
     // hang job; the burst then races only the queue, and submitting 2x
@@ -253,11 +245,9 @@ bool measure(const BenchInputs& in, const std::string& dir, const std::string& m
 
     std::fprintf(stderr,
                  "serve_throughput: %s %u workers: %.1f jobs/s, p50 %.1fms p99 %.1fms, "
-                 "cache %llu/%llu hit/miss, shed %u/%u (%.0f%%), bit-identical=%s\n",
+                 "shed %u/%u (%.0f%%), bit-identical=%s\n",
                  mode.c_str(), workers, row.jobs_per_sec, row.p50_ms, row.p99_ms,
-                 static_cast<unsigned long long>(row.cache_hits),
-                 static_cast<unsigned long long>(row.cache_misses), row.overload_shed,
-                 row.overload_submits, 100.0 * row.shed_rate,
+                 row.overload_shed, row.overload_submits, 100.0 * row.shed_rate,
                  row.bit_identical ? "yes" : "NO");
     return true;
 }
@@ -356,8 +346,6 @@ int main(int argc, char** argv) {
         w.kv("batch_ms", row.batch_ms);
         w.kv("p50_ms", row.p50_ms);
         w.kv("p99_ms", row.p99_ms);
-        w.kv("cache_hits", row.cache_hits);
-        w.kv("cache_misses", row.cache_misses);
         w.kv("overload_submits", static_cast<std::uint64_t>(row.overload_submits));
         w.kv("overload_shed", static_cast<std::uint64_t>(row.overload_shed));
         w.kv("shed_rate", row.shed_rate);

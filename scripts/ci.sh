@@ -215,6 +215,18 @@ SERVE=build-ci-release/src/serve/lily_serve
 CLIENT=build-ci-release/src/serve/lily_client
 SERVE_DIR="$(mktemp -d)"
 SOCK="$SERVE_DIR/ci.sock"
+
+# Strict numeric flags: a negative job count or a non-numeric timeout is a
+# usage error (exit 2) before any connection is made. The socket does not
+# exist, so a regression fails fast instead of looping on submits.
+for bad in --jobs=-1 --timeout-ms=abc; do
+  rc=0
+  "$CLIENT" --socket="$SERVE_DIR/absent.sock" "$bad" load     examples/circuits/full_adder.blif lib/msu_tiny.genlib >/dev/null 2>&1 || rc=$?
+  if [ "$rc" -ne 2 ]; then
+    echo "FAIL: lily_client $bad exited $rc, expected 2 (usage error)" >&2
+    exit 1
+  fi
+done
 "$SERVE" --socket="$SOCK" --spool="$SERVE_DIR/spool" --workers=1 --queue-cap=1 &
 SERVE_PID=$!
 for _ in $(seq 1 100); do

@@ -13,24 +13,6 @@
 
 namespace lily {
 
-namespace {
-
-/// Parse the id out of "job-<id>.spool"; returns false for foreign names.
-bool parse_record_name(const std::string& name, std::uint64_t& id) {
-    if (name.rfind("job-", 0) != 0) return false;
-    if (name.size() < 10 || name.compare(name.size() - 6, 6, ".spool") != 0) return false;
-    const std::string digits = name.substr(4, name.size() - 10);
-    if (digits.empty()) return false;
-    id = 0;
-    for (const char c : digits) {
-        if (c < '0' || c > '9') return false;
-        id = id * 10 + static_cast<std::uint64_t>(c - '0');
-    }
-    return true;
-}
-
-}  // namespace
-
 CheckReport ServeChecker::check_spool(const std::string& spool_dir) const {
     CheckReport report;
     DIR* d = ::opendir(spool_dir.c_str());
@@ -54,7 +36,7 @@ CheckReport ServeChecker::check_spool(const std::string& spool_dir) const {
             continue;
         }
         std::uint64_t name_id = 0;
-        if (!parse_record_name(name, name_id)) {
+        if (!parse_spool_record_name(name, name_id)) {
             report.warning(CheckStage::Serve, kNoCheckNode,
                            "foreign file in spool directory: " + name);
             continue;

@@ -26,28 +26,35 @@
 //     --objective=area|delay         mapping objective (default area)
 //     --check=off|light              in-flow checker level (default off)
 //     --verify=off|sim|prove         in-flow equivalence level (default off)
-//     --budget-ms=N                  whole-flow wall budget (default 0)
-//     --threads=N                    worker-side thread count (default 1)
+//     --budget-ms=N                  whole-flow wall budget, a finite
+//                                    number >= 0 (default 0 = unlimited)
 //     --inject=STAGE:KIND            fault spec installed in the worker
 //     --timeout-ms=N                 client-side wait budget (default 120000)
 //     --out=FILE                     write the mapped BLIF here (map only)
 //
+//   --jobs and --timeout-ms take a plain decimal in [0, 4294967295]; a
+//   sign, whitespace, trailing text or overflow is a usage error.
+//
 // Exit codes: 0 = job Ok/Degraded (or command succeeded), 1 = job Error,
 // shed rejection, or daemon unreachable, 2 = usage or input error.
 #include <algorithm>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "check/check.hpp"
 #include "serve/client.hpp"
 #include "util/io.hpp"
 #include "util/json.hpp"
+#include "util/text.hpp"
 
 namespace {
 
@@ -58,9 +65,23 @@ void usage(std::FILE* to) {
         "usage: lily_client --socket=PATH <command> [options]\n"
         "  commands: map submit wait health stats shutdown load\n"
         "  job options: --flow=K --objective=K --check=K --verify=K --budget-ms=N\n"
-        "               --threads=N --inject=SPEC --timeout-ms=N --out=FILE --jobs=N\n"
-        "               --no-wait\n",
+        "               --inject=SPEC --timeout-ms=N --out=FILE --jobs=N --no-wait\n",
         to);
+}
+
+/// A whole-flow budget in ms: a finite, non-negative decimal.
+bool parse_budget_ms(std::string_view text, double& out) {
+    double v = 0.0;
+    const auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), v);
+    if (ec != std::errc{} || ptr != text.data() + text.size()) return false;
+    if (!std::isfinite(v) || v < 0.0) return false;
+    out = v;
+    return true;
+}
+
+bool bad_value(const std::string& arg) {
+    std::fprintf(stderr, "lily_client: bad value in '%s'\n", arg.c_str());
+    return false;
 }
 
 bool read_file(const std::string& path, std::string& out) {
@@ -135,17 +156,15 @@ bool parse_args(int argc, char** argv, ClientArgs& out) {
                 return false;
             }
         } else if (arg.rfind("--budget-ms=", 0) == 0) {
-            out.options.budget_ms = std::atof(arg.c_str() + 12);
-        } else if (arg.rfind("--threads=", 0) == 0) {
-            out.options.threads = static_cast<std::uint32_t>(std::atoi(arg.c_str() + 10));
+            if (!parse_budget_ms(arg.substr(12), out.options.budget_ms)) return bad_value(arg);
         } else if (arg.rfind("--inject=", 0) == 0) {
             out.fault_spec = arg.substr(9);
         } else if (arg.rfind("--timeout-ms=", 0) == 0) {
-            out.timeout_ms = static_cast<std::uint32_t>(std::atoi(arg.c_str() + 13));
+            if (!parse_u32(arg.substr(13), out.timeout_ms)) return bad_value(arg);
         } else if (arg.rfind("--out=", 0) == 0) {
             out.out_path = arg.substr(6);
         } else if (arg.rfind("--jobs=", 0) == 0) {
-            out.jobs = static_cast<std::uint32_t>(std::atoi(arg.c_str() + 7));
+            if (!parse_u32(arg.substr(7), out.jobs)) return bad_value(arg);
         } else if (arg == "--no-wait") {
             out.no_wait = true;
         } else if (arg == "--drain") {
@@ -267,12 +286,10 @@ int cmd_health(ServeClient& client) {
     const HealthReply& h = reply.value();
     std::printf(
         "health: %s uptime=%llums workers=%u/%u queue=%u/%u max-heartbeat-age=%llums "
-        "cache-hits=%llu cache-misses=%llu recycled=%llu respawned=%llu\n",
+        "recycled=%llu respawned=%llu\n",
         h.ok ? "ok" : "shutting-down", static_cast<unsigned long long>(h.uptime_ms),
         h.workers_busy, h.workers_total, h.queue_depth, h.queue_capacity,
         static_cast<unsigned long long>(h.max_heartbeat_age_ms),
-        static_cast<unsigned long long>(h.cache_hits),
-        static_cast<unsigned long long>(h.cache_misses),
         static_cast<unsigned long long>(h.workers_recycled),
         static_cast<unsigned long long>(h.workers_respawned));
     return h.ok ? 0 : 1;

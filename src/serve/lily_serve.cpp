@@ -1,17 +1,17 @@
 // lily_serve: the crash-isolated mapping daemon. Listens on a unix-domain
-// socket, runs every job in a warm preforked sandboxed worker (persistent
-// artifact cache, per-job wall-clock / RSS / heartbeat ceilings), journals
-// every job state to a crash-safe spool, sheds load when the queue is
-// full, and retries crashed jobs once at the degraded effort tier. A
-// worker segfault, abort, OOM, or hang is a per-job verdict; the daemon
-// respawns the worker and does not die.
+// socket, runs every job in a warm preforked sandboxed worker (per-job
+// wall-clock / RSS / heartbeat ceilings), journals every job state to a
+// crash-safe spool, sheds load when the queue is full, and retries crashed
+// jobs once at the degraded effort tier. A worker segfault, abort, OOM, or
+// hang is a per-job verdict; the daemon respawns the worker and does not
+// die.
 //
 //   lily_serve --socket=PATH --spool=DIR [options]
 //     --workers=N          sandbox slots (default 4)
 //     --queue-cap=N        admission-control queue bound (default 16)
 //     --recycle-after=N    retire a worker after N jobs (default 256,
 //                          0 = never, 1 = fresh worker per job; bounds
-//                          cache/heap soak)
+//                          heap soak)
 //     --wall-ms=N          per-job wall-clock ceiling (default 30000)
 //     --rss-mb=N           per-job resident-set ceiling (default 1024)
 //     --hb-timeout-ms=N    worker heartbeat-silence ceiling (default 2000)
@@ -21,16 +21,19 @@
 //                          exit: 0 clean, 1 errors found
 //     --verbose            per-event log lines on stderr
 //
+// Every N is a plain decimal in [0, 4294967295]; a sign, whitespace,
+// trailing text or overflow is a usage error.
+//
 // Exit codes: 0 = clean shutdown (or clean spool audit), 1 = startup
 // failure or spool audit errors, 2 = usage error.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
 #include "check/serve_checker.hpp"
 #include "serve/server.hpp"
 #include "util/io.hpp"
+#include "util/text.hpp"
 
 namespace {
 
@@ -43,15 +46,6 @@ void usage(std::FILE* to) {
         "                  [--wall-ms=N] [--rss-mb=N] [--hb-timeout-ms=N]\n"
         "                  [--retries=N] [--backoff-ms=N] [--check-spool] [--verbose]\n",
         to);
-}
-
-bool parse_u32(const std::string& text, std::uint32_t& out) {
-    if (text.empty()) return false;
-    char* end = nullptr;
-    const unsigned long v = std::strtoul(text.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0') return false;
-    out = static_cast<std::uint32_t>(v);
-    return true;
 }
 
 }  // namespace

@@ -199,7 +199,6 @@ std::string encode_job_spec(const JobSpec& spec) {
     w.u8(static_cast<std::uint8_t>(spec.options.check));
     w.u8(static_cast<std::uint8_t>(spec.options.verify));
     w.f64(spec.options.budget_ms);
-    w.u32(spec.options.threads);
     w.str(spec.fault_spec);
     w.u8(static_cast<std::uint8_t>(spec.tier));
     return w.take();
@@ -214,8 +213,8 @@ bool decode_job_spec(WireReader& r, JobSpec& out) {
     std::uint8_t tier = 0;
     const bool ok = r.u32(version) && r.str(out.name) && r.str(out.blif) &&
                     r.str(out.genlib) && r.u8(kind) && r.u8(objective) && r.u8(check) &&
-                    r.u8(verify) && r.f64(out.options.budget_ms) &&
-                    r.u32(out.options.threads) && r.str(out.fault_spec) && r.u8(tier);
+                    r.u8(verify) && r.f64(out.options.budget_ms) && r.str(out.fault_spec) &&
+                    r.u8(tier);
     if (!ok || version != kProtocolVersion) return false;
     if (kind > 2 || objective > 1 || check > 1 || verify > 2 || tier > 1) return false;
     out.options.kind = static_cast<FlowKind>(kind);
@@ -228,6 +227,7 @@ bool decode_job_spec(WireReader& r, JobSpec& out) {
 
 std::string encode_job_outcome(const JobOutcome& outcome) {
     WireWriter w;
+    w.u32(kProtocolVersion);
     w.u8(static_cast<std::uint8_t>(outcome.state));
     w.u8(static_cast<std::uint8_t>(outcome.status_code));
     w.str(outcome.status_message);
@@ -235,8 +235,6 @@ std::string encode_job_outcome(const JobOutcome& outcome) {
     w.u8(static_cast<std::uint8_t>(outcome.tier));
     w.str(outcome.crash_info);
     w.f64(outcome.elapsed_ms);
-    w.u8(static_cast<std::uint8_t>(outcome.blif_cache));
-    w.u8(static_cast<std::uint8_t>(outcome.genlib_cache));
     w.u32(outcome.worker_job_seq);
     w.u64(static_cast<std::uint64_t>(outcome.metrics.gate_count));
     w.f64(outcome.metrics.cell_area);
@@ -255,23 +253,20 @@ std::string encode_job_outcome(const JobOutcome& outcome) {
 }
 
 bool decode_job_outcome(WireReader& r, JobOutcome& out) {
+    std::uint32_t version = 0;
     std::uint8_t state = 0;
     std::uint8_t code = 0;
     std::uint8_t tier = 0;
-    std::uint8_t blif_cache = 0;
-    std::uint8_t genlib_cache = 0;
     std::uint64_t gates = 0;
-    const bool ok = r.u8(state) && r.u8(code) && r.str(out.status_message) &&
-                    r.u32(out.retries) && r.u8(tier) && r.str(out.crash_info) &&
-                    r.f64(out.elapsed_ms) && r.u8(blif_cache) && r.u8(genlib_cache) &&
+    const bool ok = r.u32(version) && r.u8(state) && r.u8(code) &&
+                    r.str(out.status_message) && r.u32(out.retries) && r.u8(tier) &&
+                    r.str(out.crash_info) && r.f64(out.elapsed_ms) &&
                     r.u32(out.worker_job_seq) && r.u64(gates) &&
                     r.f64(out.metrics.cell_area) && r.f64(out.metrics.chip_area) &&
                     r.f64(out.metrics.wirelength) && r.f64(out.metrics.critical_delay) &&
                     r.f64(out.metrics.max_congestion) && r.str(out.report_json) &&
                     r.str(out.mapped_blif);
-    if (!ok || state > 4 || code > 6 || tier > 1 || blif_cache > 2 || genlib_cache > 2) {
-        return false;
-    }
+    if (!ok || version != kProtocolVersion || state > 4 || code > 6 || tier > 1) return false;
     std::uint32_t n_stages = 0;
     if (!r.u32(n_stages)) return false;
     // One attempt executes at most a handful of stages; a count beyond the
@@ -287,8 +282,6 @@ bool decode_job_outcome(WireReader& r, JobOutcome& out) {
     out.state = static_cast<JobState>(state);
     out.status_code = static_cast<StatusCode>(code);
     out.tier = static_cast<JobTier>(tier);
-    out.blif_cache = static_cast<CacheProbe>(blif_cache);
-    out.genlib_cache = static_cast<CacheProbe>(genlib_cache);
     out.metrics.gate_count = static_cast<std::size_t>(gates);
     return true;
 }
@@ -353,8 +346,6 @@ std::string encode_health_reply(const HealthReply& reply) {
     w.u32(reply.queue_depth);
     w.u32(reply.queue_capacity);
     w.u64(reply.max_heartbeat_age_ms);
-    w.u64(reply.cache_hits);
-    w.u64(reply.cache_misses);
     w.u64(reply.workers_recycled);
     w.u64(reply.workers_respawned);
     return w.take();
@@ -365,7 +356,6 @@ bool decode_health_reply(WireReader& r, HealthReply& out) {
     const bool good = r.u8(ok) && r.u64(out.uptime_ms) && r.u32(out.workers_busy) &&
                       r.u32(out.workers_total) && r.u32(out.queue_depth) &&
                       r.u32(out.queue_capacity) && r.u64(out.max_heartbeat_age_ms) &&
-                      r.u64(out.cache_hits) && r.u64(out.cache_misses) &&
                       r.u64(out.workers_recycled) && r.u64(out.workers_respawned);
     out.ok = ok != 0;
     return good;

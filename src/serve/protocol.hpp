@@ -36,7 +36,10 @@ inline constexpr std::uint32_t kMaxPayload = 64u << 20;    // 64 MB sanity bound
 // worker pipes gained JobDispatch (warm pool job hand-off).
 // v3: JobOutcome gained per-stage wall times (stage_times), the raw
 // samples behind the server's Stats "stage_timings" percentiles.
-inline constexpr std::uint32_t kProtocolVersion = 3;
+// v4: the artifact cache is gone — JobOutcome lost its cache probes and
+// HealthReply its cache counters; JobSpec lost `threads` (a job runs on
+// one thread); JobOutcome now leads with the version, like JobSpec.
+inline constexpr std::uint32_t kProtocolVersion = 4;
 
 enum class MsgKind : std::uint16_t {
     // Requests.
@@ -169,10 +172,7 @@ struct HealthReply {
     std::uint32_t queue_depth = 0;
     std::uint32_t queue_capacity = 0;
     std::uint64_t max_heartbeat_age_ms = 0;  // oldest busy worker's silence
-    // Warm-pool diagnostics: artifact-cache probes aggregated from worker
-    // outcomes, and pool churn (planned recycles vs unplanned respawns).
-    std::uint64_t cache_hits = 0;
-    std::uint64_t cache_misses = 0;
+    // Warm-pool churn: planned recycles vs unplanned respawns.
     std::uint64_t workers_recycled = 0;
     std::uint64_t workers_respawned = 0;
 };

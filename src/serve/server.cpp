@@ -69,8 +69,6 @@ std::string ServeStats::to_json() const {
     w.kv("heartbeat_kills", heartbeat_kills);
     w.kv("retries", retries);
     w.kv("recovered_from_spool", recovered_from_spool);
-    w.kv("cache_hits", cache_hits);
-    w.kv("cache_misses", cache_misses);
     w.kv("workers_recycled", workers_recycled);
     w.kv("workers_respawned", workers_respawned);
     // {"<stage>": {"count","p50_ms","p99_ms"}}, stage names sorted — the
@@ -141,9 +139,15 @@ Status ServeServer::setup_listener() {
 
 Status ServeServer::recover_spool() {
     LILY_RETURN_IF_ERROR(spool_.ensure_dir());
-    LILY_ASSIGN_OR_RETURN(std::vector<SpoolEntry> entries, spool_.scan());
-    for (SpoolEntry& entry : entries) {
-        next_job_id_ = std::max(next_job_id_, entry.id + 1);
+    LILY_ASSIGN_OR_RETURN(SpoolScan scan, spool_.scan());
+    // A record that did not decode keeps its file, so no new job may take
+    // its id: the atomic rename would overwrite the evidence the audit
+    // (lily_serve --check-spool) reports.
+    next_job_id_ = std::max(next_job_id_, scan.max_record_id + 1);
+    for (const std::string& skipped : scan.skipped) {
+        std::fprintf(stderr, "lily_serve: skipped spool record %s\n", skipped.c_str());
+    }
+    for (SpoolEntry& entry : scan.entries) {
         Job job;
         job.id = entry.id;
         job.spec = std::move(entry.spec);
@@ -519,13 +523,6 @@ void ServeServer::dispatch_jobs() {
     }
 }
 
-void ServeServer::account_cache(const JobOutcome& outcome) {
-    for (const CacheProbe probe : {outcome.blif_cache, outcome.genlib_cache}) {
-        if (probe == CacheProbe::Hit) ++stats_.cache_hits;
-        if (probe == CacheProbe::Miss) ++stats_.cache_misses;
-    }
-}
-
 void ServeServer::poll_workers() {
     for (Slot& slot : slots_) {
         if (slot.worker == nullptr || !slot.worker->poll()) continue;
@@ -536,7 +533,6 @@ void ServeServer::poll_workers() {
             WorkerResult result = slot.worker->take_job_result();
             const std::uint64_t job_id = slot.job_id;
             slot.job_id = 0;
-            account_cache(result.outcome);
             const auto it = jobs_.find(job_id);
             if (it != jobs_.end()) {
                 result.outcome.retries = it->second.retries;
@@ -650,8 +646,6 @@ HealthReply ServeServer::health_snapshot() const {
         }
     }
     health.max_heartbeat_age_ms = static_cast<std::uint64_t>(max_age);
-    health.cache_hits = stats_.cache_hits;
-    health.cache_misses = stats_.cache_misses;
     health.workers_recycled = stats_.workers_recycled;
     health.workers_respawned = stats_.workers_respawned;
     return health;

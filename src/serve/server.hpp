@@ -9,11 +9,10 @@
 //  * The supervisor stays single-threaded, so fork() is always safe (no
 //    other thread can hold a lock across the fork).
 //  * Workers are forked warm at startup and dispatched jobs over
-//    persistent pipes; each keeps a process-local ArtifactCache so
-//    steady-state jobs skip fork and both parses. A dead worker (crash,
-//    ceiling kill) is respawned; a worker that served recycle_after_jobs
-//    is retired and replaced to bound memory soak (--recycle-after=1 is the
-//    fork-per-job model).
+//    persistent pipes, so steady-state jobs skip the fork. A dead worker
+//    (crash, ceiling kill) is respawned; a worker that served
+//    recycle_after_jobs is retired and replaced to bound heap soak
+//    (--recycle-after=1 is the fork-per-job model).
 //  * Every accepted job is journaled to the spool before the client hears
 //    "accepted"; every state transition re-journals. Kill the server at
 //    any instant and a restart resumes or fails over the journaled jobs.
@@ -45,8 +44,8 @@ struct ServeOptions {
     WorkerLimits limits;            // per-job ceilings
     std::uint32_t max_retries = 1;  // crash retries per job (degraded tier)
     double retry_backoff_ms = 50.0;
-    /// Retire a worker after this many jobs (bounds cache/heap soak).
-    /// 0 = never; 1 = a fresh worker, and a cold cache, for every job.
+    /// Retire a worker after this many jobs (bounds heap soak).
+    /// 0 = never; 1 = a fresh worker for every job.
     std::uint32_t recycle_after_jobs = 256;
     bool verbose = false;           // per-event lines on stderr
 };
@@ -64,10 +63,7 @@ struct ServeStats {
     std::uint64_t heartbeat_kills = 0;
     std::uint64_t retries = 0;
     std::uint64_t recovered_from_spool = 0;
-    // Warm-pool accounting. Cache counters aggregate the CacheProbe
-    // diagnostics of worker outcomes (exact: Skipped probes don't count).
-    std::uint64_t cache_hits = 0;
-    std::uint64_t cache_misses = 0;
+    // Warm-pool accounting.
     std::uint64_t workers_recycled = 0;   // planned retirements (recycle-after)
     std::uint64_t workers_respawned = 0;  // unplanned deaths replaced
 
@@ -144,8 +140,6 @@ private:
     void ensure_workers();
     void dispatch_jobs();
     void poll_workers();
-    /// Fold one completed outcome's cache probes into the exact counters.
-    void account_cache(const JobOutcome& outcome);
     void finish_job(Job& job, JobOutcome outcome);
     void retry_or_fail(Job& job, const WorkerResult& result);
     void answer_waiters(std::uint64_t job_id);

@@ -129,6 +129,21 @@ StatusOr<SpoolEntry> decode_spool_entry(std::string_view bytes) {
     return entry;
 }
 
+bool parse_spool_record_name(std::string_view name, std::uint64_t& id) {
+    if (name.size() < 10 || name.substr(0, 4) != "job-" ||
+        name.substr(name.size() - 6) != ".spool") {
+        return false;
+    }
+    const std::string_view digits = name.substr(4, name.size() - 10);
+    if (digits.size() > 19) return false;  // 20 digits may overflow u64
+    id = 0;
+    for (const char c : digits) {
+        if (c < '0' || c > '9') return false;
+        id = id * 10 + static_cast<std::uint64_t>(c - '0');
+    }
+    return true;
+}
+
 Status Spool::ensure_dir() const {
     if (::mkdir(dir_.c_str(), 0755) == 0 || errno == EEXIST) return Status::ok();
     return errno_status("mkdir " + dir_);
@@ -173,26 +188,34 @@ Status Spool::remove(std::uint64_t id) const {
     return Status::ok();
 }
 
-StatusOr<std::vector<SpoolEntry>> Spool::scan() const {
+StatusOr<SpoolScan> Spool::scan() const {
     DIR* d = ::opendir(dir_.c_str());
     if (d == nullptr) return errno_status("opendir " + dir_);
-    std::vector<SpoolEntry> entries;
+    SpoolScan scan;
     for (;;) {
         errno = 0;
         const dirent* ent = ::readdir(d);
         if (ent == nullptr) break;
         const std::string name = ent->d_name;
         if (name.size() < 6 || name.compare(name.size() - 6, 6, ".spool") != 0) continue;
+        std::uint64_t name_id = 0;
+        if (parse_spool_record_name(name, name_id)) {
+            scan.max_record_id = std::max(scan.max_record_id, name_id);
+        }
         const StatusOr<std::string> bytes = read_file_bytes(dir_ + "/" + name);
-        if (!bytes.is_ok()) continue;  // vanished or unreadable; audit reports it
-        StatusOr<SpoolEntry> entry = decode_spool_entry(bytes.value());
-        if (!entry.is_ok()) continue;  // corrupt; audit reports it
-        entries.push_back(std::move(entry).value());
+        StatusOr<SpoolEntry> entry =
+            bytes.is_ok() ? decode_spool_entry(bytes.value()) : bytes.status();
+        if (!entry.is_ok()) {
+            scan.skipped.push_back(name + ": " + entry.status().to_string());
+            continue;
+        }
+        scan.max_record_id = std::max(scan.max_record_id, entry.value().id);
+        scan.entries.push_back(std::move(entry).value());
     }
     ::closedir(d);
-    std::sort(entries.begin(), entries.end(),
+    std::sort(scan.entries.begin(), scan.entries.end(),
               [](const SpoolEntry& a, const SpoolEntry& b) { return a.id < b.id; });
-    return entries;
+    return scan;
 }
 
 }  // namespace lily

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "flow/job.hpp"
@@ -28,7 +29,9 @@ namespace lily {
 inline constexpr std::uint32_t kSpoolMagic = 0x4C53504Cu;  // "LSPL"
 // v2: records embed the v2 JobOutcome (cache probes + worker job seq).
 // v3: records embed the v3 JobOutcome (per-stage wall times).
-inline constexpr std::uint32_t kSpoolVersion = 3;
+// v4: records embed the v4 JobSpec (no threads) and JobOutcome (no cache
+// probes, version-stamped).
+inline constexpr std::uint32_t kSpoolVersion = 4;
 
 struct SpoolEntry {
     std::uint64_t id = 0;
@@ -42,6 +45,17 @@ struct SpoolEntry {
 /// Serialize / parse one record (the file body, CRC included).
 std::string encode_spool_entry(const SpoolEntry& entry);
 StatusOr<SpoolEntry> decode_spool_entry(std::string_view bytes);
+
+/// Parse the id out of a record file name "job-<id>.spool"; false for any
+/// other name.
+bool parse_spool_record_name(std::string_view name, std::uint64_t& id);
+
+/// What Spool::scan found.
+struct SpoolScan {
+    std::vector<SpoolEntry> entries;    // decoded records, sorted by id
+    std::vector<std::string> skipped;   // "<file>: <reason>" per undecodable record
+    std::uint64_t max_record_id = 0;    // largest id named or decoded, skipped too
+};
 
 class Spool {
 public:
@@ -61,10 +75,11 @@ public:
     /// Remove a record (Ok even when already gone).
     Status remove(std::uint64_t id) const;
 
-    /// Parse every record in the directory, sorted by id. Unreadable or
-    /// corrupt records are *skipped* here (the server must come up even
-    /// with a damaged spool); check_spool reports them loudly.
-    StatusOr<std::vector<SpoolEntry>> scan() const;
+    /// Parse every record in the directory. Unreadable or corrupt records
+    /// are *skipped* here (the server must come up even with a damaged
+    /// spool) but still count toward max_record_id, so no new job reuses
+    /// their ids; check_spool reports them loudly.
+    StatusOr<SpoolScan> scan() const;
 
     std::string path_for(std::uint64_t id) const;
 

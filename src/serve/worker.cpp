@@ -338,7 +338,7 @@ bool WorkerProcess::poll() {
     if (busy_) try_take_result_frame();
 
     // Ceilings are per job: an idle warm worker is unsupervised by design
-    // (it is blocked in read_frame, silent, holding only its cache).
+    // (it is blocked in read_frame, silent, holding no job).
     if (busy_ && !kill_sent_) {
         const double now = now_ms();
         if (limits_.wall_ms > 0.0 && now - job_start_ms_ > limits_.wall_ms) {

@@ -1,15 +1,15 @@
 // Process-sandboxed job execution: the robustness boundary of lily_serve.
 //
 // Workers are *warm*: forked once, they loop on a persistent dispatch pipe
-// serving many jobs, each job reusing the process-local ArtifactCache so a
-// steady-state job skips fork, exec-setup, and both parses. The child
+// serving many jobs, so a steady-state job skips fork and sandbox setup;
+// each job parses its own inputs. The child
 // installs the signal-safe crash reporter, reads one CRC-framed JobSpec at
 // a time from its dispatch pipe, heartbeats while (and only while) a job
 // is running, executes run_flow_job, writes the JobOutcome back as one
 // CRC-framed message on its result pipe, and goes back to blocking on the
 // next dispatch. EOF on the dispatch pipe is the retirement signal: the
 // worker _exits cleanly and the supervisor replaces it (recycle-after-N
-// bounds memory soak from the cache).
+// bounds heap soak).
 //
 // The parent — the daemon's single-threaded supervisor loop — polls the
 // worker: it drains heartbeats and crash lines from the control pipe,
@@ -166,8 +166,8 @@ WorkerResult run_job_sandboxed(const JobSpec& spec, const WorkerLimits& limits);
 
 /// The child-side body (exposed for the daemon binary): apply sandbox
 /// setup, then loop — read a JobDispatch frame from `dispatch_fd`, probe
-/// serve faults, run the job through the warm ArtifactCache, write the
-/// result frame to `result_fd`, heartbeat on `control_fd` while busy.
+/// serve faults, run the job with run_flow_job, write the result frame to
+/// `result_fd`, heartbeat on `control_fd` while busy.
 /// Exits cleanly on dispatch-pipe EOF. Never returns.
 [[noreturn]] void worker_pool_main(int dispatch_fd, int result_fd, int control_fd);
 

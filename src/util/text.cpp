@@ -54,6 +54,15 @@ double parse_double(std::string_view s, std::string_view context) {
     return v;
 }
 
+bool parse_u32(std::string_view s, std::uint32_t& out) {
+    // from_chars skips no whitespace and takes no sign for an unsigned type.
+    std::uint32_t v = 0;
+    const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+    if (ec != std::errc{} || ptr != s.data() + s.size()) return false;
+    out = v;
+    return true;
+}
+
 std::string format_fixed(double v, int decimals) {
     char buf[64];
     std::snprintf(buf, sizeof(buf), "%.*f", decimals, v);

@@ -1,7 +1,9 @@
-// Small text helpers shared by the genlib and BLIF parsers and the
-// table-formatting code in the benchmark harness.
+// Small text helpers shared by the genlib and BLIF parsers, the
+// table-formatting code in the benchmark harness and the command-line
+// tools' flag parsing.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -22,6 +24,11 @@ bool starts_with(std::string_view s, std::string_view prefix);
 
 /// Parse a double; throws std::invalid_argument naming `context` on failure.
 double parse_double(std::string_view s, std::string_view context);
+
+/// Strict unsigned 32-bit decimal for command-line values: only digits,
+/// at least one, no sign, no whitespace, no trailing text, no overflow.
+/// Leaves `out` untouched and returns false on any violation.
+bool parse_u32(std::string_view s, std::uint32_t& out);
 
 /// Format a double with fixed precision (for table output).
 std::string format_fixed(double v, int decimals);

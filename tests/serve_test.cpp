@@ -18,6 +18,7 @@
 #include <vector>
 
 #include <dirent.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "check/serve_checker.hpp"
@@ -154,7 +155,6 @@ TEST(ServeMessages, JobSpecRoundTrip) {
     spec.options.objective = MapObjective::Delay;
     spec.options.check = CheckLevel::Light;
     spec.options.budget_ms = 1234.0;
-    spec.options.threads = 3;
     spec.tier = JobTier::Degraded;
 
     for (const FlowKind kind : {FlowKind::Baseline, FlowKind::Lily, FlowKind::Adaptive}) {
@@ -170,7 +170,6 @@ TEST(ServeMessages, JobSpecRoundTrip) {
         EXPECT_EQ(out.options.objective, MapObjective::Delay);
         EXPECT_EQ(out.options.check, CheckLevel::Light);
         EXPECT_EQ(out.options.budget_ms, 1234.0);
-        EXPECT_EQ(out.options.threads, 3u);
         EXPECT_EQ(out.fault_spec, "serve:segv");
         EXPECT_EQ(out.tier, JobTier::Degraded);
     }
@@ -185,8 +184,6 @@ TEST(ServeMessages, JobOutcomeRoundTrip) {
     outcome.tier = JobTier::Degraded;
     outcome.crash_info = "CRASH sig=11";
     outcome.elapsed_ms = 55.25;
-    outcome.blif_cache = CacheProbe::Hit;
-    outcome.genlib_cache = CacheProbe::Miss;
     outcome.worker_job_seq = 17;
     outcome.stage_times.push_back(StageTime{"parse-blif", 0.125});
     outcome.stage_times.push_back(StageTime{"mapping", 12.5});
@@ -204,8 +201,6 @@ TEST(ServeMessages, JobOutcomeRoundTrip) {
     EXPECT_EQ(out.retries, 2u);
     EXPECT_EQ(out.crash_info, "CRASH sig=11");
     EXPECT_EQ(out.elapsed_ms, 55.25);
-    EXPECT_EQ(out.blif_cache, CacheProbe::Hit);
-    EXPECT_EQ(out.genlib_cache, CacheProbe::Miss);
     EXPECT_EQ(out.worker_job_seq, 17u);
     ASSERT_EQ(out.stage_times.size(), 2u);
     EXPECT_EQ(out.stage_times[0].name, "parse-blif");
@@ -217,16 +212,87 @@ TEST(ServeMessages, JobOutcomeRoundTrip) {
     EXPECT_EQ(out.mapped_blif, ".model m\n.end\n");
 }
 
-TEST(ServeMessages, OutcomeWithBadCacheProbeRejected) {
-    JobOutcome outcome;
-    std::string bytes = encode_job_outcome(outcome);
-    // The probe bytes sit right after state/status/strings; corrupt via a
-    // re-encode with an out-of-range enum instead of byte surgery.
-    outcome.blif_cache = static_cast<CacheProbe>(7);
-    bytes = encode_job_outcome(outcome);
+// Protocol v3 encodings, written out field by field: a v4 reader must
+// reject each of them rather than misread the shifted fields.
+std::string v3_job_spec_bytes(const JobSpec& spec) {
+    WireWriter w;
+    w.u32(3);
+    w.str(spec.name);
+    w.str(spec.blif);
+    w.str(spec.genlib);
+    w.u8(static_cast<std::uint8_t>(spec.options.kind));
+    w.u8(static_cast<std::uint8_t>(spec.options.objective));
+    w.u8(static_cast<std::uint8_t>(spec.options.check));
+    w.u8(static_cast<std::uint8_t>(spec.options.verify));
+    w.f64(spec.options.budget_ms);
+    w.u32(1);  // threads
+    w.str(spec.fault_spec);
+    w.u8(static_cast<std::uint8_t>(spec.tier));
+    return w.take();
+}
+
+/// A v3 outcome: a mapped Ok result, or (`bare`) an Error with no report,
+/// metrics or stage times, like the server's own retry-budget verdict.
+std::string v3_job_outcome_bytes(bool bare) {
+    WireWriter w;
+    w.u8(static_cast<std::uint8_t>(bare ? JobState::Error : JobState::Ok));
+    w.u8(static_cast<std::uint8_t>(bare ? StatusCode::Internal : StatusCode::Ok));
+    w.str(bare ? "job exceeded retry budget" : "");
+    w.u32(bare ? 2 : 0);  // retries
+    w.u8(bare ? 1 : 0);   // tier
+    w.str("");            // crash info
+    w.f64(bare ? 0.0 : 12.5);  // elapsed ms
+    w.u8(bare ? 0 : 2);   // blif cache probe: skipped / hit
+    w.u8(bare ? 0 : 1);   // genlib cache probe: skipped / miss
+    w.u32(bare ? 0 : 1);  // worker job seq
+    w.u64(bare ? 0 : 42);  // gate count
+    for (int i = 0; i < 5; ++i) w.f64(bare ? 0.0 : 1.5);  // metrics
+    w.str(bare ? "" : "{\"x\":1}");
+    w.str(bare ? "" : ".model m\n.end\n");
+    w.u32(bare ? 0 : 1);
+    if (!bare) {
+        w.str("parse-blif");
+        w.f64(0.125);
+    }
+    return w.take();
+}
+
+/// A v3 spool record (magic, version 3, ..., CRC) holding a v3 queued spec.
+std::string v3_spool_record(std::uint64_t id) {
+    WireWriter w;
+    w.u32(kSpoolMagic);
+    w.u32(3);
+    w.u64(id);
+    w.u8(static_cast<std::uint8_t>(JobState::Queued));
+    w.u32(0);  // retries
+    w.u8(0);   // tier
+    w.str(v3_job_spec_bytes(small_job()));
+    w.u8(0);   // no outcome
+    std::string body = w.take();
+    WireWriter crc;
+    crc.u32(crc32(body));
+    return body + crc.take();
+}
+
+TEST(ServeMessages, V3JobSpecRejected) {
+    const std::string bytes = v3_job_spec_bytes(small_job());
     WireReader r(bytes);
-    JobOutcome out;
-    EXPECT_FALSE(decode_job_outcome(r, out));
+    JobSpec out;
+    EXPECT_FALSE(decode_job_spec(r, out));
+}
+
+TEST(ServeMessages, V3JobOutcomeRejected) {
+    // The bare outcome's shifted fields would all still parse; only the
+    // version stamp tells it apart.
+    for (const bool bare : {false, true}) {
+        // Framed as a worker's result pipe would carry it.
+        std::string wire = encode_frame(MsgKind::WorkerResult, v3_job_outcome_bytes(bare));
+        Frame frame;
+        ASSERT_TRUE(try_extract_frame(wire, frame, nullptr));
+        WireReader r(frame.payload);
+        JobOutcome out;
+        EXPECT_FALSE(decode_job_outcome(r, out)) << (bare ? "bare" : "mapped");
+    }
 }
 
 TEST(ServeMessages, MalformedSpecRejected) {
@@ -317,17 +383,19 @@ TEST_F(SpoolTest, WriteReadScanRemove) {
     second.spec = small_job();
     ASSERT_TRUE(spool.write(second).is_ok());
 
-    const StatusOr<std::vector<SpoolEntry>> scanned = spool.scan();
+    const StatusOr<SpoolScan> scanned = spool.scan();
     ASSERT_TRUE(scanned.is_ok());
-    ASSERT_EQ(scanned.value().size(), 2u);
-    EXPECT_EQ(scanned.value()[0].id, 3u);  // sorted by id
-    EXPECT_EQ(scanned.value()[1].id, 7u);
+    ASSERT_EQ(scanned.value().entries.size(), 2u);
+    EXPECT_EQ(scanned.value().entries[0].id, 3u);  // sorted by id
+    EXPECT_EQ(scanned.value().entries[1].id, 7u);
+    EXPECT_TRUE(scanned.value().skipped.empty());
+    EXPECT_EQ(scanned.value().max_record_id, 7u);
 
     ASSERT_TRUE(spool.remove(3).is_ok());
     ASSERT_TRUE(spool.remove(3).is_ok());  // idempotent
-    const StatusOr<std::vector<SpoolEntry>> after = spool.scan();
+    const StatusOr<SpoolScan> after = spool.scan();
     ASSERT_TRUE(after.is_ok());
-    EXPECT_EQ(after.value().size(), 1u);
+    EXPECT_EQ(after.value().entries.size(), 1u);
 }
 
 TEST_F(SpoolTest, CorruptRecordSkippedByScanFlaggedByAudit) {
@@ -343,9 +411,12 @@ TEST_F(SpoolTest, CorruptRecordSkippedByScanFlaggedByAudit) {
         std::ofstream bad(dir_ + "/job-2.spool", std::ios::binary);
         bad << "this is not a spool record";
     }
-    const StatusOr<std::vector<SpoolEntry>> scanned = spool.scan();
+    const StatusOr<SpoolScan> scanned = spool.scan();
     ASSERT_TRUE(scanned.is_ok());
-    EXPECT_EQ(scanned.value().size(), 1u);  // server still comes up
+    EXPECT_EQ(scanned.value().entries.size(), 1u);  // server still comes up
+    ASSERT_EQ(scanned.value().skipped.size(), 1u);
+    EXPECT_EQ(scanned.value().skipped[0].rfind("job-2.spool: ", 0), 0u);
+    EXPECT_EQ(scanned.value().max_record_id, 2u);  // the skipped id stays taken
 
     const CheckReport report = ServeChecker{}.check_spool(dir_);
     EXPECT_TRUE(report.has_errors());  // ...but the audit flags the damage
@@ -386,6 +457,12 @@ TEST_F(SpoolTest, AuditFlagsTerminalWithoutOutcome) {
     EXPECT_TRUE(ServeChecker{}.check_spool(dir_).has_errors());
 }
 
+TEST(SpoolCodec, V3RecordRejected) {
+    const StatusOr<SpoolEntry> decoded = decode_spool_entry(v3_spool_record(5));
+    ASSERT_FALSE(decoded.is_ok());
+    EXPECT_EQ(decoded.status().code(), StatusCode::Unsupported);
+}
+
 TEST(SpoolCodec, CrcFlipRejected) {
     SpoolEntry entry;
     entry.id = 11;
@@ -421,105 +498,6 @@ TEST(FlowJob, DegradedTierReportsDegraded) {
     EXPECT_EQ(outcome.state, JobState::Degraded);
     EXPECT_EQ(outcome.status_code, StatusCode::Ok);
     EXPECT_FALSE(outcome.mapped_blif.empty());
-}
-
-// ---- The parsed-artifact cache --------------------------------------------
-
-/// Tests share the process-global cache; each starts from a cleared state
-/// and restores the default caps so ordering cannot leak between them.
-class ArtifactCacheTest : public ::testing::Test {
-protected:
-    void SetUp() override {
-        ArtifactCache::instance().clear();
-        ArtifactCache::instance().set_capacity(64, 64u << 20);
-    }
-    void TearDown() override {
-        ArtifactCache::instance().clear();
-        ArtifactCache::instance().set_capacity(64, 64u << 20);
-    }
-};
-
-TEST_F(ArtifactCacheTest, MissThenHitSharesOneParse) {
-    ArtifactCache& cache = ArtifactCache::instance();
-    const std::string blif = write_blif(make_alu(4));
-
-    CacheProbe probe = CacheProbe::Skipped;
-    const auto first = cache.network_for(blif, &probe);
-    ASSERT_TRUE(first.is_ok());
-    EXPECT_EQ(probe, CacheProbe::Miss);
-
-    const auto second = cache.network_for(blif, &probe);
-    ASSERT_TRUE(second.is_ok());
-    EXPECT_EQ(probe, CacheProbe::Hit);
-    // Same parse, not an equal re-parse: the shared_ptr is identical.
-    EXPECT_EQ(first.value().get(), second.value().get());
-
-    const ArtifactCache::Stats stats = cache.stats();
-    EXPECT_EQ(stats.hits, 1u);
-    EXPECT_EQ(stats.misses, 1u);
-    EXPECT_EQ(stats.entries, 1u);
-    EXPECT_EQ(stats.text_bytes, blif.size());
-}
-
-TEST_F(ArtifactCacheTest, LibraryAndNetworkKeyedIndependently) {
-    ArtifactCache& cache = ArtifactCache::instance();
-    CacheProbe probe = CacheProbe::Skipped;
-    ASSERT_TRUE(cache.library_for(tiny_genlib(), &probe).is_ok());
-    EXPECT_EQ(probe, CacheProbe::Miss);
-    ASSERT_TRUE(cache.library_for(tiny_genlib(), &probe).is_ok());
-    EXPECT_EQ(probe, CacheProbe::Hit);
-    ASSERT_TRUE(cache.network_for(write_blif(make_alu(2)), &probe).is_ok());
-    EXPECT_EQ(probe, CacheProbe::Miss);
-    EXPECT_EQ(cache.stats().entries, 2u);
-}
-
-TEST_F(ArtifactCacheTest, ParseFailureIsNeverCached) {
-    ArtifactCache& cache = ArtifactCache::instance();
-    const std::string broken = ".model broken\n.inputs a\n.outputs z\n.names a a z\n1 1\n.end\n";
-    CacheProbe probe = CacheProbe::Skipped;
-    EXPECT_FALSE(cache.network_for(broken, &probe).is_ok());
-    EXPECT_FALSE(cache.network_for(broken, &probe).is_ok());
-    // Both probes were misses: the failure must not be served from cache.
-    EXPECT_EQ(probe, CacheProbe::Miss);
-    const ArtifactCache::Stats stats = cache.stats();
-    EXPECT_EQ(stats.hits, 0u);
-    EXPECT_EQ(stats.misses, 2u);
-    EXPECT_EQ(stats.entries, 0u);
-}
-
-TEST_F(ArtifactCacheTest, EvictionHonorsEntryCapLru) {
-    ArtifactCache& cache = ArtifactCache::instance();
-    cache.set_capacity(2, 64u << 20);
-    const std::string a = write_blif(make_alu(2));
-    const std::string b = write_blif(make_alu(3));
-    const std::string c = write_blif(make_alu(4));
-    ASSERT_TRUE(cache.network_for(a).is_ok());
-    ASSERT_TRUE(cache.network_for(b).is_ok());
-    ASSERT_TRUE(cache.network_for(a).is_ok());  // refresh a: b is now LRU
-    ASSERT_TRUE(cache.network_for(c).is_ok());  // evicts b
-    EXPECT_EQ(cache.stats().entries, 2u);
-
-    CacheProbe probe = CacheProbe::Skipped;
-    ASSERT_TRUE(cache.network_for(a, &probe).is_ok());
-    EXPECT_EQ(probe, CacheProbe::Hit);
-    ASSERT_TRUE(cache.network_for(b, &probe).is_ok());
-    EXPECT_EQ(probe, CacheProbe::Miss);  // b was the eviction victim
-}
-
-TEST_F(ArtifactCacheTest, RepeatedFlowJobsParseOnce) {
-    // The satellite contract: repeated run_flow_job calls in one process
-    // hit the cache for both artifacts from the second call on.
-    const JobSpec spec = small_job();
-    const JobOutcome first = run_flow_job(spec);
-    EXPECT_EQ(first.blif_cache, CacheProbe::Miss);
-    EXPECT_EQ(first.genlib_cache, CacheProbe::Miss);
-    const JobOutcome second = run_flow_job(spec);
-    EXPECT_EQ(second.blif_cache, CacheProbe::Hit);
-    EXPECT_EQ(second.genlib_cache, CacheProbe::Hit);
-    // Bit-identity across cold and warm parses.
-    EXPECT_EQ(first.mapped_blif, second.mapped_blif);
-    EXPECT_EQ(first.report_json.substr(first.report_json.find("\"metrics\":")),
-              second.report_json.substr(second.report_json.find("\"metrics\":")));
 }
 
 // ---- Sandboxed worker crash matrix (direct fork, no daemon) ---------------
@@ -607,7 +585,7 @@ WorkerResult await_job(WorkerProcess& worker) {
     return WorkerResult{};
 }
 
-TEST(WorkerSandbox, WarmWorkerServesManyJobsFromItsCache) {
+TEST(WorkerSandbox, WarmWorkerServesManyJobs) {
     WorkerProcess worker;
     ASSERT_TRUE(worker.start(fast_limits()).is_ok());
     const JobSpec spec = small_job();
@@ -616,21 +594,16 @@ TEST(WorkerSandbox, WarmWorkerServesManyJobsFromItsCache) {
     const WorkerResult first = await_job(worker);
     ASSERT_EQ(first.end, WorkerEnd::Completed);
     EXPECT_EQ(first.outcome.worker_job_seq, 1u);
-    // A fresh fork has an empty cache: both artifacts parsed.
-    EXPECT_EQ(first.outcome.blif_cache, CacheProbe::Miss);
-    EXPECT_EQ(first.outcome.genlib_cache, CacheProbe::Miss);
     EXPECT_GT(first.heartbeats, 0u);
 
-    // Same worker, same bytes: the process-local cache serves both parses.
+    // Same worker, same bytes: the second job runs on the warm process.
     ASSERT_TRUE(worker.idle());
     ASSERT_TRUE(worker.dispatch(spec).is_ok());
     const WorkerResult second = await_job(worker);
     ASSERT_EQ(second.end, WorkerEnd::Completed);
     EXPECT_EQ(second.outcome.worker_job_seq, 2u);
-    EXPECT_EQ(second.outcome.blif_cache, CacheProbe::Hit);
-    EXPECT_EQ(second.outcome.genlib_cache, CacheProbe::Hit);
     EXPECT_EQ(worker.jobs_completed(), 2u);
-    // Warm or cold, the served bytes are identical.
+    // First job or later, the served bytes are identical.
     EXPECT_EQ(first.outcome.mapped_blif, second.outcome.mapped_blif);
 
     // Retirement: closing the dispatch pipe drains the worker to a clean
@@ -941,23 +914,18 @@ TEST_P(ServeDaemonTest, DrainShutdownFinishesQueuedJobs) {
 
 // ---- Warm-pool daemon behavior (exact counters need exactly one worker) ---
 
-TEST_F(ServeDaemonBase, CacheCountersExactAndRecycleAfterN) {
+TEST_F(ServeDaemonBase, RecycleAfterN) {
     start_server_n(1, {"--recycle-after=2", "--verbose"});
     ServeClient client(socket_);
     const JobSpec spec = small_job();
 
     // Five identical sequential jobs on one slot recycled every 2 jobs:
-    // workers serve (miss,miss)(hit,hit) | (miss,miss)(hit,hit) | (miss,miss)
-    // and every worker job number stays <= the recycle threshold.
-    const CacheProbe expect_blif[5] = {CacheProbe::Miss, CacheProbe::Hit, CacheProbe::Miss,
-                                       CacheProbe::Hit, CacheProbe::Miss};
+    // every worker job number stays <= the recycle threshold.
     std::string first_mapped;
     for (int i = 0; i < 5; ++i) {
         const StatusOr<JobOutcome> outcome = client.map(spec);
         ASSERT_TRUE(outcome.is_ok()) << outcome.status().to_string();
         ASSERT_EQ(outcome.value().state, JobState::Ok) << "job " << i;
-        EXPECT_EQ(outcome.value().blif_cache, expect_blif[i]) << "job " << i;
-        EXPECT_EQ(outcome.value().genlib_cache, expect_blif[i]) << "job " << i;
         EXPECT_EQ(outcome.value().worker_job_seq, static_cast<std::uint32_t>(i % 2 + 1));
         if (i == 0) {
             first_mapped = outcome.value().mapped_blif;
@@ -968,15 +936,13 @@ TEST_F(ServeDaemonBase, CacheCountersExactAndRecycleAfterN) {
 
     const StatusOr<HealthReply> health = client.health();
     ASSERT_TRUE(health.is_ok());
-    EXPECT_EQ(health.value().cache_hits, 4u);
-    EXPECT_EQ(health.value().cache_misses, 6u);
     EXPECT_EQ(health.value().workers_recycled, 2u);
     // Planned retirements are not crashes: nothing was "respawned".
     EXPECT_EQ(health.value().workers_respawned, 0u)
         << read_file_or_die(dir_ + "/server.log");
 }
 
-TEST_F(ServeDaemonBase, ColdPoolParsesEveryJob) {
+TEST_F(ServeDaemonBase, ColdPoolForksEveryJob) {
     // A cold pool is a warm one that retires each worker after one job.
     start_server_n(1, {"--recycle-after=1"});
     ServeClient client(socket_);
@@ -986,9 +952,7 @@ TEST_F(ServeDaemonBase, ColdPoolParsesEveryJob) {
         const StatusOr<JobOutcome> outcome = client.map(spec);
         ASSERT_TRUE(outcome.is_ok()) << outcome.status().to_string();
         ASSERT_EQ(outcome.value().state, JobState::Ok);
-        // Every job lands on a fresh fork: always a double miss, job seq 1.
-        EXPECT_EQ(outcome.value().blif_cache, CacheProbe::Miss);
-        EXPECT_EQ(outcome.value().genlib_cache, CacheProbe::Miss);
+        // Every job lands on a fresh fork: job seq 1.
         EXPECT_EQ(outcome.value().worker_job_seq, 1u);
         if (i == 0) {
             first_mapped = outcome.value().mapped_blif;
@@ -998,9 +962,50 @@ TEST_F(ServeDaemonBase, ColdPoolParsesEveryJob) {
     }
     const StatusOr<HealthReply> health = client.health();
     ASSERT_TRUE(health.is_ok());
-    EXPECT_EQ(health.value().cache_hits, 0u);
-    EXPECT_EQ(health.value().cache_misses, 4u);
     EXPECT_EQ(health.value().workers_recycled, 2u);
+}
+
+TEST_F(ServeDaemonBase, SkippedSpoolRecordIdsAreNeverReused) {
+    // Two records the server cannot decode: garbage under id 7 and a
+    // protocol-v3 record under id 3. Recovery skips both, but a new job
+    // must not take either id: its atomic rename would overwrite the file.
+    ASSERT_EQ(::mkdir(spool_.c_str(), 0755), 0);
+    const std::string garbage_path = spool_ + "/job-7.spool";
+    const std::string v3_path = spool_ + "/job-3.spool";
+    const std::string garbage = "this is not a spool record";
+    const std::string v3 = v3_spool_record(3);
+    {
+        std::ofstream(garbage_path, std::ios::binary) << garbage;
+        std::ofstream(v3_path, std::ios::binary) << v3;
+    }
+
+    start_server_n(1);
+    ServeClient client(socket_);
+    const StatusOr<SubmitReply> reply = client.submit(small_job());
+    ASSERT_TRUE(reply.is_ok()) << reply.status().to_string();
+    ASSERT_TRUE(reply.value().accepted);
+    EXPECT_GE(reply.value().job_id, 8u);
+    const StatusOr<ResultReply> done = client.wait(reply.value().job_id, 20000);
+    ASSERT_TRUE(done.is_ok()) << done.status().to_string();
+    EXPECT_TRUE(done.value().terminal);
+    stop_server();
+
+    EXPECT_EQ(read_file_or_die(garbage_path), garbage);
+    EXPECT_EQ(read_file_or_die(v3_path), v3);
+    const std::string log = read_file_or_die(dir_ + "/server.log");
+    EXPECT_NE(log.find("skipped spool record job-7.spool"), std::string::npos) << log;
+    EXPECT_NE(log.find("skipped spool record job-3.spool"), std::string::npos) << log;
+
+    // The audit still flags both records.
+    const StatusOr<pid_t> audit = spawn_process(
+        {LILY_SERVE_BIN, "--spool=" + spool_, "--check-spool"}, dir_ + "/audit.log");
+    ASSERT_TRUE(audit.is_ok()) << audit.status().to_string();
+    const ExitStatus audited = wait_exit(audit.value());
+    EXPECT_EQ(audited.kind, ExitKind::Exited);
+    EXPECT_EQ(audited.code, 1);
+    const std::string report = read_file_or_die(dir_ + "/audit.log");
+    EXPECT_NE(report.find("job-7.spool"), std::string::npos) << report;
+    EXPECT_NE(report.find("job-3.spool"), std::string::npos) << report;
 }
 
 TEST_F(ServeDaemonBase, CrashRespawnCyclesLeakNoFdsOrSpoolRecords) {

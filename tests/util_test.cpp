@@ -242,6 +242,18 @@ TEST(Text, ParseDouble) {
     EXPECT_THROW(parse_double("1.5x", "test"), std::invalid_argument);
 }
 
+TEST(Text, ParseU32IsStrict) {
+    std::uint32_t v = 7;
+    for (const char* bad : {"", "-1", " 5", "12x", "4294967296", "+5", "5 "}) {
+        EXPECT_FALSE(parse_u32(bad, v)) << "'" << bad << "'";
+        EXPECT_EQ(v, 7u) << "'" << bad << "' must leave the output untouched";
+    }
+    ASSERT_TRUE(parse_u32("0", v));
+    EXPECT_EQ(v, 0u);
+    ASSERT_TRUE(parse_u32("4294967295", v));
+    EXPECT_EQ(v, 4294967295u);
+}
+
 TEST(Text, FormatFixed) {
     EXPECT_EQ(format_fixed(1.23456, 2), "1.23");
     EXPECT_EQ(format_fixed(2.0, 0), "2");
