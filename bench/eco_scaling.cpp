@@ -9,8 +9,10 @@
 // emits BENCH_eco.json.
 //
 // Exit is non-zero when any mapped result fails the equivalence check, or —
-// with --gate=S — when an edit of at most 1% of the nodes fails to reach an
-// S-fold speedup over the full reflow (the CI regression gate).
+// with --gate=S, the CI regression gate — when an edit of at most 1% of the
+// nodes fails to reach an S-fold speedup over the full reflow, or when any
+// local row's wirelength or critical-delay ratio to the full reflow leaves
+// [0.85, 1.15].
 //
 // Usage:
 //   eco_scaling [--out=BENCH_eco.json] [--quick] [--gate=SPEEDUP]
@@ -63,6 +65,10 @@ struct SweepRow {
 };
 
 double ratio(double a, double b) { return b > 0.0 ? a / b : 0.0; }
+
+/// The gated band for a local row's wirelength and critical-delay ratios.
+constexpr double kQorLow = 0.85;
+constexpr double kQorHigh = 1.15;
 
 }  // namespace
 
@@ -205,6 +211,16 @@ int main(int argc, char** argv) {
                          row.edits, 100.0 * row.fraction, row.speedup, gate_speedup);
             gate_failed = true;
         }
+        const auto in_band = [](double r) { return r >= kQorLow && r <= kQorHigh; };
+        if (gate_speedup > 0.0 && !uniform &&
+            !(in_band(row.wirelength_ratio) && in_band(row.critical_delay_ratio))) {
+            std::fprintf(stderr,
+                         "GATE: %zu-edit delta: wirelength ratio %.4f, critical-delay ratio "
+                         "%.4f (both must lie in [%.2f, %.2f])\n",
+                         row.edits, row.wirelength_ratio, row.critical_delay_ratio, kQorLow,
+                         kQorHigh);
+            gate_failed = true;
+        }
         rows.push_back(row);
     }
 
@@ -248,7 +264,10 @@ int main(int argc, char** argv) {
         return 1;
     }
     if (gate_failed) {
-        std::fprintf(stderr, "FAIL: small-edit speedup below the --gate threshold\n");
+        std::fprintf(stderr,
+                     "FAIL: small-edit speedup below the --gate threshold, or a local "
+                     "row's QoR ratio outside [%.2f, %.2f]\n",
+                     kQorLow, kQorHigh);
         return 1;
     }
     return 0;

@@ -20,6 +20,9 @@ Checks (all hard failures):
     dp_ms / replace_ms) come as one full set per Lily mapping span, just
     before that span's memory triple; each is non-negative and their sum
     fits inside the span (a wire-blind mapping span carries none);
+  * ECO mapping phase counters (eco-mapping.setup_ms / cone_order_ms /
+    dp_ms / extract_ms) come the same way, and every eco-mapping span
+    that completed (state ok or degraded) must carry them;
   * prover counters (verify.sat_calls / conflicts / merged_nodes /
     cex_pruned / obligations / fallback) come the same way: one full
     non-negative set per proving verify span, closed by
@@ -44,6 +47,8 @@ import sys
 
 MAPPING_PHASES = ("mapping.inchoate_place_ms", "mapping.cone_order_ms",
                   "mapping.dp_ms", "mapping.replace_ms")
+ECO_MAPPING_PHASES = ("eco-mapping.setup_ms", "eco-mapping.cone_order_ms",
+                      "eco-mapping.dp_ms", "eco-mapping.extract_ms")
 VERIFY_COUNTERS = ("verify.sat_calls", "verify.conflicts",
                    "verify.merged_nodes", "verify.cex_pruned",
                    "verify.obligations", "verify.fallback")
@@ -174,6 +179,9 @@ def main():
                  f"span executions {span_count!r}")
 
     check_stage_counters(counters, spans, "mapping", MAPPING_PHASES, sum_within_span=True)
+    check_stage_counters(counters, spans, "eco-mapping", ECO_MAPPING_PHASES,
+                         sum_within_span=True,
+                         required=lambda span: span.get("state") in COMPLETED_STATES)
     check_stage_counters(counters, spans, "verify", VERIFY_COUNTERS, sum_within_span=False,
                          required=lambda span: span.get("note", "").startswith(PROVING_NOTES))
     for c in counters:

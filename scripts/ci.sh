@@ -114,6 +114,18 @@ if python3 scripts/check_trace.py "$TRACE_DIR/stripped.trace" "$TRACE_DIR/prove.
   echo "FAIL: check_trace.py accepted a proving verify span without its counters" >&2
   exit 1
 fi
+# An ECO run's trace: the eco-mapping span's phase counters (setup_ms/
+# cone_order_ms/dp_ms/extract_ms) are required, so stripped it must fail.
+echo "+ LILY_TRACE trace smoke (--eco)"
+LILY_TRACE="$TRACE_DIR/eco.trace" "$LINT" --eco=3 --json \
+    examples/circuits/parity8.blif lib/msu_big.genlib > "$TRACE_DIR/eco.json"
+run python3 scripts/check_trace.py "$TRACE_DIR/eco.trace" "$TRACE_DIR/eco.json"
+grep -v '"eco-mapping\.' "$TRACE_DIR/eco.trace" > "$TRACE_DIR/noeco.trace"
+echo "+ check_trace.py on an ECO trace without mapping phases (expect failure)"
+if python3 scripts/check_trace.py "$TRACE_DIR/noeco.trace" "$TRACE_DIR/eco.json"; then
+  echo "FAIL: check_trace.py accepted an eco-mapping span without its counters" >&2
+  exit 1
+fi
 rm -rf "$TRACE_DIR"
 
 # ---- Formal verification (sanitized build) -----------------------------
@@ -159,7 +171,8 @@ run "$LINT" --inject=eco:stale-epoch --quiet \
 
 # ---- ECO scaling gate (release build: timing comparison) ---------------
 # A 1%-of-nodes local edit must reach a 5x speedup over the full reflow,
-# with every sweep row simulation-equivalent to its source network.
+# with every sweep row simulation-equivalent to its source network and
+# every local row's wirelength and critical-delay ratio in [0.85, 1.15].
 run build-ci-release/bench/eco_scaling --gate=5 --out=BENCH_eco.json
 echo "+ BENCH_eco.json:"
 cat BENCH_eco.json

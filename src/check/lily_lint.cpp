@@ -41,7 +41,8 @@
 //                              verify stage as in --flow). With
 //                              --inject=eco:stale-epoch the run passes when
 //                              the corrupted version stamp is rejected with
-//                              InvariantViolation.
+//                              InvariantViolation. With --json the report
+//                              and LILY_TRACE cover the ECO run alone.
 //     --budget-ms=<n>          whole-flow wall-clock budget (flow mode)
 //     --quiet                  suppress per-issue lines, print summary only
 //     --json                   machine-readable report on stdout
@@ -357,15 +358,31 @@ int run_eco_mode(const LintArgs& args) {
     Library lib;
     if (!load_inputs(args, net, lib)) return 2;
 
-    StatusOr<PipelineState> built = build_pipeline(net, lib, checked_options());
+    // The build and the ECO run trace into separate sinks, so the --json
+    // report and the LILY_TRACE dump (from `sink`) cover the ECO run alone;
+    // a sink on the options also keeps the flows from dumping LILY_TRACE
+    // themselves.
+    TraceSink build_sink, sink;
+    FlowOptions opts = checked_options();
+    opts.trace = &build_sink;
+    StatusOr<PipelineState> built = build_pipeline(net, lib, opts);
     if (!built.is_ok()) {
         std::fprintf(stderr, "lily_lint: build_pipeline failed: %s\n",
                      built.status().to_string().c_str());
         return 1;
     }
     PipelineState state = std::move(built).value();
+    state.opts.trace = &sink;
     const NetDelta delta = local_delta(state.net, args.eco_edits, 0xEC0);
     const StatusOr<EcoStats> eco = run_eco_flow_checked(state, delta);
+    const std::string trace_path = trace_path_from_env();
+    if (!trace_path.empty()) {
+        const Status dumped = sink.append_to_file(trace_path);
+        if (!dumped.is_ok()) {
+            std::fprintf(stderr, "lily_lint: trace dump failed: %s\n",
+                         dumped.to_string().c_str());
+        }
+    }
 
     if (args.inject == "eco:stale-epoch") {
         return expect_rejected(eco.status(), args.inject, "stale stage artifacts");
@@ -376,6 +393,14 @@ int run_eco_mode(const LintArgs& args) {
         return 1;
     }
     const EcoStats& s = eco.value();
+    if (args.json) {
+        std::fputs(flow_report_json(Status::ok(), &s.diagnostics, &state.flow.metrics, nullptr,
+                                    &sink)
+                       .c_str(),
+                   stdout);
+        std::fputc('\n', stdout);
+        return 0;
+    }
     if (!args.quiet) std::fputs(s.diagnostics.to_string().c_str(), stdout);
     std::printf("eco: %zu edit(s), reuse map %.2f place %.2f%s\n", args.eco_edits,
                 s.map_reuse_ratio(), s.place_reuse_ratio(), s.full_reflow ? " (full reflow)" : "");

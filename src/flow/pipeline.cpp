@@ -26,6 +26,7 @@ Status rebuild_from_batch(PipelineState& state) {
     state.flow = std::move(flow).value();
     state.subject = std::move(cap.subject);
     state.lily = std::move(cap.lily);
+    state.lily.netlist = MappedNetlist{};  // state.flow.netlist is the one copy
     state.used_baseline_fallback = cap.used_baseline_fallback;
     state.detailed = std::move(cap.detailed);
     state.routed = std::move(cap.routed);
@@ -162,15 +163,20 @@ StatusOr<EcoStats> run_eco_flow_checked(PipelineState& state, const NetDelta& de
         LilyOptions lily = state.opts.lily;
         lily.objective = state.opts.objective;
         lily.cover = effective_cover(state.opts);
-        const LilyRemapSeed seed{&state.lily, state.subject_size_at_map};
-        StatusOr<LilyResult> remapped =
-            LilyMapper(*state.lib).remap_checked(state.subject.graph, seed, lily);
+        // The remap takes the prior DP state over; a failure leaves nothing
+        // to resume from, and the full reflow below rebuilds it.
+        StatusOr<LilyResult> remapped = LilyMapper(*state.lib).remap_checked(
+            state.subject.graph, std::move(state.lily), state.subject_size_at_map, lily);
         if (!remapped.is_ok()) {
             reflow_reason = "cone-scoped remap failed (" + remapped.status().to_string() +
                             "); fell back to full reflow";
             return;
         }
         res = std::move(remapped).value();
+        s.counter("setup_ms", res.timing.setup_ms);
+        s.counter("cone_order_ms", res.timing.cone_order_ms);
+        s.counter("dp_ms", res.timing.dp_ms);
+        s.counter("extract_ms", res.timing.extract_ms);
         stats.remapped_nodes = res.remapped_nodes;
         stats.reused_nodes = res.reused_nodes;
         const std::string note = std::to_string(res.remapped_nodes) + " node(s) re-solved, " +
@@ -192,53 +198,52 @@ StatusOr<EcoStats> run_eco_flow_checked(PipelineState& state, const NetDelta& de
 
     // ---- Backend: keep the floorplan (region and pad ring) and re-solve
     // only the cells whose instance changed; everything else is anchored.
-    MappedPlacementView view = make_placement_view(res.netlist, *state.lib);
     const Rect region = state.flow.region;
-
-    // An ECO preserves the floorplan; if the edit grew the circuit past the
-    // region's capacity (10% slack over the configured utilization), only a
-    // full reflow — which re-sizes the region — gives an honest layout.
-    const double region_area = region.width() * region.height();
-    if (view.netlist.total_cell_area() >
-        region_area * state.opts.placement_utilization * 1.10) {
-        return full_reflow(state, std::move(stats),
-                           "edit grew cell area past the region capacity; re-floorplanned",
-                           StageState::Recovered);
-    }
-    if (view.netlist.pad_positions.size() != state.flow.pad_positions.size()) {
-        return full_reflow(state, std::move(stats),
-                           "pad interface changed across the delta; re-floorplanned",
-                           StageState::Recovered);
-    }
-    view.netlist.pad_positions = state.flow.pad_positions;
-
-    // Instance correspondence across netlist generations is keyed by the
-    // driving subject node (ids are stable under the append-only subject
-    // rebuild): same driver + same gate + same input profile = same cell,
-    // frozen at its prior legalized position. Everything else is dirty and
-    // seeded from the remap's constructive position.
-    const MappedNetlist& prior = state.flow.netlist;
-    std::vector<Point> positions(view.netlist.n_cells);
-    std::vector<std::size_t> prior_of(view.netlist.n_cells, MappedNetlist::npos);
-    std::vector<std::size_t> dirty;
-    for (std::size_t i = 0; i < res.netlist.gates.size(); ++i) {
-        const GateInstance& inst = res.netlist.gates[i];
-        const std::size_t j = prior.instance_driving(inst.driver);
-        const bool clean = j != MappedNetlist::npos && prior.gates[j].gate == inst.gate &&
-                           prior.gates[j].inputs == inst.inputs;
-        if (clean) {
-            prior_of[i] = j;
-            positions[i] = state.flow.final_positions[j];
-        } else {
-            dirty.push_back(i);
-            positions[i] =
-                rescale_point(res.instance_positions[i], res.inchoate_placement.region, region);
-        }
-    }
-
+    MappedPlacementView view;
     DetailedPlacement detailed;
     RouteResult routed;
     exec.run(StageId::EcoPlacement, [&](StageScope& s) {
+        view = make_placement_view(res.netlist, *state.lib);
+        // An ECO preserves the floorplan; if the edit grew the circuit past
+        // the region's capacity (10% slack over the configured utilization),
+        // only a full reflow — which re-sizes the region — gives an honest
+        // layout.
+        const double region_area = region.width() * region.height();
+        if (view.netlist.total_cell_area() >
+            region_area * state.opts.placement_utilization * 1.10) {
+            reflow_reason = "edit grew cell area past the region capacity; re-floorplanned";
+            return;
+        }
+        if (view.netlist.pad_positions.size() != state.flow.pad_positions.size()) {
+            reflow_reason = "pad interface changed across the delta; re-floorplanned";
+            return;
+        }
+        view.netlist.pad_positions = state.flow.pad_positions;
+
+        // Instance correspondence across netlist generations is keyed by the
+        // driving subject node (ids are stable under the append-only subject
+        // rebuild): same driver + same gate + same input profile = same cell,
+        // frozen at its prior legalized position. Everything else is dirty
+        // and seeded from the remap's constructive position.
+        const MappedNetlist& prior = state.flow.netlist;
+        std::vector<Point> positions(view.netlist.n_cells);
+        std::vector<std::size_t> prior_of(view.netlist.n_cells, MappedNetlist::npos);
+        std::vector<std::size_t> dirty;
+        for (std::size_t i = 0; i < res.netlist.gates.size(); ++i) {
+            const GateInstance& inst = res.netlist.gates[i];
+            const std::size_t j = prior.instance_driving(inst.driver);
+            const bool clean = j != MappedNetlist::npos && prior.gates[j].gate == inst.gate &&
+                               prior.gates[j].inputs == inst.inputs;
+            if (clean) {
+                prior_of[i] = j;
+                positions[i] = state.flow.final_positions[j];
+            } else {
+                dirty.push_back(i);
+                positions[i] = rescale_point(res.instance_positions[i],
+                                             res.inchoate_placement.region, region);
+            }
+        }
+
         // Incremental HPWL bookkeeping: measure once on the seeded
         // positions, then re-measure only the nets the local re-solve
         // touched.
@@ -268,7 +273,7 @@ StatusOr<EcoStats> run_eco_flow_checked(PipelineState& state, const NetDelta& de
             detailed.region = region;
             detailed.row_height = pdp.row_height;
             detailed.n_rows = pdp.n_rows;
-            detailed.positions = positions;
+            detailed.positions = std::move(positions);
             detailed.row_of.assign(view.netlist.n_cells, 0);
             for (std::size_t i = 0; i < view.netlist.n_cells; ++i) {
                 if (prior_of[i] != MappedNetlist::npos) {
@@ -278,7 +283,7 @@ StatusOr<EcoStats> run_eco_flow_checked(PipelineState& state, const NetDelta& de
             legal = legalize_rows_incremental(view.netlist, dirty, detailed);
         } else {
             GlobalPlacement global;
-            global.positions = positions;
+            global.positions = std::move(positions);
             global.region = region;
             detailed = legalize_rows(view.netlist, global);
             improve_rows(view.netlist, detailed);
@@ -293,6 +298,11 @@ StatusOr<EcoStats> run_eco_flow_checked(PipelineState& state, const NetDelta& de
              std::to_string(hpwl.total) + " re-measuring " + std::to_string(nets_patched) +
              " of " + std::to_string(view.netlist.nets.size()) + " nets");
     });
+
+    if (reflow_reason.has_value()) {
+        return full_reflow(state, std::move(stats), std::move(*reflow_reason),
+                           StageState::Recovered);
+    }
 
     // Incremental routing: connections whose endpoints did not move keep
     // their prior routes (clean nets reproduce identical MST connections, so
@@ -346,28 +356,30 @@ StatusOr<EcoStats> run_eco_flow_checked(PipelineState& state, const NetDelta& de
         run_verify_stage(ctx, state.net, state.subject, *state.lib, res.netlist));
 
     // ---- Commit: artifacts and version stamps advance together so the
-    // PipelineChecker sees a consistent generation on the next delta.
-    FlowResult out;
-    out.netlist = res.netlist;
-    out.region = region;
-    out.final_positions = detailed.positions;
-    out.pad_positions = view.netlist.pad_positions;
-    out.metrics.gate_count = res.netlist.gate_count();
-    out.metrics.cell_area = chip.cell_area;
-    out.metrics.chip_area = chip.chip_area;
-    out.metrics.wirelength = routed.total_wirelength;
-    out.metrics.critical_delay = timing.critical_delay;
-    out.metrics.max_congestion = routed.max_congestion;
-    out.diagnostics = diag;
-    state.flow = std::move(out);
-    state.lily = std::move(res);
-    state.detailed = std::move(detailed);
-    state.routed = std::move(routed);
-    state.subject_size_at_map = state.subject.graph.size();
-    const Version v = state.net.version();
-    state.mapping_built_from = v;
-    state.backend_built_from = v;
-
+    // PipelineChecker sees a consistent generation on the next delta. The
+    // mapped netlist moves into the flow result; the mapping artifact keeps
+    // only the DP state the next remap resumes from.
+    exec.run(StageId::Eco, [&](StageScope& s) {
+        FlowResult& out = state.flow;
+        out.netlist = std::exchange(res.netlist, MappedNetlist{});
+        out.final_positions = detailed.positions;
+        out.pad_positions = std::move(view.netlist.pad_positions);
+        out.metrics.gate_count = out.netlist.gate_count();
+        out.metrics.cell_area = chip.cell_area;
+        out.metrics.chip_area = chip.chip_area;
+        out.metrics.wirelength = routed.total_wirelength;
+        out.metrics.critical_delay = timing.critical_delay;
+        out.metrics.max_congestion = routed.max_congestion;
+        state.lily = std::move(res);
+        state.detailed = std::move(detailed);
+        state.routed = std::move(routed);
+        state.subject_size_at_map = state.subject.graph.size();
+        const Version v = state.net.version();
+        state.mapping_built_from = v;
+        state.backend_built_from = v;
+        s.ok("generation " + std::to_string(v) + " committed");
+    });
+    state.flow.diagnostics = diag;
     stats.diagnostics = std::move(diag);
     return stats;
 }

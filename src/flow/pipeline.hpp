@@ -11,7 +11,7 @@
 //   subject  -> decompose_incremental: structural hashing folds unchanged
 //               cones back onto existing nodes (append-only ids)
 //   mapping  -> LilyMapper::remap_checked: cone-scoped DP over the dirty
-//               cones, prior solutions/placements reused verbatim
+//               cones, prior solutions/placements taken over verbatim
 //   backend  -> place_incremental anchored on the clean boundary, row
 //               re-legalization, route_incremental, and the batch STA pass
 //               (a few ms; legalization moves nearly every pin anyway)
@@ -49,8 +49,9 @@ struct PipelineState {
     DecomposeResult subject;
     Version subject_built_from = kNeverBuilt;
 
-    /// The mapping artifact is the full LilyResult: netlist plus the DP
-    /// solutions, life states and placement view remap_checked resumes from.
+    /// The mapping artifact: the LilyResult's DP solutions, life states and
+    /// positions that remap_checked resumes from. Its netlist is empty; the
+    /// mapped netlist lives in flow.netlist alone.
     LilyResult lily;
     std::size_t subject_size_at_map = 0;  // graph size the mapping covers
     Version mapping_built_from = kNeverBuilt;

@@ -40,7 +40,6 @@ struct Ctx {
     const LilyOptions& opts;
     const Matcher& matcher;
 
-    SubjectPlacementView view;
     std::vector<Point> pad_pos;               // PIs then POs
     std::vector<Point> place_pos;             // placePosition per subject node
     std::vector<LifeState> state;
@@ -451,17 +450,20 @@ void commit_cone(Ctx& ctx, SubjectId root) {
     ++ctx.rect_epoch;
 }
 
+/// Pads of the primary outputs each subject node drives, in the
+/// SubjectPlacementView numbering (PIs, then POs).
+void seed_po_pads(Ctx& ctx) {
+    const SubjectGraph& g = ctx.g;
+    for (std::size_t o = 0; o < g.outputs().size(); ++o) {
+        ctx.po_pads_of[g.outputs()[o].driver].push_back(g.inputs().size() + o);
+    }
+}
+
 /// Stage 3 of both mapping entry points: extract the cover and the
 /// constructive placement from the finished DP state into `result`.
 void extract_result(Ctx& ctx, bool delay_mode, LilyResult& result) {
     const SubjectGraph& g = ctx.g;
-    std::vector<NodeSolution> plain(g.size());
-    for (SubjectId v = 0; v < g.size(); ++v) {
-        plain[v].has_match = ctx.sol[v].has_match;
-        plain[v].match = ctx.sol[v].match;
-        plain[v].cost = ctx.sol[v].cost;
-    }
-    result.netlist = extract_cover(g, ctx.lib, plain);
+    result.netlist = extract_cover(g, ctx.lib, ctx.sol);
     result.instance_positions.reserve(result.netlist.gates.size());
     for (const GateInstance& inst : result.netlist.gates) {
         result.instance_positions.push_back(ctx.sol[inst.driver].position);
@@ -527,7 +529,6 @@ StatusOr<LilyResult> LilyMapper::map_checked(
             *lib_,
             opts,
             matcher_,
-            std::move(view),
             std::move(pads),
             std::vector<Point>(g.size()),
             std::vector<LifeState>(g.size(), LifeState::Egg),
@@ -538,16 +539,12 @@ StatusOr<LilyResult> LilyMapper::map_checked(
             0};
 
     for (SubjectId v = 0; v < g.size(); ++v) {
-        if (ctx.view.cell_of[v] != kNoCell) {
-            ctx.place_pos[v] = inchoate.positions[ctx.view.cell_of[v]];
-        }
+        if (view.cell_of[v] != kNoCell) ctx.place_pos[v] = inchoate.positions[view.cell_of[v]];
     }
     for (std::size_t i = 0; i < g.inputs().size(); ++i) {
-        ctx.place_pos[g.inputs()[i]] = ctx.pad_pos[ctx.view.pad_of_input(i)];
+        ctx.place_pos[g.inputs()[i]] = ctx.pad_pos[view.pad_of_input(i)];
     }
-    for (std::size_t o = 0; o < g.outputs().size(); ++o) {
-        ctx.po_pads_of[g.outputs()[o].driver].push_back(ctx.view.pad_of_output(o));
-    }
+    seed_po_pads(ctx);
 
     // ---- Stage 1: cone ordering (Section 3.5). Bucket k holds the nodes
     // cone order[k] is the first (in processing order) to contain, so the
@@ -599,24 +596,24 @@ StatusOr<LilyResult> LilyMapper::map_checked(
             ++cones_since_replace >= opts.replace_every_n_cones) {
             cones_since_replace = 0;
             const Clock::time_point t_replace = Clock::now();
-            PlacementNetlist anchored = ctx.view.netlist;
+            PlacementNetlist anchored = view.netlist;
             for (SubjectId v = 0; v < g.size(); ++v) {
-                if (ctx.state[v] != LifeState::Hawk || ctx.view.cell_of[v] == kNoCell) continue;
+                if (ctx.state[v] != LifeState::Hawk || view.cell_of[v] == kNoCell) continue;
                 // Strong pull: three parallel 2-pin nets to a virtual pad.
                 const std::size_t pad = anchored.pad_positions.size();
                 anchored.pad_positions.push_back(ctx.sol[v].position);
                 for (int dup = 0; dup < 3; ++dup) {
                     PlacementNetlist::Net net;
-                    net.cells = {ctx.view.cell_of[v]};
+                    net.cells = {view.cell_of[v]};
                     net.pads = {pad};
                     anchored.nets.push_back(net);
                 }
             }
             const GlobalPlacement fresh = place_global(anchored, region, opts.placement);
             for (SubjectId v = 0; v < g.size(); ++v) {
-                if (ctx.view.cell_of[v] == kNoCell) continue;
+                if (view.cell_of[v] == kNoCell) continue;
                 if (ctx.state[v] == LifeState::Egg || ctx.state[v] == LifeState::Hawk) {
-                    ctx.place_pos[v] = fresh.positions[ctx.view.cell_of[v]];
+                    ctx.place_pos[v] = fresh.positions[view.cell_of[v]];
                 }
             }
             // placePositions moved: the cached rectangles are stale (the
@@ -629,7 +626,9 @@ StatusOr<LilyResult> LilyMapper::map_checked(
     result.timing.dp_ms = ms_since(t_dp) - result.timing.replace_ms;
 
     // ---- Stage 3: extract the cover and the constructive placement.
+    const Clock::time_point t_extract = Clock::now();
     extract_result(ctx, delay_mode, result);
+    result.timing.extract_ms = ms_since(t_extract);
     result.inchoate_placement = std::move(inchoate);
     return result;
 }
@@ -639,68 +638,58 @@ LilyResult LilyMapper::map(const SubjectGraph& g, const LilyOptions& opts,
     return map_checked(g, opts, std::move(pad_positions)).take_or_raise();
 }
 
-StatusOr<LilyResult> LilyMapper::remap_checked(const SubjectGraph& g, const LilyRemapSeed& seed,
+StatusOr<LilyResult> LilyMapper::remap_checked(const SubjectGraph& g, LilyResult prior,
+                                               std::size_t prior_subject_size,
                                                const LilyOptions& opts) const {
-    if (seed.prior == nullptr) {
-        return Status(StatusCode::InvariantViolation,
-                      "LilyMapper: remap seed has no prior result");
-    }
-    const LilyResult& prior = *seed.prior;
-    const std::size_t old_n = seed.prior_subject_size;
+    const Clock::time_point t_setup = Clock::now();
+    const std::size_t old_n = prior_subject_size;
     if (old_n > g.size() || prior.solution.size() != old_n ||
         prior.final_state.size() != old_n || prior.subject_positions.size() != old_n) {
         return Status(StatusCode::InvariantViolation,
                       "LilyMapper: remap seed does not match the subject graph");
     }
-
-    LilyResult result;
-
-    // ---- Stage 0: rebuild the layout view over the extended graph but skip
-    // the global placer — the prior pad placement is reused verbatim (ECO
-    // deltas never change the PI/PO interface) and every old node keeps its
-    // prior placePosition, so unchanged cones see bit-identical wire costs.
-    SubjectPlacementView view = make_placement_view(g);
-    if (prior.pad_positions.size() != view.netlist.pad_positions.size()) {
+    // No global placer runs: the prior pad placement is reused verbatim
+    // (ECO deltas never change the PI/PO interface) and every old node keeps
+    // its prior placePosition, so unchanged cones see bit-identical wire
+    // costs.
+    if (prior.pad_positions.size() != g.inputs().size() + g.outputs().size()) {
         return Status(StatusCode::InvariantViolation,
                       "LilyMapper: pad interface changed across remap");
     }
-    std::vector<Point> pads = prior.pad_positions;
-    view.netlist.pad_positions = pads;
 
+    LilyResult result;
+
+    // ---- Stage 0: resume from the prior DP state, extended to the new
+    // nodes. Old hawks are final: the commit walk must not re-enter them.
     Ctx ctx{g,
             g.topology(),  // freeze the flat adjacency before the DP starts
             *lib_,
             opts,
             matcher_,
-            std::move(view),
-            std::move(pads),
-            std::vector<Point>(g.size()),
-            std::vector<LifeState>(g.size(), LifeState::Egg),
-            std::vector<LilyNodeSolution>(g.size()),
+            std::move(prior.pad_positions),
+            std::move(prior.subject_positions),
+            std::move(prior.final_state),
+            std::move(prior.solution),
             std::vector<std::vector<std::size_t>>(g.size()),
             std::vector<bool>(g.size(), false),
             {},
             0};
-
-    for (SubjectId v = 0; v < old_n; ++v) {
-        ctx.place_pos[v] = prior.subject_positions[v];
-        ctx.state[v] = prior.final_state[v];
-        ctx.sol[v] = prior.solution[v];
-        // Old hawks are final: the commit walk must not re-enter them.
-        ctx.committed[v] = prior.final_state[v] == LifeState::Hawk;
-    }
+    ctx.place_pos.resize(g.size());
+    ctx.state.resize(g.size(), LifeState::Egg);
+    ctx.sol.resize(g.size());
+    for (SubjectId v = 0; v < old_n; ++v) ctx.committed[v] = ctx.state[v] == LifeState::Hawk;
+    std::vector<Point> pts;
     for (SubjectId v = static_cast<SubjectId>(old_n); v < g.size(); ++v) {
         // New nodes are gates (the interface is fixed), appended after their
         // fanins: seed each at the centroid of its fanins' positions, the
         // best placement guess available without a global re-solve.
         const SubjectNode& n = g.node(v);
-        std::vector<Point> pts;
+        pts.clear();
         for (unsigned i = 0; i < n.fanin_count(); ++i) pts.push_back(ctx.place_pos[n.fanin(i)]);
         if (!pts.empty()) ctx.place_pos[v] = center_of_mass(pts);
     }
-    for (std::size_t o = 0; o < g.outputs().size(); ++o) {
-        ctx.po_pads_of[g.outputs()[o].driver].push_back(ctx.view.pad_of_output(o));
-    }
+    seed_po_pads(ctx);
+    result.timing.setup_ms = ms_since(t_setup);
 
     // ---- Stage 1+2: cone-scoped DP, dirty cones only, in output order. A
     // cone is dirty when its bucket holds a gate node without a DP solution
@@ -750,8 +739,10 @@ StatusOr<LilyResult> LilyMapper::remap_checked(const SubjectGraph& g, const Lily
         if (g.node(v).kind != SubjectKind::Input && ctx.sol[v].has_match) ++with_solution;
     }
     result.reused_nodes = with_solution - result.remapped_nodes;
+    const Clock::time_point t_extract = Clock::now();
     extract_result(ctx, delay_mode, result);
-    result.inchoate_placement = prior.inchoate_placement;  // region + old coordinates
+    result.timing.extract_ms = ms_since(t_extract);
+    result.inchoate_placement = std::move(prior.inchoate_placement);  // region + old coordinates
     return result;
 }
 

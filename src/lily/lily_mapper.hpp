@@ -104,13 +104,16 @@ struct LilyNodeSolution {
                                                                       : arrival_fall; }
 };
 
-/// Wall-clock split of one mapping call, in ms. remap_checked runs no
-/// placement, so only cone_order_ms and dp_ms are set there.
+/// Wall-clock split of one mapping call, in ms. map_checked sets all but
+/// setup_ms; remap_checked runs no placement and sets setup_ms,
+/// cone_order_ms, dp_ms and extract_ms.
 struct LilyPhaseTimes {
     double inchoate_place_ms = 0.0;  // global placement of the inchoate network
+    double setup_ms = 0.0;           // remap: resuming the prior DP state
     double cone_order_ms = 0.0;      // cone partition, exit-line ordering, buckets
     double dp_ms = 0.0;              // per-cone DP and commits, re-placement excluded
     double replace_ms = 0.0;         // periodic re-placements (replace_every_n_cones)
+    double extract_ms = 0.0;         // cover extraction and constructive placement
 };
 
 struct LilyResult {
@@ -143,16 +146,6 @@ struct LilyResult {
     LilyPhaseTimes timing;
 };
 
-/// Seed for cone-scoped incremental re-mapping: the previous mapping of the
-/// same (append-only) subject graph lineage plus the graph size it was
-/// produced against. Subject ids below `prior_subject_size` must be
-/// structurally identical in the current graph — exactly what the
-/// structural-hash incremental decomposition guarantees.
-struct LilyRemapSeed {
-    const LilyResult* prior = nullptr;
-    std::size_t prior_subject_size = 0;
-};
-
 class LilyMapper {
 public:
     explicit LilyMapper(const Library& lib) : lib_(&lib), matcher_(lib) {}
@@ -175,17 +168,22 @@ public:
     LilyResult map(const SubjectGraph& g, const LilyOptions& opts = {},
                    std::optional<std::vector<Point>> pad_positions = std::nullopt) const;
 
-    /// Cone-scoped incremental re-mapping for ECO deltas. `g` must extend the
-    /// graph `seed.prior` was mapped against append-only (ids below
-    /// seed.prior_subject_size unchanged). Prior DP solutions, life states,
-    /// pad positions and placePositions are reused verbatim; only cones
-    /// containing unsolved nodes (new subject nodes, or old nodes that were
-    /// never inside a mapped cone) are re-run through the DP, and the commit
-    /// walk re-derives hawks/doves from the current primary outputs. New
-    /// nodes are seeded at the centroid of their fanins' placePositions —
-    /// no global placement runs. Errors mirror map_checked, plus
-    /// InvariantViolation when the seed does not match the graph.
-    StatusOr<LilyResult> remap_checked(const SubjectGraph& g, const LilyRemapSeed& seed,
+    /// Cone-scoped incremental re-mapping for ECO deltas. `prior` is the
+    /// previous mapping of the same subject graph lineage, taken over (its
+    /// DP state becomes the result's), and `prior_subject_size` the graph
+    /// size it was produced against: `g` must extend that graph append-only,
+    /// with ids below it structurally identical — exactly what the
+    /// structural-hash incremental decomposition guarantees. Prior DP
+    /// solutions, life states, pad positions and placePositions are reused
+    /// verbatim; only cones containing unsolved nodes (new subject nodes, or
+    /// old nodes that were never inside a mapped cone) are re-run through
+    /// the DP, and the commit walk re-derives hawks/doves from the current
+    /// primary outputs. New nodes are seeded at the centroid of their
+    /// fanins' placePositions — no global placement runs. Errors mirror
+    /// map_checked, plus InvariantViolation when the prior does not match
+    /// the graph.
+    StatusOr<LilyResult> remap_checked(const SubjectGraph& g, LilyResult prior,
+                                       std::size_t prior_subject_size,
                                        const LilyOptions& opts = {}) const;
 
     const Library& library() const { return *lib_; }

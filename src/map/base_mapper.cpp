@@ -69,56 +69,4 @@ MapResult BaseMapper::map(const SubjectGraph& g, const BaseMapperOptions& opts) 
     return result;
 }
 
-MappedNetlist extract_cover(const SubjectGraph& g, const Library& lib,
-                            const std::vector<NodeSolution>& solution) {
-    MappedNetlist out;
-    for (SubjectId in : g.inputs()) {
-        out.subject_inputs.push_back(in);
-        out.subject_input_names.push_back(g.name_of(in));
-    }
-
-    // Collect the set of needed signals: PO drivers plus, transitively, the
-    // inputs of each needed signal's chosen match. A buried (covered)
-    // multi-fanout node that is needed in its own right gets its own gate —
-    // this is exactly the MIS logic duplication.
-    std::vector<bool> needed(g.size(), false);
-    std::vector<SubjectId> stack;
-    for (const SubjectOutput& po : g.outputs()) {
-        if (!needed[po.driver]) {
-            needed[po.driver] = true;
-            stack.push_back(po.driver);
-        }
-    }
-    while (!stack.empty()) {
-        const SubjectId v = stack.back();
-        stack.pop_back();
-        if (g.node(v).kind == SubjectKind::Input) continue;
-        const NodeSolution& sol = solution[v];
-        if (!sol.has_match) {
-            throw std::logic_error("extract_cover: needed node has no solution");
-        }
-        for (SubjectId leaf : sol.match.inputs) {
-            if (!needed[leaf]) {
-                needed[leaf] = true;
-                stack.push_back(leaf);
-            }
-        }
-    }
-
-    // Emit instances in topological (id) order.
-    for (SubjectId v = 0; v < g.size(); ++v) {
-        if (!needed[v] || g.node(v).kind == SubjectKind::Input) continue;
-        const Match& m = solution[v].match;
-        GateInstance inst;
-        inst.gate = m.gate;
-        inst.driver = v;
-        inst.inputs = m.inputs;
-        inst.absorbed = m.covered;
-        out.gates.push_back(std::move(inst));
-    }
-    for (const SubjectOutput& po : g.outputs()) out.outputs.push_back({po.name, po.driver});
-    out.check(lib);
-    return out;
-}
-
 }  // namespace lily

@@ -7,6 +7,8 @@
 // wire costs.
 #pragma once
 
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "map/mapped_netlist.hpp"
@@ -68,8 +70,63 @@ bool legal_in_tree_mode(const SubjectGraph& g, const Match& m);
 
 /// Extract gate instances for the chosen per-node matches: walk from the
 /// primary outputs, materializing the best match of every needed signal
-/// (shared by BaseMapper and the Lily mapper).
+/// (shared by BaseMapper and the Lily mapper). `Solution` is any per-node
+/// DP record with `has_match` and `match` (NodeSolution, LilyNodeSolution);
+/// the solutions are read in place.
+template <typename Solution>
 MappedNetlist extract_cover(const SubjectGraph& g, const Library& lib,
-                            const std::vector<NodeSolution>& solution);
+                            const std::vector<Solution>& solution) {
+    MappedNetlist out;
+    for (SubjectId in : g.inputs()) {
+        out.subject_inputs.push_back(in);
+        out.subject_input_names.push_back(g.name_of(in));
+    }
+
+    // Collect the set of needed signals: PO drivers plus, transitively, the
+    // inputs of each needed signal's chosen match. A buried (covered)
+    // multi-fanout node that is needed in its own right gets its own gate —
+    // this is exactly the MIS logic duplication.
+    std::vector<bool> needed(g.size(), false);
+    std::vector<SubjectId> stack;
+    std::size_t n_gates = 0;
+    for (const SubjectOutput& po : g.outputs()) {
+        if (!needed[po.driver]) {
+            needed[po.driver] = true;
+            stack.push_back(po.driver);
+        }
+    }
+    while (!stack.empty()) {
+        const SubjectId v = stack.back();
+        stack.pop_back();
+        if (g.node(v).kind == SubjectKind::Input) continue;
+        const Solution& sol = solution[v];
+        if (!sol.has_match) {
+            throw std::logic_error("extract_cover: needed node has no solution");
+        }
+        ++n_gates;
+        for (SubjectId leaf : sol.match.inputs) {
+            if (!needed[leaf]) {
+                needed[leaf] = true;
+                stack.push_back(leaf);
+            }
+        }
+    }
+
+    // Emit instances in topological (id) order.
+    out.gates.reserve(n_gates);
+    for (SubjectId v = 0; v < g.size(); ++v) {
+        if (!needed[v] || g.node(v).kind == SubjectKind::Input) continue;
+        const Match& m = solution[v].match;
+        GateInstance inst;
+        inst.gate = m.gate;
+        inst.driver = v;
+        inst.inputs = m.inputs;
+        inst.absorbed = m.covered;
+        out.gates.push_back(std::move(inst));
+    }
+    for (const SubjectOutput& po : g.outputs()) out.outputs.push_back({po.name, po.driver});
+    out.check(lib);
+    return out;
+}
 
 }  // namespace lily

@@ -66,42 +66,29 @@ MappedPlacementView make_placement_view(const MappedNetlist& m, const Library& l
     view.n_input_pads = m.subject_inputs.size();
     view.netlist.pad_positions.assign(m.subject_inputs.size() + m.outputs.size(), Point{});
 
-    std::unordered_map<SubjectId, std::size_t> pi_pad;
-    for (std::size_t i = 0; i < m.subject_inputs.size(); ++i) {
-        pi_pad.emplace(m.subject_inputs[i], view.pad_of_input(i));
-    }
-    std::unordered_map<SubjectId, std::vector<std::size_t>> po_pads;
-    for (std::size_t o = 0; o < m.outputs.size(); ++o) {
-        po_pads[m.outputs[o].driver].push_back(view.pad_of_output(o));
-    }
-    // Sinks per driving signal.
-    std::unordered_map<SubjectId, std::vector<std::size_t>> sinks;
-    for (std::size_t i = 0; i < m.gates.size(); ++i) {
-        for (const SubjectId in : m.gates[i].inputs) sinks[in].push_back(i);
-    }
-
-    // One net per driven signal (instance outputs and used inputs).
-    auto emit_net = [&](SubjectId signal) {
+    // One net per driven signal: instance outputs, then used inputs. The
+    // driver pin comes first, then the sink cells (instance, then pin) and
+    // the output pads (output order).
+    const SignalFanout fan(m);
+    view.netlist.nets.reserve(fan.index.size());
+    auto emit_net = [&](std::size_t slot, bool driver_is_pad, std::size_t driver) {
+        const auto sinks = fan.sinks.neighbors(slot);
+        const auto outs = fan.outputs.neighbors(slot);
+        if (sinks.empty() && outs.empty()) return;  // a lone driver pin is no net
         PlacementNetlist::Net net;
-        const std::size_t driver_inst = m.instance_driving(signal);
-        if (driver_inst != MappedNetlist::npos) {
-            net.cells.push_back(driver_inst);
-        } else {
-            const auto it = pi_pad.find(signal);
-            if (it == pi_pad.end()) return;  // undriven: adapter input invariant
-            net.pads.push_back(it->second);
-        }
-        if (const auto it = sinks.find(signal); it != sinks.end()) {
-            for (const std::size_t s : it->second) net.cells.push_back(s);
-        }
-        if (const auto it = po_pads.find(signal); it != po_pads.end()) {
-            for (const std::size_t pad : it->second) net.pads.push_back(pad);
-        }
-        if (net.pin_count() >= 2) view.netlist.nets.push_back(std::move(net));
+        net.cells.reserve(sinks.size() + (driver_is_pad ? 0 : 1));
+        net.pads.reserve(outs.size() + (driver_is_pad ? 1 : 0));
+        (driver_is_pad ? net.pads : net.cells).push_back(driver);
+        for (const SignalFanout::Sink& s : sinks) net.cells.push_back(s.instance);
+        for (const std::uint32_t o : outs) net.pads.push_back(view.pad_of_output(o));
+        view.netlist.nets.push_back(std::move(net));
     };
-
-    for (const GateInstance& inst : m.gates) emit_net(inst.driver);
-    for (std::size_t i = 0; i < m.subject_inputs.size(); ++i) emit_net(m.subject_inputs[i]);
+    for (std::size_t i = 0; i < m.gates.size(); ++i) {
+        emit_net(fan.index.instance_slot(i), false, i);
+    }
+    for (std::size_t k = 0; k < m.subject_inputs.size(); ++k) {
+        emit_net(k, true, view.pad_of_input(k));
+    }
     view.netlist.check();
     return view;
 }

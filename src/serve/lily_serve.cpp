@@ -7,8 +7,8 @@
 // die.
 //
 //   lily_serve --socket=PATH --spool=DIR [options]
-//     --workers=N          sandbox slots (default 4)
-//     --queue-cap=N        admission-control queue bound (default 16)
+//     --workers=N          sandbox slots, 1..256 (default 4)
+//     --queue-cap=N        admission-control queue bound, 1..65536 (default 16)
 //     --recycle-after=N    retire a worker after N jobs (default 256,
 //                          0 = never, 1 = fresh worker per job; bounds
 //                          heap soak)
@@ -21,8 +21,9 @@
 //                          exit: 0 clean, 1 errors found
 //     --verbose            per-event log lines on stderr
 //
-// Every N is a plain decimal in [0, 4294967295]; a sign, whitespace,
-// trailing text or overflow is a usage error.
+// Every N is a plain decimal in [0, 4294967295], narrower where given above;
+// a sign, whitespace, trailing text, overflow or a value outside its range
+// is a usage error.
 //
 // Exit codes: 0 = clean shutdown (or clean spool audit), 1 = startup
 // failure or spool audit errors, 2 = usage error.
@@ -61,9 +62,11 @@ int main(int argc, char** argv) {
             options.socket_path = arg.substr(9);
         } else if (arg.rfind("--spool=", 0) == 0) {
             options.spool_dir = arg.substr(8);
-        } else if (arg.rfind("--workers=", 0) == 0 && parse_u32(arg.substr(10), n) && n > 0) {
+        } else if (arg.rfind("--workers=", 0) == 0 && parse_u32(arg.substr(10), n) && n > 0 &&
+                   n <= ServeOptions::kMaxWorkers) {
             options.workers = n;
-        } else if (arg.rfind("--queue-cap=", 0) == 0 && parse_u32(arg.substr(12), n) && n > 0) {
+        } else if (arg.rfind("--queue-cap=", 0) == 0 && parse_u32(arg.substr(12), n) &&
+                   n > 0 && n <= ServeOptions::kMaxQueueCapacity) {
             options.queue_capacity = n;
         } else if (arg.rfind("--recycle-after=", 0) == 0 && parse_u32(arg.substr(16), n)) {
             options.recycle_after_jobs = n;

@@ -37,6 +37,11 @@
 namespace lily {
 
 struct ServeOptions {
+    /// Ceilings lily_serve accepts for --workers and --queue-cap: one
+    /// forked worker per slot, and the queue bounds admitted jobs' memory.
+    static constexpr std::uint32_t kMaxWorkers = 256;
+    static constexpr std::uint32_t kMaxQueueCapacity = 65536;
+
     std::string socket_path;
     std::string spool_dir;
     std::uint32_t workers = 4;

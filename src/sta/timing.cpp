@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <unordered_map>
 
 namespace lily {
 
@@ -57,56 +56,45 @@ TimingReport analyze_timing(const MappedNetlist& m, const Library& lib,
     rep.arrival.assign(n, {});
     rep.load.assign(n, 0.0);
 
-    // Arrival time of a signal (instance output or primary input).
-    std::unordered_map<SubjectId, RiseFall> signal_arrival;
-    for (const SubjectId pi : m.subject_inputs) {
-        signal_arrival[pi] = {opts.input_arrival, opts.input_arrival};
-    }
-
-    // Sinks per signal: (instance, pin).
-    std::unordered_map<SubjectId, std::vector<std::pair<std::size_t, std::size_t>>> sinks;
-    for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t k = 0; k < m.gates[i].inputs.size(); ++k) {
-            sinks[m.gates[i].inputs[k]].push_back({i, k});
-        }
-    }
-    std::unordered_map<SubjectId, std::vector<std::size_t>> po_pads;
-    for (std::size_t o = 0; o < m.outputs.size(); ++o) {
-        po_pads[m.outputs[o].driver].push_back(view.pad_of_output(o));
+    // Arrival time per signal slot (see SignalFanout): primary inputs at
+    // the input arrival, instance outputs as they are computed below.
+    const SignalFanout fan(m);
+    std::vector<RiseFall> slot_arrival(fan.index.size());
+    for (std::size_t k = 0; k < m.subject_inputs.size(); ++k) {
+        slot_arrival[k] = {opts.input_arrival, opts.input_arrival};
     }
 
     // Per-instance critical fanin (for path tracing).
     std::vector<std::size_t> crit_fanin(n, MappedNetlist::npos);
+    std::vector<Point> net_pins;
 
     for (std::size_t i = 0; i < n; ++i) {
         const GateInstance& inst = m.gates[i];
         const Gate& gate = lib.gate(inst.gate);
-        const Point out_pos = positions[i];
+        const std::size_t slot = fan.index.instance_slot(i);
 
         // Load: fanout pin caps + PO pads + wiring capacitance.
         double c_load = 0.0;
-        std::vector<Point> net_pins{out_pos};
-        if (const auto it = sinks.find(inst.driver); it != sinks.end()) {
-            for (const auto& [sink_inst, sink_pin] : it->second) {
-                c_load += lib.gate(m.gates[sink_inst].gate).pin(sink_pin).input_load;
-                net_pins.push_back(positions[sink_inst]);
-            }
+        net_pins.assign(1, positions[i]);
+        for (const SignalFanout::Sink& s : fan.sinks.neighbors(slot)) {
+            c_load += lib.gate(m.gates[s.instance].gate).pin(s.pin).input_load;
+            net_pins.push_back(positions[s.instance]);
         }
-        if (const auto it = po_pads.find(inst.driver); it != po_pads.end()) {
-            for (const std::size_t pad : it->second) {
-                c_load += opts.po_pad_load;
-                net_pins.push_back(view.netlist.pad_positions[pad]);
-            }
+        for (const std::uint32_t o : fan.outputs.neighbors(slot)) {
+            c_load += opts.po_pad_load;
+            net_pins.push_back(view.netlist.pad_positions[view.pad_of_output(o)]);
         }
         const NetExtents ext = net_extents(net_pins, opts.wire_model);
         c_load += opts.cap_per_unit_h * ext.x + opts.cap_per_unit_v * ext.y;
         rep.load[i] = c_load;
 
-        // Arrival: worst over input pins, rise/fall by pin phase.
+        // Arrival: worst over input pins, rise/fall by pin phase. An
+        // undriven pin arrives at 0.
         RiseFall out{-1e300, -1e300};
-        for (std::size_t k = 0; k < inst.inputs.size(); ++k) {
-            const auto ait = signal_arrival.find(inst.inputs[k]);
-            const RiseFall in = ait != signal_arrival.end() ? ait->second : RiseFall{};
+        const auto fanin = fan.fanin.neighbors(i);
+        for (std::size_t k = 0; k < fanin.size(); ++k) {
+            const RiseFall in =
+                fanin[k] == SignalFanout::kUndriven ? RiseFall{} : slot_arrival[fanin[k]];
             const PinTiming& pin = gate.pin(k);
             double rise_from, fall_from;
             switch (pin.phase) {
@@ -131,14 +119,14 @@ TimingReport analyze_timing(const MappedNetlist& m, const Library& lib,
             out.fall = std::max(out.fall, t_fall);
         }
         rep.arrival[i] = out;
-        signal_arrival[inst.driver] = out;
+        slot_arrival[slot] = out;
     }
 
     // Critical output and path.
     SubjectId crit_driver = kNullSubject;
     for (const MappedOutput& po : m.outputs) {
-        const auto it = signal_arrival.find(po.driver);
-        const double t = it != signal_arrival.end() ? it->second.worst() : 0.0;
+        const std::size_t slot = fan.index.slot_of(po.driver);
+        const double t = slot != MappedNetlist::npos ? slot_arrival[slot].worst() : 0.0;
         if (t > rep.critical_delay) {
             rep.critical_delay = t;
             rep.critical_output = po.name;

@@ -121,7 +121,7 @@ TEST(Certificate, ProvesEcoSplicedNetlistThroughTheStage) {
         ASSERT_NE(vd, nullptr);
         EXPECT_EQ(vd->state, StageState::Ok);
         EXPECT_EQ(vd->note.rfind("proven by the mapping certificate", 0), 0u) << vd->note;
-        expect_agreement(state.net, state.subject, lib, state.lily.netlist, "eco");
+        expect_agreement(state.net, state.subject, lib, state.flow.netlist, "eco");
     }
 }
 

@@ -116,6 +116,44 @@ TEST_P(GoldenFlow, EcoAfterLocalDelta) {
                         write_blif(state.flow.netlist.to_network(lib, "golden"))));
 }
 
+TEST_P(GoldenFlow, EcoChain) {
+    // Two seeded streams of six local edits, each from the same built
+    // state: every edit's reuse counts and metrics, then each stream's
+    // final legalized positions and BLIF. Any ECO stage that moves one bit
+    // of its output (mapping, placement, routing or timing) shows here.
+    const Library lib = load_msu_big();
+    const Network net = make_control_logic(24, 12, 160, 0xC4A1, "eco_chain");
+    StatusOr<PipelineState> built = build_pipeline(net, lib, options_with_threads(GetParam()));
+    ASSERT_TRUE(built.is_ok()) << built.status().to_string();
+    const PipelineState base = std::move(built).value();
+    std::string out;
+    char buf[256];
+    for (std::uint64_t stream = 0; stream < 2; ++stream) {
+        PipelineState state = base;
+        for (std::uint64_t edit = 0; edit < 6; ++edit) {
+            const NetDelta delta = local_delta(state.net, 2, 0xC4A1 + 16 * stream + edit);
+            const StatusOr<EcoStats> eco = run_eco_flow_checked(state, delta);
+            ASSERT_TRUE(eco.is_ok()) << eco.status().to_string();
+            const EcoStats& s = eco.value();
+            std::snprintf(buf, sizeof(buf),
+                          "stream %llu edit %llu full_reflow %d remapped %zu reused %zu "
+                          "placed %zu of %zu\n",
+                          static_cast<unsigned long long>(stream),
+                          static_cast<unsigned long long>(edit), s.full_reflow ? 1 : 0,
+                          s.remapped_nodes, s.reused_nodes, s.placed_cells, s.total_cells);
+            out += buf;
+            out += format_metrics(state.flow.metrics);
+        }
+        out += "---positions---\n";
+        for (const Point& p : state.flow.final_positions) {
+            std::snprintf(buf, sizeof(buf), "%.17g %.17g\n", p.x, p.y);
+            out += buf;
+        }
+        out += "---blif---\n" + write_blif(state.flow.netlist.to_network(lib, "golden"));
+    }
+    check_golden("eco_chain_ctrl160.txt", out);
+}
+
 TEST_P(GoldenFlow, ServedJob) {
     // The serving layer's unit of work, run in-process: what a warm worker
     // executes per dispatched job must keep producing these exact bytes.

@@ -266,7 +266,7 @@ TEST(Lily, NoOpRemapReusesEveryNode) {
         if (r.graph.node(v).kind != SubjectKind::Input && full.solution[v].has_match) ++solved;
     }
     const StatusOr<LilyResult> again =
-        mapper.remap_checked(r.graph, LilyRemapSeed{&full, r.graph.size()});
+        mapper.remap_checked(r.graph, full, r.graph.size());
     ASSERT_TRUE(again.is_ok()) << again.status().to_string();
     EXPECT_EQ(again.value().remapped_nodes, 0u);
     EXPECT_EQ(again.value().reused_nodes, solved);

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "library/standard_cells.hpp"
 #include "map/base_mapper.hpp"
 #include "netlist/simulate.hpp"
@@ -217,6 +220,61 @@ TEST(MappedNetlist, ChecksCatchCorruption) {
     MappedNetlist dangling = res.netlist;
     dangling.outputs.push_back({"ghost", static_cast<SubjectId>(123456)});
     EXPECT_THROW(dangling.check(lib), std::logic_error);
+}
+
+TEST(MappedNetlist, CheckRejectsNullDriver) {
+    const Network net = full_adder();
+    const DecomposeResult r = decompose(net);
+    const Library lib = load_msu_big();
+    const MapResult res = BaseMapper(lib).map(r.graph);
+    ASSERT_FALSE(res.netlist.gates.empty());
+    // An extra instance whose inputs are all driven but which drives the
+    // null id: nothing else about it is wrong.
+    MappedNetlist nulled = res.netlist;
+    nulled.gates.push_back(nulled.gates.front());
+    nulled.gates.back().driver = kNullSubject;
+    nulled.bump_version();
+    try {
+        nulled.check(lib);
+        ADD_FAILURE() << "an instance driving kNullSubject passed the check";
+    } catch (const std::logic_error& e) {
+        EXPECT_NE(std::string(e.what()).find("null"), std::string::npos) << e.what();
+    }
+    MappedNetlist null_input = res.netlist;
+    null_input.subject_inputs.front() = kNullSubject;
+    EXPECT_THROW(null_input.check(lib), std::logic_error);
+}
+
+TEST(MappedNetlist, CheckSizesNoTableFromIds) {
+    // Ids at the top of the SubjectId range: a consistent netlist over them
+    // passes, and a pin or output on an id nothing defines throws — neither
+    // sizes a table from an id (that would ask for gigabytes).
+    const Network net = full_adder();
+    const DecomposeResult r = decompose(net);
+    const Library lib = load_msu_big();
+    const MapResult res = BaseMapper(lib).map(r.graph);
+    MappedNetlist far = res.netlist;
+    const auto shift = [](SubjectId s) { return kNullSubject - 1 - s; };
+    for (SubjectId& s : far.subject_inputs) s = shift(s);
+    for (GateInstance& g : far.gates) {
+        g.driver = shift(g.driver);
+        for (SubjectId& in : g.inputs) in = shift(in);
+    }
+    for (MappedOutput& po : far.outputs) po.driver = shift(po.driver);
+    far.bump_version();
+    EXPECT_NO_THROW(far.check(lib));
+
+    MappedNetlist undriven = far;
+    undriven.gates.back().inputs.front() = kNullSubject - 1000000;
+    undriven.bump_version();
+    EXPECT_THROW(undriven.check(lib), std::logic_error);
+    MappedNetlist dangling = far;
+    dangling.outputs.push_back({"ghost", kNullSubject - 1000001});
+    EXPECT_THROW(dangling.check(lib), std::logic_error);
+    MappedNetlist twice = far;
+    twice.gates.push_back(twice.gates.back());  // same driver again
+    twice.bump_version();
+    EXPECT_THROW(twice.check(lib), std::logic_error);
 }
 
 TEST(MappedNetlist, InstanceDrivingLookup) {

@@ -27,6 +27,7 @@
 #include "netlist/blif.hpp"
 #include "serve/client.hpp"
 #include "serve/protocol.hpp"
+#include "serve/server.hpp"
 #include "serve/spool.hpp"
 #include "serve/worker.hpp"
 #include "util/crash.hpp"
@@ -1006,6 +1007,32 @@ TEST_F(ServeDaemonBase, SkippedSpoolRecordIdsAreNeverReused) {
     const std::string report = read_file_or_die(dir_ + "/audit.log");
     EXPECT_NE(report.find("job-7.spool"), std::string::npos) << report;
     EXPECT_NE(report.find("job-3.spool"), std::string::npos) << report;
+}
+
+TEST_F(ServeDaemonBase, WorkerAndQueueFlagsAreBounded) {
+    // Parse only: --check-spool audits the spool and exits, and no socket
+    // is given, so no daemon starts whatever the parse accepts.
+    const auto exit_code = [&](const std::string& flag) {
+        const StatusOr<pid_t> run = spawn_process(
+            {LILY_SERVE_BIN, "--spool=" + spool_, "--check-spool", flag}, dir_ + "/parse.log");
+        EXPECT_TRUE(run.is_ok()) << run.status().to_string();
+        if (!run.is_ok()) return -1;
+        const ExitStatus ended = wait_exit(run.value());
+        EXPECT_EQ(ended.kind, ExitKind::Exited) << flag;
+        return ended.code;
+    };
+    const std::string max_workers = std::to_string(ServeOptions::kMaxWorkers);
+    const std::string max_queue = std::to_string(ServeOptions::kMaxQueueCapacity);
+    EXPECT_NE(exit_code("--workers=" + max_workers), 2);
+    EXPECT_NE(exit_code("--queue-cap=" + max_queue), 2);
+    const std::vector<std::string> bad_flags = {
+        "--workers=0", "--workers=" + std::to_string(ServeOptions::kMaxWorkers + 1),
+        "--workers=4294967295", "--queue-cap=0",
+        "--queue-cap=" + std::to_string(ServeOptions::kMaxQueueCapacity + 1),
+        "--queue-cap=4294967295"};
+    for (const std::string& bad : bad_flags) {
+        EXPECT_EQ(exit_code(bad), 2) << bad;
+    }
 }
 
 TEST_F(ServeDaemonBase, CrashRespawnCyclesLeakNoFdsOrSpoolRecords) {

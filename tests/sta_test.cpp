@@ -1,13 +1,19 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
+#include <string>
 
+#include "circuits/benchmarks.hpp"
+#include "flow/pipeline.hpp"
 #include "library/standard_cells.hpp"
 #include "map/base_mapper.hpp"
+#include "netlist/delta.hpp"
 #include "place/netlist_adapters.hpp"
 #include "place/placement.hpp"
 #include "sta/timing.hpp"
 #include "subject/decompose.hpp"
+#include "timing_oracle.hpp"
 #include "util/rng.hpp"
 
 namespace lily {
@@ -264,6 +270,131 @@ TEST(Slack, TighterRequirementCreatesViolations) {
     const SlackReport loose = analyze_slack(p.netlist, p.lib, rep, rep.critical_delay * 2.0);
     EXPECT_EQ(loose.violations, 0u);
     EXPECT_GT(loose.worst_slack, 0.0);
+}
+
+// ------------------------------------------------ hash-map reference oracle
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+void expect_same_view(const MappedPlacementView& got, const MappedPlacementView& want,
+                      const std::string& what) {
+    EXPECT_EQ(got.cell_of_instance, want.cell_of_instance) << what;
+    EXPECT_EQ(got.n_input_pads, want.n_input_pads) << what;
+    EXPECT_EQ(got.netlist.n_cells, want.netlist.n_cells) << what;
+    EXPECT_EQ(got.netlist.pad_positions.size(), want.netlist.pad_positions.size()) << what;
+    ASSERT_EQ(got.netlist.cell_area.size(), want.netlist.cell_area.size()) << what;
+    for (std::size_t c = 0; c < got.netlist.cell_area.size(); ++c) {
+        ASSERT_EQ(bits(got.netlist.cell_area[c]), bits(want.netlist.cell_area[c])) << what;
+    }
+    ASSERT_EQ(got.netlist.nets.size(), want.netlist.nets.size()) << what;
+    for (std::size_t e = 0; e < got.netlist.nets.size(); ++e) {
+        ASSERT_EQ(got.netlist.nets[e].cells, want.netlist.nets[e].cells) << what << " net " << e;
+        ASSERT_EQ(got.netlist.nets[e].pads, want.netlist.nets[e].pads) << what << " net " << e;
+    }
+}
+
+void expect_same_timing(const TimingReport& got, const TimingReport& want,
+                        const std::string& what) {
+    ASSERT_EQ(got.arrival.size(), want.arrival.size()) << what;
+    ASSERT_EQ(got.load.size(), want.load.size()) << what;
+    for (std::size_t i = 0; i < got.arrival.size(); ++i) {
+        ASSERT_EQ(bits(got.arrival[i].rise), bits(want.arrival[i].rise)) << what << " " << i;
+        ASSERT_EQ(bits(got.arrival[i].fall), bits(want.arrival[i].fall)) << what << " " << i;
+        ASSERT_EQ(bits(got.load[i]), bits(want.load[i])) << what << " " << i;
+    }
+    EXPECT_EQ(bits(got.critical_delay), bits(want.critical_delay)) << what;
+    EXPECT_EQ(got.critical_output, want.critical_output) << what;
+    EXPECT_EQ(got.critical_path, want.critical_path) << what;
+}
+
+/// The view and the STA of one placed netlist against the oracle, under
+/// both wire models.
+void expect_matches_oracle(const MappedNetlist& m, const Library& lib,
+                           std::span<const Point> positions, std::span<const Point> pads,
+                           const std::string& what) {
+    MappedPlacementView view = make_placement_view(m, lib);
+    MappedPlacementView want = oracle::oracle_placement_view(m, lib);
+    expect_same_view(view, want, what);
+    ASSERT_EQ(pads.size(), view.netlist.pad_positions.size()) << what;
+    view.netlist.pad_positions.assign(pads.begin(), pads.end());
+    for (const WireModel model : {WireModel::SteinerHpwl, WireModel::SpanningTree}) {
+        TimingOptions opts;
+        opts.wire_model = model;
+        opts.input_arrival = 0.25;
+        expect_same_timing(analyze_timing(m, lib, view, positions, opts),
+                           oracle::oracle_analyze_timing(m, lib, view, positions, opts),
+                           what + (model == WireModel::SteinerHpwl ? " steiner" : " mst"));
+    }
+}
+
+FlowOptions oracle_flow_options() {
+    FlowOptions opts;
+    opts.check = CheckLevel::Off;
+    opts.verify = VerifyLevel::Off;
+    return opts;
+}
+
+TEST(TimingOracle, Table1SuiteMatches) {
+    const Library lib = load_msu_big();
+    for (const Benchmark& b : paper_suite(0.25)) {
+        for (const bool lily : {false, true}) {
+            const FlowResult res = lily ? run_lily_flow(b.network, lib, oracle_flow_options())
+                                        : run_baseline_flow(b.network, lib, oracle_flow_options());
+            expect_matches_oracle(res.netlist, lib, res.final_positions, res.pad_positions,
+                                  b.name + (lily ? " lily" : " baseline"));
+        }
+    }
+}
+
+TEST(TimingOracle, EcoChainMatches) {
+    const Library lib = load_msu_big();
+    const Network net = make_control_logic(32, 16, 300, 0x57A0, "sta_oracle");
+    StatusOr<PipelineState> built = build_pipeline(net, lib, oracle_flow_options());
+    ASSERT_TRUE(built.is_ok()) << built.status().to_string();
+    PipelineState state = std::move(built).value();
+    for (std::uint64_t edit = 0; edit < 6; ++edit) {
+        const StatusOr<EcoStats> eco =
+            run_eco_flow_checked(state, local_delta(state.net, 3, 0x57A1 + edit));
+        ASSERT_TRUE(eco.is_ok()) << eco.status().to_string();
+        expect_matches_oracle(state.flow.netlist, lib, state.flow.final_positions,
+                              state.flow.pad_positions, "edit " + std::to_string(edit));
+    }
+}
+
+TEST(TimingOracle, UndrivenAndFarIdsMatch) {
+    // Ids near the top of the SubjectId range index no table: a consistent
+    // netlist over them times exactly like the original, and a pin fed by
+    // an id nothing defines stays undriven (arrival 0), as before.
+    Rng rng(16);
+    Network net("far");
+    std::vector<NodeId> pool;
+    for (int i = 0; i < 6; ++i) pool.push_back(net.add_input("i" + std::to_string(i)));
+    for (int i = 0; i < 40; ++i) {
+        const NodeId a = pool[rng.next_below(pool.size())];
+        const NodeId b = pool[rng.next_below(pool.size())];
+        pool.push_back(a == b ? net.make_not(a) : net.make_nand(std::array{a, b}));
+    }
+    for (int i = 0; i < 3; ++i) net.add_output("o" + std::to_string(i), pool[pool.size() - 1 - i]);
+    net.sweep();
+    Placed p = map_and_place(net);
+    const auto far = [](SubjectId s) { return kNullSubject - 1 - s; };
+    MappedNetlist shifted = p.netlist;
+    for (SubjectId& s : shifted.subject_inputs) s = far(s);
+    for (GateInstance& g : shifted.gates) {
+        g.driver = far(g.driver);
+        for (SubjectId& in : g.inputs) in = far(in);
+    }
+    for (MappedOutput& po : shifted.outputs) po.driver = far(po.driver);
+    shifted.bump_version();
+    shifted.check(p.lib);
+    expect_matches_oracle(shifted, p.lib, p.positions, p.view.netlist.pad_positions, "far ids");
+
+    ASSERT_FALSE(shifted.gates.empty());
+    shifted.gates.back().inputs[0] = kNullSubject - 2 * 1024 * 1024;  // undefined
+    shifted.bump_version();
+    EXPECT_THROW(shifted.check(p.lib), std::logic_error);
+    expect_matches_oracle(shifted, p.lib, p.positions, p.view.netlist.pad_positions,
+                          "undriven pin");
 }
 
 }  // namespace
