@@ -2,8 +2,8 @@
 // flattening targets, measured in isolation so a regression in one kernel
 // is visible without re-profiling the whole flow.
 //
-//   spmv           Jacobi-CG's fused SpMV+elementwise-product over the
-//                  CSR-stored grid Laplacian (SparseMatrix::multiply_dot)
+//   spmv           Jacobi-CG's fused SpMV+dot fold over the CSR-stored
+//                  grid Laplacian (SparseMatrix::multiply_dot_fold)
 //   matcher_walk   pattern matching at every gate node of a decomposed
 //                  subject graph through the frozen SubjectTopology, with
 //                  the pooled in-place matches_at overload
@@ -47,7 +47,6 @@
 #include "subject/decompose.hpp"
 #include "util/alloc_stats.hpp"
 #include "util/geometry.hpp"
-#include "util/parallel.hpp"
 #include "util/sparse.hpp"
 
 using namespace lily;
@@ -107,14 +106,9 @@ SparseMatrix make_grid_laplacian(std::size_t side) {
 KernelReport bench_spmv(std::size_t side, int reps) {
     const SparseMatrix a = make_grid_laplacian(side);
     const std::size_t n = a.size();
-    std::vector<double> x(n), y(n), xy(n);
+    std::vector<double> x(n), y(n);
     for (std::size_t i = 0; i < n; ++i) x[i] = 1.0 + 1e-3 * static_cast<double>(i % 97);
-    return run_kernel("spmv", n, reps, [&] {
-        a.multiply_dot(x, y, xy);
-        double acc = 0.0;
-        for (double v : xy) acc += v;
-        return acc;
-    });
+    return run_kernel("spmv", n, reps, [&] { return a.multiply_dot_fold(x, y); });
 }
 
 KernelReport bench_matcher_walk(const SubjectGraph& g, const Matcher& matcher, int reps) {
@@ -227,10 +221,6 @@ int main(int argc, char** argv) {
             return 2;
         }
     }
-
-    // Single-thread numbers: kernel changes should be visible without the
-    // scheduler in the frame. (The flow-level harness covers scaling.)
-    ThreadPool::global().resize(1);
 
     const int reps = quick ? 3 : 8;
     const std::size_t grid_side = quick ? 96 : 256;

@@ -17,9 +17,16 @@ Checks (all hard failures):
     arrive exactly one triple per span — the StageScope destructor emits
     them together with the span close;
   * mapping phase counters (mapping.inchoate_place_ms / cone_order_ms /
-    dp_ms / replace_ms) come as one full set per Lily mapping span, just
-    before that span's memory triple; each is non-negative and their sum
-    fits inside the span (a wire-blind mapping span carries none);
+    dp_ms / replace_ms) and placement counters (mapping.qp_assemblies /
+    cg_iterations) come as one full set per Lily mapping span, just before
+    that span's memory triple; each is non-negative and the *_ms phases sum
+    to no more than the span (a wire-blind mapping span carries none);
+  * placement counters (placement.qp_assemblies / cg_iterations) come the
+    same way, and every placement span that completed must carry them.
+    Each placed netlist's Laplacian is assembled once: qp_assemblies is 1
+    per placement span and per mapping span without re-placement rounds
+    (replace_ms == 0), and at least 2 with them; cg_iterations, summed over
+    both axes and all solves, is a non-negative integer;
   * ECO mapping phase counters (eco-mapping.setup_ms / cone_order_ms /
     dp_ms / extract_ms) come the same way, and every eco-mapping span
     that completed (state ok or degraded) must carry them;
@@ -47,6 +54,7 @@ import sys
 
 MAPPING_PHASES = ("mapping.inchoate_place_ms", "mapping.cone_order_ms",
                   "mapping.dp_ms", "mapping.replace_ms")
+QP_COUNTERS = ("qp_assemblies", "cg_iterations")
 ECO_MAPPING_PHASES = ("eco-mapping.setup_ms", "eco-mapping.cone_order_ms",
                       "eco-mapping.dp_ms", "eco-mapping.extract_ms")
 VERIFY_COUNTERS = ("verify.sat_calls", "verify.conflicts",
@@ -72,10 +80,11 @@ def check_stage_counters(counters, spans, stage, names, sum_within_span,
     come as one full set (or none) per <stage> span. Pending ones belong to
     the span whose alloc_count.<stage> closes them (spans and their memory
     triples are both recorded in order, one flow at a time per sink). With
-    `sum_within_span` the set is in ms and must fit inside its span; a span
-    for which `required(span)` holds must carry the set."""
+    `sum_within_span` the set's *_ms members must fit inside their span; a
+    span for which `required(span)` holds must carry the set. Returns the
+    per-span sets, one dict per <stage> span (empty when it carried none)."""
     stage_spans = [s for s in spans if s["name"] == stage]
-    pending, closed = {}, 0
+    pending, closed, sets = {}, 0, []
     for c in counters:
         name, value = c.get("name", ""), c.get("value", 0.0)
         if name.startswith(stage + "."):
@@ -94,13 +103,34 @@ def check_stage_counters(counters, spans, stage, names, sum_within_span,
                     fail(f"{stage} span {closed} has an incomplete counter set "
                          f"{sorted(pending)!r}")
                 span_ms = stage_spans[closed]["elapsed_ms"]
-                if sum_within_span and sum(pending.values()) > span_ms:
-                    fail(f"{stage} span {closed}: counter sum {sum(pending.values())!r} "
+                ms_sum = sum(v for k, v in pending.items() if k.endswith("_ms"))
+                if sum_within_span and ms_sum > span_ms:
+                    fail(f"{stage} span {closed}: counter sum {ms_sum!r} "
                          f"exceeds the span's {span_ms!r} ms")
+            sets.append(pending)
             pending = {}
             closed += 1
     if pending:
         fail(f"{stage} counters {sorted(pending)!r} follow the last {stage} span")
+    return sets
+
+
+def check_qp_counters(stage, sets):
+    """qp_assemblies: 1 per placed netlist (see the module docstring);
+    cg_iterations: a non-negative integer."""
+    for i, got in enumerate(sets):
+        if not got:
+            continue
+        assemblies = got[f"{stage}.qp_assemblies"]
+        iterations = got[f"{stage}.cg_iterations"]
+        if iterations != int(iterations):
+            fail(f"{stage} span {i}: cg_iterations {iterations!r} is not an integer")
+        if got.get("mapping.replace_ms", 0.0) > 0.0:
+            if assemblies < 2:
+                fail(f"{stage} span {i}: qp_assemblies {assemblies!r} with re-placement "
+                     f"rounds, expected >= 2")
+        elif assemblies != 1:
+            fail(f"{stage} span {i}: qp_assemblies {assemblies!r}, expected 1")
 
 
 def main():
@@ -178,7 +208,13 @@ def main():
             fail(f"{p}* counters per stage {mem_count[p]!r} do not match "
                  f"span executions {span_count!r}")
 
-    check_stage_counters(counters, spans, "mapping", MAPPING_PHASES, sum_within_span=True)
+    check_qp_counters("mapping", check_stage_counters(
+        counters, spans, "mapping",
+        MAPPING_PHASES + tuple(f"mapping.{c}" for c in QP_COUNTERS), sum_within_span=True))
+    check_qp_counters("placement", check_stage_counters(
+        counters, spans, "placement", tuple(f"placement.{c}" for c in QP_COUNTERS),
+        sum_within_span=False,
+        required=lambda span: span.get("state") in COMPLETED_STATES))
     check_stage_counters(counters, spans, "eco-mapping", ECO_MAPPING_PHASES,
                          sum_within_span=True,
                          required=lambda span: span.get("state") in COMPLETED_STATES)

@@ -101,6 +101,13 @@ if python3 scripts/check_trace.py "$TRACE_DIR/noroute.trace" "$TRACE_DIR/report.
   echo "FAIL: check_trace.py accepted a routing span without its counters" >&2
   exit 1
 fi
+# So are the placement span's qp_assemblies/cg_iterations counters.
+grep -v '"placement\.' "$TRACE_DIR/flow.trace" > "$TRACE_DIR/noplace.trace"
+echo "+ check_trace.py on a trace without placement counters (expect failure)"
+if python3 scripts/check_trace.py "$TRACE_DIR/noplace.trace" "$TRACE_DIR/report.json"; then
+  echo "FAIL: check_trace.py accepted a placement span without its counters" >&2
+  exit 1
+fi
 # The same at LILY_VERIFY=prove, so the verify span's prover counters
 # (verify.sat_calls/conflicts/merged_nodes/cex_pruned/obligations/fallback)
 # are checked too — and a proving trace with them stripped must fail.

@@ -488,12 +488,13 @@ int main(int argc, char** argv) {
         // Stage 5: placement and timing over the mapped netlist.
         MappedPlacementView view = make_placement_view(mapped.netlist, lib);
         const Rect region = make_region(view.netlist.total_cell_area());
-        view.netlist.pad_positions = place_pads(view.netlist, region);
+        QuadraticPlacer placer(view.netlist);
+        view.netlist.pad_positions = placer.place_pads(region);
         PlacementNetlist& pnl = view.netlist;
         if (args.inject == "badpad" && !pnl.pad_positions.empty()) {
             pnl.pad_positions[0] = region.center();  // off the boundary ring
         }
-        const GlobalPlacement global = place_global(pnl, region);
+        const GlobalPlacement global = placer.place_global(pnl.pad_positions, region);
         DetailedPlacement detailed = legalize_rows(pnl, global);
         improve_rows(pnl, detailed);
         if (args.inject == "offchip" && !detailed.positions.empty()) {

@@ -36,7 +36,13 @@ StatusOr<FlowResult> run_backend_stages(StageExecutor& exec, const MappedNetlist
     const Rect region = make_region(view.netlist.total_cell_area(), opts.placement_utilization);
     out.region = region;
 
+    // One QuadraticPlacer per placed netlist. Without seed anchors the view
+    // itself is placed, so the placer that picks the pads also places the
+    // cells; with them, the anchored copy gets its own.
     const Rect seed_region = pads.has_value() ? pads->region : region;
+    QpCounters qp0 = qp_counters();
+    std::optional<PlacementNetlist> anchored;  // outlives the placer that reads it
+    std::optional<QuadraticPlacer> placer;
     if (pads.has_value()) {
         if (pads->positions.size() != view.netlist.pad_positions.size()) {
             return Status(StatusCode::InvariantViolation, "run_backend: pad count mismatch");
@@ -46,30 +52,36 @@ StatusOr<FlowResult> run_backend_stages(StageExecutor& exec, const MappedNetlist
                 rescale_point(pads->positions[i], pads->region, region);
         }
     } else {
-        view.netlist.pad_positions = place_pads(view.netlist, region);
+        placer.emplace(view.netlist);
+        view.netlist.pad_positions = placer->place_pads(region);
     }
 
     // Anchor the placement to the seed (Lily's constructive mapPositions):
     // parallel 2-pin nets to virtual pads keep the mapper's spatial intent
     // while the partitioning pass restores balance.
-    PlacementNetlist placed_netlist = view.netlist;
     if (seed_positions.has_value()) {
-        if (seed_positions->size() != placed_netlist.n_cells) {
+        if (seed_positions->size() != view.netlist.n_cells) {
             return Status(StatusCode::InvariantViolation,
                           "run_backend: seed position count mismatch");
         }
-        for (std::size_t c = 0; c < placed_netlist.n_cells; ++c) {
-            const std::size_t pad = placed_netlist.pad_positions.size();
-            placed_netlist.pad_positions.push_back(
+        anchored.emplace(view.netlist);
+        for (std::size_t c = 0; c < anchored->n_cells; ++c) {
+            const std::size_t pad = anchored->pad_positions.size();
+            anchored->pad_positions.push_back(
                 rescale_point((*seed_positions)[c], seed_region, region));
             for (int dup = 0; dup < 2; ++dup) {
                 PlacementNetlist::Net net;
                 net.cells = {c};
                 net.pads = {pad};
-                placed_netlist.nets.push_back(net);
+                anchored->nets.push_back(net);
             }
         }
+        // The placement span counts the netlist it places.
+        placer.reset();
+        qp0 = qp_counters();
     }
+    const PlacementNetlist& placed_netlist = anchored.has_value() ? *anchored : view.netlist;
+    if (!placer.has_value()) placer.emplace(placed_netlist);
 
     // ---- Placement stage (budgeted: exhaustion keeps the coarser result).
     GlobalPlacement global;
@@ -80,7 +92,10 @@ StatusOr<FlowResult> run_backend_stages(StageExecutor& exec, const MappedNetlist
         if (place_opts.budget == nullptr && place_budget.limited()) {
             place_opts.budget = &place_budget;
         }
-        global = place_global(placed_netlist, region, place_opts);
+        global = placer->place_global(placed_netlist.pad_positions, region, place_opts);
+        const QpCounters qp = qp_counters();
+        s.counter("qp_assemblies", static_cast<double>(qp.assemblies - qp0.assemblies));
+        s.counter("cg_iterations", static_cast<double>(qp.cg_iterations - qp0.cg_iterations));
         detailed = legalize_rows(view.netlist, global);
         improve_rows(view.netlist, detailed);
         if (global.budget_exhausted) {
@@ -409,7 +424,9 @@ StatusOr<FlowResult> run_lily_flow_checked(const Network& net, const Library& li
         StageBudget& map_budget = s.budget();
         if (lily.budget == nullptr && map_budget.limited()) lily.budget = &map_budget;
         LilyMapper mapper(lib);
+        const QpCounters qp0 = qp_counters();
         mapped = mapper.map_checked(sub->graph, lily);
+        const QpCounters qp = qp_counters();
         if (!mapped.is_ok()) {
             if (!s.rung("baseline-fallback")) {
                 s.failed();
@@ -436,6 +453,8 @@ StatusOr<FlowResult> run_lily_flow_checked(const Network& net, const Library& li
         s.counter("cone_order_ms", res.timing.cone_order_ms);
         s.counter("dp_ms", res.timing.dp_ms);
         s.counter("replace_ms", res.timing.replace_ms);
+        s.counter("qp_assemblies", static_cast<double>(qp.assemblies - qp0.assemblies));
+        s.counter("cg_iterations", static_cast<double>(qp.cg_iterations - qp0.cg_iterations));
         if (res.budget_exhausted) {
             s.degraded("mapping budget exhausted; " + std::to_string(res.degraded_nodes) +
                        " nodes covered with base gates only (" + map_budget.describe() + ")");

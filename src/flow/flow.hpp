@@ -111,10 +111,8 @@ struct FlowOptions {
     FlowBudget budget;
     /// Fallback/retry behavior when a stage fails or runs out of budget.
     RecoveryPolicy recovery;
-    /// Worker threads for the parallel kernels (placement assembly, CG).
-    /// 0 = LILY_THREADS from the environment, or the hardware concurrency
-    /// when unset. All reductions are deterministic: results are
-    /// bit-identical for every thread count.
+    /// Ignored: every flow runs on the calling thread. Kept for source
+    /// compatibility with callers that still set it.
     std::size_t threads = 0;
     /// Structured trace sink the StageExecutor emits spans/counters into
     /// (caller-owned; see util/trace.hpp). nullptr falls back to the

@@ -45,7 +45,6 @@ FlowOptions options_for(const JobSpec& spec) {
     opts.check = spec.options.check;
     opts.verify = spec.options.verify;
     opts.budget.total_ms = spec.options.budget_ms;
-    opts.threads = 1;  // not on the wire: a served job always runs on one thread
     if (spec.tier == JobTier::Degraded) {
         // The retry tier applies the recovery ladder's final rung up front:
         // the wire weight rung that PR 2's adaptive schedule ends on, with

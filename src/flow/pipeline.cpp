@@ -244,15 +244,8 @@ StatusOr<EcoStats> run_eco_flow_checked(PipelineState& state, const NetDelta& de
             }
         }
 
-        // Incremental HPWL bookkeeping: measure once on the seeded
-        // positions, then re-measure only the nets the local re-solve
-        // touched.
-        HpwlCache hpwl = build_hpwl_cache(view.netlist, positions);
-        const double hpwl_seeded = hpwl.total;
-
         const IncrementalPlacement placed = place_incremental(
             view.netlist, region, positions, dirty, state.opts.lily.placement);
-        const std::size_t nets_patched = update_hpwl(view.netlist, positions, dirty, hpwl);
         stats.placed_cells = placed.solved_cells;
         stats.total_cells = view.netlist.n_cells;
 
@@ -294,9 +287,7 @@ StatusOr<EcoStats> run_eco_flow_checked(PipelineState& state, const NetDelta& de
              std::to_string(view.netlist.n_cells) + " cell(s) re-solved locally (" +
              std::to_string(placed.cg_iterations) + " CG iterations); " +
              std::to_string(legal.repacked_rows) + " of " + std::to_string(detailed.n_rows) +
-             " row(s) re-packed; HPWL " + std::to_string(hpwl_seeded) + " -> " +
-             std::to_string(hpwl.total) + " re-measuring " + std::to_string(nets_patched) +
-             " of " + std::to_string(view.netlist.nets.size()) + " nets");
+             " row(s) re-packed");
     });
 
     if (reflow_reason.has_value()) {

@@ -496,20 +496,21 @@ StatusOr<LilyResult> LilyMapper::map_checked(
     std::optional<std::vector<Point>> pad_positions) const {
     LilyResult result;
 
-    // ---- Stage 0: pads + balanced global placement of the inchoate network.
+    // ---- Stage 0: pads + balanced global placement of the inchoate network,
+    // both against one assembled Laplacian.
     SubjectPlacementView view = make_placement_view(g);
     const Rect region = make_region(view.netlist.total_cell_area());
-    std::vector<Point> pads = pad_positions.has_value()
-                                  ? std::move(*pad_positions)
-                                  : place_pads(view.netlist, region);
+    const Clock::time_point t_place = Clock::now();
+    QuadraticPlacer placer(view.netlist);
+    std::vector<Point> pads = pad_positions.has_value() ? std::move(*pad_positions)
+                                                        : placer.place_pads(region);
     if (pads.size() != view.netlist.pad_positions.size()) {
         return Status(StatusCode::InvariantViolation, "LilyMapper: wrong pad position count");
     }
     view.netlist.pad_positions = pads;
     GlobalPlacementOptions place_opts = opts.placement;
     if (place_opts.budget == nullptr) place_opts.budget = opts.budget;
-    const Clock::time_point t_place = Clock::now();
-    GlobalPlacement inchoate = place_global(view.netlist, region, place_opts);
+    GlobalPlacement inchoate = placer.place_global(pads, region, place_opts);
     result.timing.inchoate_place_ms = ms_since(t_place);
     if (inchoate.budget_exhausted) result.budget_exhausted = true;
     bool diverged = fault_enabled("placement", "diverge");

@@ -108,7 +108,7 @@ struct LilyNodeSolution {
 /// setup_ms; remap_checked runs no placement and sets setup_ms,
 /// cone_order_ms, dp_ms and extract_ms.
 struct LilyPhaseTimes {
-    double inchoate_place_ms = 0.0;  // global placement of the inchoate network
+    double inchoate_place_ms = 0.0;  // pad and global placement of the inchoate network
     double setup_ms = 0.0;           // remap: resuming the prior DP state
     double cone_order_ms = 0.0;      // cone partition, exit-line ordering, buckets
     double dp_ms = 0.0;              // per-cone DP and commits, re-placement excluded

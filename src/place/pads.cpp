@@ -40,29 +40,43 @@ std::vector<Point> uniform_pad_ring(std::size_t n_pads, const Rect& region) {
 }
 
 std::vector<Point> place_pads(const PlacementNetlist& nl, const Rect& region) {
+    if (nl.pad_positions.empty()) return {};
+    return QuadraticPlacer(nl).place_pads(region);
+}
+
+std::vector<Point> QuadraticPlacer::place_pads(const Rect& region) {
+    const PlacementNetlist& nl = nl_;
     const std::size_t n_pads = nl.pad_positions.size();
     if (n_pads == 0) return {};
 
     // Seed: pads uniform around the ring in index order, cells placed by one
     // quadratic solve against that ring.
-    PlacementNetlist seeded = nl;
-    seeded.pad_positions = uniform_pad_ring(n_pads, region);
-    const GlobalPlacement seed = place_quadratic(seeded, region);
+    const std::vector<Point> ring = uniform_pad_ring(n_pads, region);
+    const GlobalPlacement seed = place_quadratic(ring, region);
 
     // Desired angular position of each pad: the center of mass of the cells
-    // (and the seed itself, as a tiebreaker) on its nets.
-    std::vector<double> angle(n_pads);
-    for (std::size_t p = 0; p < n_pads; ++p) {
-        Point sum{};
-        double cnt = 0;
-        for (const PlacementNetlist::Net& net : nl.nets) {
-            if (std::find(net.pads.begin(), net.pads.end(), p) == net.pads.end()) continue;
+    // (and the seed itself, as a tiebreaker) on its nets. One pass over the
+    // nets adds each net's cells to each of its pads, so every pad sums in
+    // net and then cell order; a pad listed twice in one net counts that
+    // net once.
+    constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+    std::vector<Point> sum(n_pads);
+    std::vector<double> cnt(n_pads, 0.0);
+    std::vector<std::size_t> last_net(n_pads, kNone);
+    for (std::size_t ni = 0; ni < nl.nets.size(); ++ni) {
+        const PlacementNetlist::Net& net = nl.nets[ni];
+        for (const std::size_t p : net.pads) {
+            if (last_net[p] == ni) continue;
+            last_net[p] = ni;
             for (const std::size_t c : net.cells) {
-                sum += seed.positions[c];
-                cnt += 1.0;
+                sum[p] += seed.positions[c];
+                cnt[p] += 1.0;
             }
         }
-        const Point target = cnt > 0 ? sum / cnt : seeded.pad_positions[p];
+    }
+    std::vector<double> angle(n_pads);
+    for (std::size_t p = 0; p < n_pads; ++p) {
+        const Point target = cnt[p] > 0 ? sum[p] / cnt[p] : ring[p];
         angle[p] = angle_from_center(region, target);
     }
 

@@ -9,10 +9,13 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "util/budget.hpp"
 #include "util/geometry.hpp"
+#include "util/sparse.hpp"
 
 namespace lily {
 
@@ -33,6 +36,9 @@ struct PlacementNetlist {
     void check() const;  // throws std::logic_error on bad indices
 };
 
+/// Every placer entry point validates its options: max_cells_per_region
+/// and cg_max_iters >= 1, anchor_weight and cg_tolerance finite and > 0
+/// (std::invalid_argument otherwise).
 struct GlobalPlacementOptions {
     /// Stop partitioning when a region holds at most this many cells. The
     /// paper stops early on purpose: a *global* placement (several modules
@@ -76,6 +82,59 @@ GlobalPlacement place_quadratic(const PlacementNetlist& nl, const Rect& region,
 /// by the angular position of their connected cells' center of mass.
 /// `nl.pad_positions` is ignored on input; returns one boundary point per pad.
 std::vector<Point> place_pads(const PlacementNetlist& nl, const Rect& region);
+
+/// The quadratic placer of one netlist. Its clique Laplacian depends only
+/// on the connectivity — pad positions enter only the right-hand side — so
+/// it is assembled once, at construction, and serves the pad-placement seed
+/// solve, the level-0 solve and every partitioning round; each call only
+/// recomputes the pad right-hand side. The free functions above build a
+/// throwaway placer; a flow that places pads and then cells on one netlist
+/// keeps one. The netlist must outlive the placer, and its connectivity
+/// must not change while the placer lives.
+class QuadraticPlacer {
+public:
+    explicit QuadraticPlacer(const PlacementNetlist& nl);
+
+    /// place_pads(nl, region).
+    std::vector<Point> place_pads(const Rect& region);
+    /// place_quadratic / place_global with `pads` (one per netlist pad)
+    /// standing in for nl.pad_positions.
+    GlobalPlacement place_quadratic(std::span<const Point> pads, const Rect& region,
+                                    const GlobalPlacementOptions& opts = {});
+    GlobalPlacement place_global(std::span<const Point> pads, const Rect& region,
+                                 const GlobalPlacementOptions& opts = {});
+
+private:
+    /// Pad springs in (net, cell, pad) assembly order: the right-hand side
+    /// adds w * pad position to the cell's row in exactly this order.
+    struct PadTerm {
+        std::uint32_t cell;
+        std::uint32_t pad;
+        double w;
+    };
+
+    void set_pads(std::span<const Point> pads);
+    bool solve(std::span<const Point> anchor_pos, std::span<const double> anchor_w,
+               const GlobalPlacementOptions& opts, std::vector<Point>& positions);
+
+    const PlacementNetlist& nl_;
+    SparseMatrix a_;  // springs + pad anchors, one anchor slot per row
+    std::vector<PadTerm> pad_terms_;
+    std::vector<double> base_bx_, base_by_;  // pad rhs, before region anchors
+    std::vector<double> bx_, by_, x_, y_;    // per-solve scratch
+    CgWorkspace cg_x_, cg_y_;
+};
+
+/// This thread's running totals of full-netlist placement work: Laplacian
+/// assemblies (one per QuadraticPlacer) and the CG iterations of the solves
+/// against them, both axes summed. Flow trace spans report the delta over
+/// the work they cover; placement is single-threaded, so a flow's work all
+/// lands on its own thread.
+struct QpCounters {
+    std::size_t assemblies = 0;
+    std::size_t cg_iterations = 0;
+};
+QpCounters qp_counters();
 
 /// Uniformly spaced boundary slots (pads in given order); the trivial pad
 /// placement used as an ablation baseline.
@@ -147,21 +206,6 @@ IncrementalLegalization legalize_rows_incremental(const PlacementNetlist& nl,
 
 /// Total half-perimeter wirelength of all nets under the given positions.
 double total_hpwl(const PlacementNetlist& nl, std::span<const Point> cell_positions);
-
-/// Per-net HPWL cache for incremental wirelength bookkeeping: build once
-/// against a full placement, then re-measure only the nets incident to the
-/// cells an ECO moved. `total` accumulates the patches in net order; it can
-/// drift from a fresh total_hpwl by float rounding only (diagnostic use).
-struct HpwlCache {
-    std::vector<double> net_hpwl;                     // per net
-    std::vector<std::vector<std::size_t>> nets_of_cell;
-    double total = 0.0;
-};
-HpwlCache build_hpwl_cache(const PlacementNetlist& nl, std::span<const Point> cell_positions);
-/// Re-measure the nets incident to `moved_cells` under the new positions and
-/// patch the cache. Returns the number of nets re-measured.
-std::size_t update_hpwl(const PlacementNetlist& nl, std::span<const Point> cell_positions,
-                        std::span<const std::size_t> moved_cells, HpwlCache& cache);
 
 /// Sum of squared Euclidean lengths over the clique net model — the
 /// objective place_global minimizes (for monotonicity tests).

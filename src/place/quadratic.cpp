@@ -1,12 +1,8 @@
 #include <algorithm>
 #include <cmath>
-#include <optional>
 #include <stdexcept>
-#include <tuple>
 
 #include "place/placement.hpp"
-#include "util/parallel.hpp"
-#include "util/sparse.hpp"
 
 namespace lily {
 
@@ -30,121 +26,22 @@ void PlacementNetlist::check() const {
 
 namespace {
 
-/// Nets per assembly chunk. Fixed (thread-count independent) so the
-/// concatenated triplet sequence matches the serial order exactly.
-constexpr std::size_t kNetGrain = 256;
+thread_local QpCounters t_qp;
 
-/// The connectivity part of the quadratic system, built once per placement:
-/// clique springs with weight 2/k per pin pair, pad springs folded into the
-/// diagonal and the right-hand side. Region anchors are the only thing that
-/// changes between partitioning rounds, and they are pure diagonal + rhs
-/// terms — so each round refolds the anchor slot in place (set_anchor,
-/// bit-identical to a full re-assembly with that weight) instead of
-/// re-building and re-sorting every triplet.
-struct QpSystem {
-    SparseMatrix a;                  // springs + pads, anchor slots reserved
-    std::vector<double> base_bx;     // rhs before region anchors
-    std::vector<double> base_by;
-    // Scratch reused across rounds (rhs with anchors applied), plus one CG
-    // workspace per axis — the axis solves may run concurrently, and after
-    // the first round the solves allocate nothing.
-    std::vector<double> bx, by, x, y;
-    CgWorkspace cg_x, cg_y;
-};
-
-QpSystem build_qp_system(const PlacementNetlist& nl) {
-    const std::size_t n = nl.n_cells;
-    QpSystem sys;
-    sys.base_bx.assign(n, 0.0);
-    sys.base_by.assign(n, 0.0);
-
-    // Per-chunk assembly: each chunk of nets produces its own triplet list
-    // and rhs contributions; chunks are then concatenated / applied in
-    // chunk order, which reproduces the serial net-by-net sequence (and
-    // with it the exact floating-point sums) for any thread count.
-    struct ChunkOut {
-        std::optional<SparseMatrix::Builder> builder;
-        std::vector<std::tuple<std::size_t, double, double>> rhs;  // cell, +bx, +by
-    };
-    const std::size_t n_chunks = parallel_chunk_count(nl.nets.size(), kNetGrain);
-    std::vector<ChunkOut> chunks(n_chunks);
-    parallel_for(
-        0, nl.nets.size(),
-        [&](std::size_t begin, std::size_t end) {
-            ChunkOut& out = chunks[begin / kNetGrain];
-            out.builder.emplace(n);
-            for (std::size_t ni = begin; ni < end; ++ni) {
-                const PlacementNetlist::Net& net = nl.nets[ni];
-                const std::size_t k = net.pin_count();
-                if (k < 2) continue;
-                const double w = 2.0 / static_cast<double>(k);
-                // Cell-cell springs.
-                for (std::size_t i = 0; i < net.cells.size(); ++i) {
-                    for (std::size_t j = i + 1; j < net.cells.size(); ++j) {
-                        out.builder->add_spring(net.cells[i], net.cells[j], w);
-                    }
-                    // Cell-pad springs (pad is fixed: diagonal + rhs).
-                    for (const std::size_t p : net.pads) {
-                        out.builder->add_anchor(net.cells[i], w);
-                        out.rhs.emplace_back(net.cells[i], w * nl.pad_positions[p].x,
-                                             w * nl.pad_positions[p].y);
-                    }
-                }
-            }
-        },
-        kNetGrain);
-
-    SparseMatrix::Builder builder(n);
-    for (ChunkOut& c : chunks) {
-        if (c.builder.has_value()) builder.merge(std::move(*c.builder));
-        for (const auto& [cell, dx, dy] : c.rhs) {
-            sys.base_bx[cell] += dx;
-            sys.base_by[cell] += dy;
-        }
+void validate(const GlobalPlacementOptions& opts) {
+    const auto positive = [](double v) { return std::isfinite(v) && v > 0.0; };
+    if (opts.max_cells_per_region < 1) {
+        throw std::invalid_argument("placement: max_cells_per_region must be >= 1");
     }
-    // Reserve a refreshable anchor slot on every diagonal; per-round anchor
-    // weights are folded in by set_anchor in the slot's exact sort position.
-    for (std::size_t c = 0; c < n; ++c) builder.add_anchor_slot(c);
-
-    sys.a = std::move(builder).build();
-    sys.bx.resize(n);
-    sys.by.resize(n);
-    sys.x.resize(n);
-    sys.y.resize(n);
-    return sys;
-}
-
-/// One quadratic solve against the prebuilt system: region anchors go into
-/// the diagonal and rhs, then the x and y axes are solved independently.
-/// Returns false when the stage budget fired before both axes converged.
-bool solve_qp(QpSystem& sys, const PlacementNetlist& nl, std::span<const Point> anchor_pos,
-              std::span<const double> anchor_w, const GlobalPlacementOptions& opts,
-              std::vector<Point>& positions) {
-    const std::size_t n = nl.n_cells;
-    if (n == 0) return true;
-
-    parallel_for(0, n, [&](std::size_t begin, std::size_t end) {
-        for (std::size_t c = begin; c < end; ++c) {
-            const double w = std::max(anchor_w[c], 1e-9);
-            sys.a.set_anchor(c, w);
-            sys.bx[c] = sys.base_bx[c] + w * anchor_pos[c].x;
-            sys.by[c] = sys.base_by[c] + w * anchor_pos[c].y;
-            sys.x[c] = positions[c].x;
-            sys.y[c] = positions[c].y;
-        }
-    });
-
-    // Both axes share one Laplacian, so the lockstep pair solver streams the
-    // matrix once per iteration for the two right-hand sides. Each axis's
-    // arithmetic is exactly a standalone conjugate_gradient call, so the
-    // positions stay bit-identical to sequential axis solves.
-    const auto [rx, ry] =
-        conjugate_gradient_pair(sys.a, sys.bx, sys.x, sys.cg_x, sys.by, sys.y, sys.cg_y,
-                                opts.cg_tolerance, opts.cg_max_iters, opts.budget);
-    parallel_for(0, n, [&](std::size_t begin, std::size_t end) {
-        for (std::size_t c = begin; c < end; ++c) positions[c] = {sys.x[c], sys.y[c]};
-    });
-    return !rx.budget_exhausted && !ry.budget_exhausted;
+    if (!positive(opts.anchor_weight)) {
+        throw std::invalid_argument("placement: anchor_weight must be finite and > 0");
+    }
+    if (!positive(opts.cg_tolerance)) {
+        throw std::invalid_argument("placement: cg_tolerance must be finite and > 0");
+    }
+    if (opts.cg_max_iters < 1) {
+        throw std::invalid_argument("placement: cg_max_iters must be >= 1");
+    }
 }
 
 struct Region {
@@ -154,30 +51,110 @@ struct Region {
 
 }  // namespace
 
-GlobalPlacement place_quadratic(const PlacementNetlist& nl, const Rect& region,
-                                const GlobalPlacementOptions& opts) {
+QpCounters qp_counters() { return t_qp; }
+
+// The connectivity part of the quadratic system: clique springs with weight
+// 2/k per pin pair, and pad springs folded into the diagonal (their
+// positions go to the right-hand side, see set_pads). Region anchors are
+// the only matrix terms that change between solves, and they touch only
+// the diagonal and the right-hand side — so each solve refolds the anchor
+// slot in place (set_anchor, bit-identical to a full re-assembly with that
+// weight) instead of re-building and re-sorting every triplet.
+QuadraticPlacer::QuadraticPlacer(const PlacementNetlist& nl) : nl_(nl) {
     nl.check();
+    const std::size_t n = nl.n_cells;
+    SparseMatrix::Builder builder(n);
+    for (const PlacementNetlist::Net& net : nl.nets) {
+        const std::size_t k = net.pin_count();
+        if (k < 2) continue;
+        const double w = 2.0 / static_cast<double>(k);
+        for (std::size_t i = 0; i < net.cells.size(); ++i) {
+            // Cell-cell springs.
+            for (std::size_t j = i + 1; j < net.cells.size(); ++j) {
+                builder.add_spring(net.cells[i], net.cells[j], w);
+            }
+            // Cell-pad springs (pad is fixed: diagonal + rhs).
+            for (const std::size_t p : net.pads) {
+                builder.add_anchor(net.cells[i], w);
+                pad_terms_.push_back({static_cast<std::uint32_t>(net.cells[i]),
+                                      static_cast<std::uint32_t>(p), w});
+            }
+        }
+    }
+    // Reserve a refreshable anchor slot on every diagonal; per-solve anchor
+    // weights are folded in by set_anchor in the slot's exact sort position.
+    for (std::size_t c = 0; c < n; ++c) builder.add_anchor_slot(c);
+    a_ = std::move(builder).build();
+    bx_.resize(n);
+    by_.resize(n);
+    x_.resize(n);
+    y_.resize(n);
+    ++t_qp.assemblies;
+}
+
+void QuadraticPlacer::set_pads(std::span<const Point> pads) {
+    if (pads.size() != nl_.pad_positions.size()) {
+        throw std::invalid_argument("QuadraticPlacer: pad count mismatch");
+    }
+    base_bx_.assign(nl_.n_cells, 0.0);
+    base_by_.assign(nl_.n_cells, 0.0);
+    for (const PadTerm& t : pad_terms_) {
+        base_bx_[t.cell] += t.w * pads[t.pad].x;
+        base_by_[t.cell] += t.w * pads[t.pad].y;
+    }
+}
+
+/// One quadratic solve against the assembled system: region anchors go into
+/// the diagonal and rhs, then both axes are solved. Returns false when the
+/// stage budget fired before both axes converged.
+bool QuadraticPlacer::solve(std::span<const Point> anchor_pos, std::span<const double> anchor_w,
+                            const GlobalPlacementOptions& opts, std::vector<Point>& positions) {
+    const std::size_t n = nl_.n_cells;
+    if (n == 0) return true;
+    for (std::size_t c = 0; c < n; ++c) {
+        const double w = std::max(anchor_w[c], 1e-9);
+        a_.set_anchor(c, w);
+        bx_[c] = base_bx_[c] + w * anchor_pos[c].x;
+        by_[c] = base_by_[c] + w * anchor_pos[c].y;
+        x_[c] = positions[c].x;
+        y_[c] = positions[c].y;
+    }
+    // Both axes share one Laplacian, so the lockstep pair solver streams the
+    // matrix once per iteration for the two right-hand sides. Each axis's
+    // arithmetic is exactly a standalone conjugate_gradient call.
+    const auto [rx, ry] = conjugate_gradient_pair(a_, bx_, x_, cg_x_, by_, y_, cg_y_,
+                                                  opts.cg_tolerance, opts.cg_max_iters,
+                                                  opts.budget);
+    t_qp.cg_iterations += rx.iterations + ry.iterations;
+    for (std::size_t c = 0; c < n; ++c) positions[c] = {x_[c], y_[c]};
+    return !rx.budget_exhausted && !ry.budget_exhausted;
+}
+
+GlobalPlacement QuadraticPlacer::place_quadratic(std::span<const Point> pads, const Rect& region,
+                                                 const GlobalPlacementOptions& opts) {
+    validate(opts);
+    set_pads(pads);
     GlobalPlacement out;
     out.region = region;
-    out.positions.assign(nl.n_cells, region.center());
-    std::vector<Point> anchor_pos(nl.n_cells, region.center());
-    std::vector<double> anchor_w(nl.n_cells, opts.anchor_weight * 1e-3);
-    QpSystem sys = build_qp_system(nl);
-    out.budget_exhausted = !solve_qp(sys, nl, anchor_pos, anchor_w, opts, out.positions);
+    out.positions.assign(nl_.n_cells, region.center());
+    const std::vector<Point> anchor_pos(nl_.n_cells, region.center());
+    const std::vector<double> anchor_w(nl_.n_cells, opts.anchor_weight * 1e-3);
+    out.budget_exhausted = !solve(anchor_pos, anchor_w, opts, out.positions);
     return out;
 }
 
-GlobalPlacement place_global(const PlacementNetlist& nl, const Rect& region,
-                             const GlobalPlacementOptions& opts) {
-    GlobalPlacement out = place_quadratic(nl, region, opts);
+GlobalPlacement QuadraticPlacer::place_global(std::span<const Point> pads, const Rect& region,
+                                              const GlobalPlacementOptions& opts) {
+    GlobalPlacement out = place_quadratic(pads, region, opts);
+    const PlacementNetlist& nl = nl_;
     if (nl.n_cells == 0) return out;
 
     // Recursive bipartitioning with center-of-mass anchoring (GORDIAN
     // style): regions are split along their longer side, cells are divided
     // by their current coordinate so each half receives (close to) half the
     // cell area, then the whole system is re-solved with every cell pulled
-    // toward its region center. The connectivity Laplacian is shared across
-    // all rounds; only the anchor diagonal changes (see QpSystem).
+    // toward its region center. Only the anchor diagonal changes between
+    // rounds (see solve).
     std::vector<Region> regions(1);
     regions[0].rect = region;
     regions[0].cells.resize(nl.n_cells);
@@ -186,7 +163,6 @@ GlobalPlacement place_global(const PlacementNetlist& nl, const Rect& region,
     double anchor = opts.anchor_weight;
     std::vector<Point> anchor_pos(nl.n_cells, region.center());
     std::vector<double> anchor_w(nl.n_cells, 0.0);
-    QpSystem sys = build_qp_system(nl);
 
     while (true) {
         // Budget guard: stop refining and keep the coarser (still legal)
@@ -195,74 +171,48 @@ GlobalPlacement place_global(const PlacementNetlist& nl, const Rect& region,
             out.budget_exhausted = true;
             break;
         }
-        // Split every oversized region. Region splits are independent (the
-        // per-region cell sort dominates), so they run in parallel; results
-        // land in per-region slots and are concatenated in region order, so
-        // the refinement sequence matches the serial one exactly.
-        struct SplitOut {
-            bool split = false;
-            Region lo, hi;      // when split
-            Region keep;        // when kept as-is
-        };
-        std::vector<SplitOut> splits(regions.size());
-        parallel_for(
-            0, regions.size(),
-            [&](std::size_t begin, std::size_t end) {
-                for (std::size_t ri = begin; ri < end; ++ri) {
-                    Region& r = regions[ri];
-                    SplitOut& s = splits[ri];
-                    if (r.cells.size() <= opts.max_cells_per_region) {
-                        s.keep = std::move(r);
-                        continue;
-                    }
-                    s.split = true;
-                    const bool split_x = r.rect.width() >= r.rect.height();
-                    std::sort(r.cells.begin(), r.cells.end(),
-                              [&](std::size_t a, std::size_t b) {
-                                  return split_x ? out.positions[a].x < out.positions[b].x
-                                                 : out.positions[a].y < out.positions[b].y;
-                              });
-                    // Area-balanced cut point.
-                    double total = 0.0;
-                    for (const std::size_t c : r.cells) total += nl.cell_area[c];
-                    double acc = 0.0;
-                    std::size_t cut = 0;
-                    while (cut < r.cells.size() &&
-                           acc + nl.cell_area[r.cells[cut]] / 2.0 < total / 2.0) {
-                        acc += nl.cell_area[r.cells[cut]];
-                        ++cut;
-                    }
-                    cut = std::clamp<std::size_t>(cut, 1, r.cells.size() - 1);
-                    const double frac = total > 0 ? acc / total : 0.5;
-
-                    if (split_x) {
-                        const double split_at = r.rect.ll.x + r.rect.width() * frac;
-                        s.lo.rect = {r.rect.ll, {split_at, r.rect.ur.y}};
-                        s.hi.rect = {{split_at, r.rect.ll.y}, r.rect.ur};
-                    } else {
-                        const double split_at = r.rect.ll.y + r.rect.height() * frac;
-                        s.lo.rect = {r.rect.ll, {r.rect.ur.x, split_at}};
-                        s.hi.rect = {{r.rect.ll.x, split_at}, r.rect.ur};
-                    }
-                    s.lo.cells.assign(r.cells.begin(),
-                                      r.cells.begin() + static_cast<std::ptrdiff_t>(cut));
-                    s.hi.cells.assign(r.cells.begin() + static_cast<std::ptrdiff_t>(cut),
-                                      r.cells.end());
-                }
-            },
-            /*grain=*/1);
-
+        // Split every oversized region, in region order.
         bool any_split = false;
         std::vector<Region> next;
         next.reserve(regions.size() * 2);
-        for (SplitOut& s : splits) {
-            if (s.split) {
-                any_split = true;
-                next.push_back(std::move(s.lo));
-                next.push_back(std::move(s.hi));
-            } else {
-                next.push_back(std::move(s.keep));
+        for (Region& r : regions) {
+            if (r.cells.size() <= opts.max_cells_per_region) {
+                next.push_back(std::move(r));
+                continue;
             }
+            any_split = true;
+            const bool split_x = r.rect.width() >= r.rect.height();
+            std::sort(r.cells.begin(), r.cells.end(), [&](std::size_t a, std::size_t b) {
+                return split_x ? out.positions[a].x < out.positions[b].x
+                               : out.positions[a].y < out.positions[b].y;
+            });
+            // Area-balanced cut point.
+            double total = 0.0;
+            for (const std::size_t c : r.cells) total += nl.cell_area[c];
+            double acc = 0.0;
+            std::size_t cut = 0;
+            while (cut < r.cells.size() && acc + nl.cell_area[r.cells[cut]] / 2.0 < total / 2.0) {
+                acc += nl.cell_area[r.cells[cut]];
+                ++cut;
+            }
+            cut = std::clamp<std::size_t>(cut, 1, r.cells.size() - 1);
+            const double frac = total > 0 ? acc / total : 0.5;
+
+            Region lo, hi;
+            if (split_x) {
+                const double split_at = r.rect.ll.x + r.rect.width() * frac;
+                lo.rect = {r.rect.ll, {split_at, r.rect.ur.y}};
+                hi.rect = {{split_at, r.rect.ll.y}, r.rect.ur};
+            } else {
+                const double split_at = r.rect.ll.y + r.rect.height() * frac;
+                lo.rect = {r.rect.ll, {r.rect.ur.x, split_at}};
+                hi.rect = {{r.rect.ll.x, split_at}, r.rect.ur};
+            }
+            const auto mid = r.cells.begin() + static_cast<std::ptrdiff_t>(cut);
+            lo.cells.assign(r.cells.begin(), mid);
+            hi.cells.assign(mid, r.cells.end());
+            next.push_back(std::move(lo));
+            next.push_back(std::move(hi));
         }
         regions = std::move(next);
         if (!any_split) break;
@@ -274,7 +224,7 @@ GlobalPlacement place_global(const PlacementNetlist& nl, const Rect& region,
                 anchor_w[c] = anchor;
             }
         }
-        if (!solve_qp(sys, nl, anchor_pos, anchor_w, opts, out.positions)) {
+        if (!solve(anchor_pos, anchor_w, opts, out.positions)) {
             out.budget_exhausted = true;
             break;
         }
@@ -287,6 +237,16 @@ GlobalPlacement place_global(const PlacementNetlist& nl, const Rect& region,
         p.y = std::clamp(p.y, region.ll.y, region.ur.y);
     }
     return out;
+}
+
+GlobalPlacement place_quadratic(const PlacementNetlist& nl, const Rect& region,
+                                const GlobalPlacementOptions& opts) {
+    return QuadraticPlacer(nl).place_quadratic(nl.pad_positions, region, opts);
+}
+
+GlobalPlacement place_global(const PlacementNetlist& nl, const Rect& region,
+                             const GlobalPlacementOptions& opts) {
+    return QuadraticPlacer(nl).place_global(nl.pad_positions, region, opts);
 }
 
 IncrementalPlacement place_incremental(const PlacementNetlist& nl, const Rect& region,
@@ -317,8 +277,8 @@ IncrementalPlacement place_incremental(const PlacementNetlist& nl, const Rect& r
     const std::size_t n = cells.size();
 
     // Dirty subsystem: clique springs between dirty pins, frozen pins folded
-    // into the diagonal and the right-hand side (exactly how build_qp_system
-    // treats pads). Serial assembly — ECO edits keep n small.
+    // into the diagonal and the right-hand side (exactly how the
+    // QuadraticPlacer treats pads).
     SparseMatrix::Builder builder(n);
     std::vector<double> bx(n, 0.0), by(n, 0.0);
     for (const PlacementNetlist::Net& net : nl.nets) {
@@ -397,43 +357,6 @@ double total_hpwl(const PlacementNetlist& nl, std::span<const Point> cell_positi
         sum += bb.half_perimeter();
     }
     return sum;
-}
-
-HpwlCache build_hpwl_cache(const PlacementNetlist& nl, std::span<const Point> cell_positions) {
-    HpwlCache cache;
-    cache.net_hpwl.resize(nl.nets.size());
-    cache.nets_of_cell.resize(nl.n_cells);
-    for (std::size_t ni = 0; ni < nl.nets.size(); ++ni) {
-        const PlacementNetlist::Net& net = nl.nets[ni];
-        Rect bb;
-        for (const std::size_t c : net.cells) {
-            bb.expand(cell_positions[c]);
-            cache.nets_of_cell[c].push_back(ni);
-        }
-        for (const std::size_t p : net.pads) bb.expand(nl.pad_positions[p]);
-        cache.net_hpwl[ni] = bb.half_perimeter();
-        cache.total += cache.net_hpwl[ni];
-    }
-    return cache;
-}
-
-std::size_t update_hpwl(const PlacementNetlist& nl, std::span<const Point> cell_positions,
-                        std::span<const std::size_t> moved_cells, HpwlCache& cache) {
-    std::vector<std::size_t> touched;
-    for (const std::size_t c : moved_cells) {
-        for (const std::size_t ni : cache.nets_of_cell[c]) touched.push_back(ni);
-    }
-    std::sort(touched.begin(), touched.end());
-    touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
-    for (const std::size_t ni : touched) {
-        const PlacementNetlist::Net& net = nl.nets[ni];
-        Rect bb;
-        for (const std::size_t c : net.cells) bb.expand(cell_positions[c]);
-        for (const std::size_t p : net.pads) bb.expand(nl.pad_positions[p]);
-        cache.total += bb.half_perimeter() - cache.net_hpwl[ni];
-        cache.net_hpwl[ni] = bb.half_perimeter();
-    }
-    return touched.size();
 }
 
 double quadratic_objective(const PlacementNetlist& nl, std::span<const Point> cell_positions) {

@@ -58,11 +58,6 @@ public:
                                  /*anchor_slot=*/true});
         }
 
-        /// Append another builder's entries (in their original order) —
-        /// used to stitch per-chunk assemblies back together so a parallel
-        /// build produces the same triplet sequence as a serial one.
-        void merge(Builder&& other);
-
         SparseMatrix build() &&;
 
     private:
@@ -91,53 +86,33 @@ public:
     /// the kernel microbenchmarks normalize by.
     std::size_t nonzeros() const { return val_.size(); }
 
-    /// y = A x. Parallelized over row ranges (per-row sums are serial, so
-    /// the result is bit-identical for any thread count).
+    /// y = A x. Each row is an ascending left-fold of its stored entries.
     void multiply(std::span<const double> x, std::span<double> y) const;
 
-    /// Fused y = A x with xy[i] = x[i] * y[i] computed in the same parallel
-    /// pass. The caller's serial left-fold of xy then equals dot(x, y)
-    /// bit-for-bit (identical multiplies, identical add order; the build
-    /// targets baseline x86-64, so no FMA contraction can merge them), and
-    /// the extra passes re-reading x and y vanish.
-    void multiply_dot(std::span<const double> x, std::span<double> y,
-                      std::span<double> xy) const;
+    /// y = A x, returning the ascending left-fold of x[i] * y[i] — exactly
+    /// dot(x, y) after multiply() (identical multiplies, identical add
+    /// order; the build targets baseline x86-64, so no FMA contraction can
+    /// merge them), without re-reading x and y.
+    double multiply_dot_fold(std::span<const double> x, std::span<double> y) const;
 
-    /// Fused CG setup pass: r = b - A x and rr[i] = r[i] * r[i] in one
-    /// sweep. Each element sees exactly the arithmetic of multiply()
-    /// followed by the two-op residual pass, so the result — and the serial
-    /// fold of rr — is bit-identical to the unfused sequence.
-    void multiply_residual(std::span<const double> x, std::span<const double> b,
-                           std::span<double> r, std::span<double> rr) const;
-
-    /// multiply_dot plus the serial left-fold of xy, returned. When the
-    /// row loop would run on parallel_for's serial fast path anyway, the
-    /// fold is accumulated inline in row order — the same products added in
-    /// the same sequence, without ever touching the xy array — so the value
-    /// (and y) is bit-identical to multiply_dot followed by a serial fold
-    /// at any thread count.
-    double multiply_dot_fold(std::span<const double> x, std::span<double> y,
-                             std::span<double> xy) const;
-
-    /// multiply_residual plus the serial left-fold of rr, returned; same
-    /// serial-path fusion (and the same bit-identity argument) as
-    /// multiply_dot_fold.
+    /// CG setup pass: r = b - A x, returning the ascending left-fold of
+    /// r[i] * r[i] — the same bits as multiply() followed by the residual
+    /// and dot passes.
     double multiply_residual_fold(std::span<const double> x, std::span<const double> b,
-                                  std::span<double> r, std::span<double> rr) const;
+                                  std::span<double> r) const;
 
-    /// Dual right-hand-side multiply_dot_fold: one sweep over the matrix
-    /// entries serves two independent vectors, so the val_/col_ stream —
-    /// the bandwidth that bounds the solver — is fetched once instead of
-    /// twice. Each side keeps its own accumulator and folds its own
-    /// products in the identical ascending order, so y1/fold1 (and
-    /// y2/fold2) are bit-for-bit what two separate multiply_dot_fold calls
-    /// would produce.
+    /// multiply_dot_fold for two vectors in one sweep, two rows at a time:
+    /// the val_/col_ stream — the bandwidth that bounds the solver — is
+    /// fetched once for both, and the four row accumulators are independent
+    /// dependency chains. Each side folds its own rows in ascending order,
+    /// so y1/fold1 (and y2/fold2) are bit-for-bit what two separate
+    /// multiply_dot_fold calls produce.
     void multiply_dot_fold2(std::span<const double> x1, std::span<double> y1,
-                            std::span<double> xy1, std::span<const double> x2,
-                            std::span<double> y2, std::span<double> xy2, double& fold1,
+                            std::span<const double> x2, std::span<double> y2, double& fold1,
                             double& fold2) const;
 
     double diagonal(std::size_t i) const { return diag_[i]; }
+    std::span<const double> diagonals() const { return diag_; }
 
     /// True when row i has an explicit (i, i) entry — required before
     /// set_diagonal. Reserve the slot with add_anchor(i, 0.0) at build time.
@@ -194,12 +169,11 @@ struct CgResult {
 };
 
 /// Reusable CG solve vectors (residual, preconditioned residual, search
-/// direction, A*p, and the fused elementwise-product scratch). The placer
-/// calls CG once per axis per partitioning round; keeping one workspace per
-/// axis across rounds makes the steady-state solve allocation-free.
-/// Not thread-safe — concurrent solves need their own workspace each.
+/// direction and A*p). The placer calls CG once per axis per partitioning
+/// round; keeping one workspace per axis across rounds makes the
+/// steady-state solve allocation-free.
 struct CgWorkspace {
-    std::vector<double> r, z, p, ap, prod;
+    std::vector<double> r, z, p, ap;
 };
 
 /// Jacobi-preconditioned conjugate gradient. `x` carries the initial guess
@@ -207,12 +181,9 @@ struct CgWorkspace {
 /// max_iters iterations, or — best-effort, with the partial iterate left in
 /// `x` — when the optional `budget` exhausts.
 ///
-/// The SpMV, dot-product and vector-update kernels are parallelized over
-/// fixed-grain row ranges with ordered reductions, so the iterates (and the
-/// converged solution) are bit-identical for any LILY_THREADS value. The
-/// scalar reductions CG steers by are serial left-folds over a product
-/// array filled inside the fused parallel passes — the same values in the
-/// same order as a standalone dot product, without the extra vector reads.
+/// The scalar reductions CG steers by are ascending left-folds accumulated
+/// inside the sweeps that produce their terms: the same values in the same
+/// order as a standalone dot product, without the extra vector reads.
 CgResult conjugate_gradient(const SparseMatrix& a, std::span<const double> b,
                             std::span<double> x, CgWorkspace& ws, double tol = 1e-10,
                             std::size_t max_iters = 10'000, StageBudget* budget = nullptr);
@@ -222,17 +193,18 @@ CgResult conjugate_gradient(const SparseMatrix& a, std::span<const double> b,
                             std::span<double> x, double tol = 1e-10,
                             std::size_t max_iters = 10'000, StageBudget* budget = nullptr);
 
-/// Two conjugate-gradient solves against the same matrix, run in lockstep:
-/// each iteration performs one dual-RHS SpMV (multiply_dot_fold2) so the
-/// matrix is streamed once for both systems — the placer's x/y axis solves
-/// share their Laplacian, which makes this the natural shape. The two
-/// solves are numerically independent: every per-axis scalar, iterate and
-/// stopping decision is computed exactly as in conjugate_gradient, so each
-/// returned solution is bit-identical to solving the axes one after the
-/// other. When one side converges (or fails) first, the other continues
-/// alone on the single-RHS kernel. A shared budget is ticked once per
-/// still-active side per iteration — the same total consumption as two
-/// sequential solves, interleaved.
+/// Two conjugate-gradient solves against the same matrix, run in lockstep —
+/// the placer's x/y axis solves share their Laplacian. While both sides are
+/// active every phase sweeps both axes at once: one dual-RHS SpMV
+/// (multiply_dot_fold2), one x/r/z update loop carrying all four folds, and
+/// one search-direction update. The two solves stay numerically
+/// independent: every per-axis scalar, iterate and stopping decision is
+/// computed exactly as in conjugate_gradient, so each returned solution is
+/// bit-identical to solving the axes one after the other. When one side
+/// converges (or fails) first, the other continues alone on the single-axis
+/// kernels. A shared budget is ticked once per still-active side per
+/// iteration — the same total consumption as two sequential solves,
+/// interleaved. ws1 and ws2 must be distinct workspaces.
 std::pair<CgResult, CgResult> conjugate_gradient_pair(
     const SparseMatrix& a, std::span<const double> b1, std::span<double> x1, CgWorkspace& ws1,
     std::span<const double> b2, std::span<double> x2, CgWorkspace& ws2, double tol = 1e-10,

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <numeric>
+#include <stdexcept>
 
 #include "library/standard_cells.hpp"
 #include "map/base_mapper.hpp"
@@ -282,6 +285,45 @@ TEST(Rows, BadUtilizationRejected) {
 }
 
 // ---------------------------------------------------------------- adapters
+
+TEST(Place, InvalidOptionsRejectedBeforeSolving) {
+    // max_cells_per_region == 0 once split a one-cell region forever; every
+    // placer entry point now rejects it, and the other degenerate knobs,
+    // up front.
+    const PlacementNetlist nl = chain_netlist(3);
+    const Rect region({-10, -5}, {10, 5});
+    const auto rejects = [&](GlobalPlacementOptions o) {
+        EXPECT_THROW(place_global(nl, region, o), std::invalid_argument);
+        EXPECT_THROW(place_quadratic(nl, region, o), std::invalid_argument);
+        QuadraticPlacer placer(nl);
+        EXPECT_THROW(placer.place_global(nl.pad_positions, region, o), std::invalid_argument);
+    };
+    GlobalPlacementOptions o;
+    o.max_cells_per_region = 0;
+    rejects(o);
+    for (const double bad : {0.0, -1.0, std::nan(""), std::numeric_limits<double>::infinity()}) {
+        o = {};
+        o.anchor_weight = bad;
+        rejects(o);
+        o = {};
+        o.cg_tolerance = bad;
+        rejects(o);
+    }
+    o = {};
+    o.cg_max_iters = 0;
+    rejects(o);
+    // The smallest legal region size still terminates.
+    o = {};
+    o.max_cells_per_region = 1;
+    EXPECT_EQ(place_global(nl, region, o).positions.size(), 3u);
+}
+
+TEST(Place, PlacerRejectsWrongPadCount) {
+    const PlacementNetlist nl = chain_netlist(3);
+    QuadraticPlacer placer(nl);
+    const std::vector<Point> one_pad(1);
+    EXPECT_THROW(placer.place_global(one_pad, Rect({-10, -5}, {10, 5})), std::invalid_argument);
+}
 
 TEST(Adapters, SubjectViewShapesMatch) {
     const Network net = random_network(19);
