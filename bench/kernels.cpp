@@ -2,8 +2,13 @@
 // flattening targets, measured in isolation so a regression in one kernel
 // is visible without re-profiling the whole flow.
 //
-//   spmv           Jacobi-CG's fused SpMV+dot fold over the CSR-stored
-//                  grid Laplacian (SparseMatrix::multiply_dot_fold)
+//   spmv           the two-lane SpMV with its p.Ap fold
+//                  (SparseMatrix::multiply_fold) over the subject graph's
+//                  placement Laplacian, whose rows run from 2 to ~25
+//                  entries — the matrix the inchoate placement solves
+//   cg_pair        one level-0 lockstep solve of both axes against that
+//                  Laplacian (QuadraticPlacer::place_quadratic); its items
+//                  column is the CG iterations, both axes summed
 //   matcher_walk   pattern matching at every gate node of a decomposed
 //                  subject graph through the frozen SubjectTopology, with
 //                  the pooled in-place matches_at overload
@@ -34,6 +39,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -43,6 +49,7 @@
 #include "lily/lily_mapper.hpp"
 #include "match/matcher.hpp"
 #include "place/netlist_adapters.hpp"
+#include "place/placement.hpp"
 #include "route/global_router.hpp"
 #include "subject/decompose.hpp"
 #include "util/alloc_stats.hpp"
@@ -87,28 +94,30 @@ KernelReport run_kernel(const std::string& name, std::size_t work_items, int rep
     return rep;
 }
 
-/// 2D-grid Laplacian with anchored corners: the placement CG's matrix shape.
-SparseMatrix make_grid_laplacian(std::size_t side) {
-    const std::size_t n = side * side;
-    SparseMatrix::Builder b(n);
-    for (std::size_t r = 0; r < side; ++r) {
-        for (std::size_t c = 0; c < side; ++c) {
-            const std::size_t i = r * side + c;
-            if (c + 1 < side) b.add_spring(i, i + 1, 1.0);
-            if (r + 1 < side) b.add_spring(i, i + side, 1.0);
-        }
+KernelReport bench_spmv(const SparseMatrix& a, int reps) {
+    const std::size_t n = a.size();
+    std::vector<double> x(lane_vector_size(n), 0.0), y(lane_vector_size(n));
+    for (std::size_t i = 0; i < n; ++i) {
+        x[2 * i] = 1.0 + 1e-3 * static_cast<double>(i % 97);
+        x[2 * i + 1] = 2.0 - 1e-3 * static_cast<double>(i % 89);
     }
-    b.add_anchor(0, 4.0);
-    b.add_anchor(n - 1, 4.0);
-    return std::move(b).build();
+    return run_kernel("spmv", n, reps, [&] {
+        const LanePair f = a.multiply_fold(x, y);
+        return f[0] + f[1];
+    });
 }
 
-KernelReport bench_spmv(std::size_t side, int reps) {
-    const SparseMatrix a = make_grid_laplacian(side);
-    const std::size_t n = a.size();
-    std::vector<double> x(n), y(n);
-    for (std::size_t i = 0; i < n; ++i) x[i] = 1.0 + 1e-3 * static_cast<double>(i % 97);
-    return run_kernel("spmv", n, reps, [&] { return a.multiply_dot_fold(x, y); });
+KernelReport bench_cg_pair(QuadraticPlacer& placer, std::span<const Point> pads,
+                           const Rect& region, int reps) {
+    std::size_t iterations = 0;
+    KernelReport rep = run_kernel("cg_pair", 0, reps, [&] {
+        const QpCounters before = qp_counters();
+        const GlobalPlacement gp = placer.place_quadratic(pads, region);
+        iterations = qp_counters().cg_iterations - before.cg_iterations;
+        return gp.positions.empty() ? 0.0 : gp.positions.front().x + gp.positions.back().y;
+    });
+    rep.work_items = iterations;
+    return rep;
 }
 
 KernelReport bench_matcher_walk(const SubjectGraph& g, const Matcher& matcher, int reps) {
@@ -223,7 +232,6 @@ int main(int argc, char** argv) {
     }
 
     const int reps = quick ? 3 : 8;
-    const std::size_t grid_side = quick ? 96 : 256;
     const unsigned gates = quick ? 300 : 1200;
 
     const Library lib = load_msu_big();
@@ -234,8 +242,14 @@ int main(int argc, char** argv) {
     const Matcher matcher(lib);
     g.topology();  // freeze the CSR view outside the timed regions
 
+    SubjectPlacementView view = make_placement_view(g);
+    const Rect region = make_region(view.netlist.total_cell_area());
+    const std::vector<Point> ring = uniform_pad_ring(view.netlist.pad_positions.size(), region);
+    QuadraticPlacer placer(view.netlist);
+
     std::vector<KernelReport> reports;
-    reports.push_back(bench_spmv(grid_side, reps));
+    reports.push_back(bench_cg_pair(placer, ring, region, reps));
+    reports.push_back(bench_spmv(placer.laplacian(), reps));
     reports.push_back(bench_matcher_walk(g, matcher, reps));
     reports.push_back(bench_rect_assembly(g, reps));
     reports.push_back(bench_dp_scan(g, lib, reps));

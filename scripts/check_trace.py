@@ -18,15 +18,18 @@ Checks (all hard failures):
     them together with the span close;
   * mapping phase counters (mapping.inchoate_place_ms / cone_order_ms /
     dp_ms / replace_ms) and placement counters (mapping.qp_assemblies /
-    cg_iterations) come as one full set per Lily mapping span, just before
-    that span's memory triple; each is non-negative and the *_ms phases sum
-    to no more than the span (a wire-blind mapping span carries none);
-  * placement counters (placement.qp_assemblies / cg_iterations) come the
-    same way, and every placement span that completed must carry them.
-    Each placed netlist's Laplacian is assembled once: qp_assemblies is 1
-    per placement span and per mapping span without re-placement rounds
-    (replace_ms == 0), and at least 2 with them; cg_iterations, summed over
-    both axes and all solves, is a non-negative integer;
+    cg_iterations / cg_residual) come as one full set per Lily mapping
+    span, just before that span's memory triple; each is non-negative and
+    the *_ms phases sum to no more than the span (a wire-blind mapping
+    span carries none);
+  * placement counters (placement.qp_assemblies / cg_iterations /
+    cg_residual) come the same way, and every placement span that completed
+    must carry them. Each placed netlist's Laplacian is assembled once:
+    qp_assemblies is 1 per placement span and per mapping span without
+    re-placement rounds (replace_ms == 0), and at least 2 with them;
+    cg_iterations, summed over both axes and all solves, is a non-negative
+    integer; cg_residual, the largest final CG residual norm of the span's
+    solves, is finite and non-negative;
   * ECO mapping phase counters (eco-mapping.setup_ms / cone_order_ms /
     dp_ms / extract_ms) come the same way, and every eco-mapping span
     that completed (state ok or degraded) must carry them;
@@ -49,12 +52,13 @@ Checks (all hard failures):
 Exit code 0 on success, 1 on any violation.
 """
 import json
+import math
 import sys
 
 
 MAPPING_PHASES = ("mapping.inchoate_place_ms", "mapping.cone_order_ms",
                   "mapping.dp_ms", "mapping.replace_ms")
-QP_COUNTERS = ("qp_assemblies", "cg_iterations")
+QP_COUNTERS = ("qp_assemblies", "cg_iterations", "cg_residual")
 ECO_MAPPING_PHASES = ("eco-mapping.setup_ms", "eco-mapping.cone_order_ms",
                       "eco-mapping.dp_ms", "eco-mapping.extract_ms")
 VERIFY_COUNTERS = ("verify.sat_calls", "verify.conflicts",
@@ -92,6 +96,8 @@ def check_stage_counters(counters, spans, stage, names, sum_within_span,
                 fail(f"unknown {stage} counter {name!r}")
             if name in pending:
                 fail(f"counter {name!r} repeated within one {stage} span")
+            if not isinstance(value, (int, float)):
+                fail(f"counter {name!r} is not a finite number: {value!r}")
             if value < 0:
                 fail(f"counter {name!r} is negative: {value!r}")
             pending[name] = value
@@ -117,14 +123,17 @@ def check_stage_counters(counters, spans, stage, names, sum_within_span,
 
 def check_qp_counters(stage, sets):
     """qp_assemblies: 1 per placed netlist (see the module docstring);
-    cg_iterations: a non-negative integer."""
+    cg_iterations: a non-negative integer; cg_residual: finite, >= 0."""
     for i, got in enumerate(sets):
         if not got:
             continue
         assemblies = got[f"{stage}.qp_assemblies"]
         iterations = got[f"{stage}.cg_iterations"]
+        residual = got[f"{stage}.cg_residual"]
         if iterations != int(iterations):
             fail(f"{stage} span {i}: cg_iterations {iterations!r} is not an integer")
+        if not math.isfinite(residual) or residual < 0:
+            fail(f"{stage} span {i}: cg_residual {residual!r} is not finite and >= 0")
         if got.get("mapping.replace_ms", 0.0) > 0.0:
             if assemblies < 2:
                 fail(f"{stage} span {i}: qp_assemblies {assemblies!r} with re-placement "

@@ -101,7 +101,7 @@ if python3 scripts/check_trace.py "$TRACE_DIR/noroute.trace" "$TRACE_DIR/report.
   echo "FAIL: check_trace.py accepted a routing span without its counters" >&2
   exit 1
 fi
-# So are the placement span's qp_assemblies/cg_iterations counters.
+# So are the placement span's qp_assemblies/cg_iterations/cg_residual counters.
 grep -v '"placement\.' "$TRACE_DIR/flow.trace" > "$TRACE_DIR/noplace.trace"
 echo "+ check_trace.py on a trace without placement counters (expect failure)"
 if python3 scripts/check_trace.py "$TRACE_DIR/noplace.trace" "$TRACE_DIR/report.json"; then

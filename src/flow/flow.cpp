@@ -40,7 +40,7 @@ StatusOr<FlowResult> run_backend_stages(StageExecutor& exec, const MappedNetlist
     // itself is placed, so the placer that picks the pads also places the
     // cells; with them, the anchored copy gets its own.
     const Rect seed_region = pads.has_value() ? pads->region : region;
-    QpCounters qp0 = qp_counters();
+    QpCounters qp0 = qp_span_start();
     std::optional<PlacementNetlist> anchored;  // outlives the placer that reads it
     std::optional<QuadraticPlacer> placer;
     if (pads.has_value()) {
@@ -53,7 +53,7 @@ StatusOr<FlowResult> run_backend_stages(StageExecutor& exec, const MappedNetlist
         }
     } else {
         placer.emplace(view.netlist);
-        view.netlist.pad_positions = placer->place_pads(region);
+        view.netlist.pad_positions = placer->place_pads(region, ctx.total());
     }
 
     // Anchor the placement to the seed (Lily's constructive mapPositions):
@@ -78,7 +78,7 @@ StatusOr<FlowResult> run_backend_stages(StageExecutor& exec, const MappedNetlist
         }
         // The placement span counts the netlist it places.
         placer.reset();
-        qp0 = qp_counters();
+        qp0 = qp_span_start();
     }
     const PlacementNetlist& placed_netlist = anchored.has_value() ? *anchored : view.netlist;
     if (!placer.has_value()) placer.emplace(placed_netlist);
@@ -96,6 +96,7 @@ StatusOr<FlowResult> run_backend_stages(StageExecutor& exec, const MappedNetlist
         const QpCounters qp = qp_counters();
         s.counter("qp_assemblies", static_cast<double>(qp.assemblies - qp0.assemblies));
         s.counter("cg_iterations", static_cast<double>(qp.cg_iterations - qp0.cg_iterations));
+        s.counter("cg_residual", qp.cg_residual);
         detailed = legalize_rows(view.netlist, global);
         improve_rows(view.netlist, detailed);
         if (global.budget_exhausted) {
@@ -424,7 +425,7 @@ StatusOr<FlowResult> run_lily_flow_checked(const Network& net, const Library& li
         StageBudget& map_budget = s.budget();
         if (lily.budget == nullptr && map_budget.limited()) lily.budget = &map_budget;
         LilyMapper mapper(lib);
-        const QpCounters qp0 = qp_counters();
+        const QpCounters qp0 = qp_span_start();
         mapped = mapper.map_checked(sub->graph, lily);
         const QpCounters qp = qp_counters();
         if (!mapped.is_ok()) {
@@ -455,6 +456,7 @@ StatusOr<FlowResult> run_lily_flow_checked(const Network& net, const Library& li
         s.counter("replace_ms", res.timing.replace_ms);
         s.counter("qp_assemblies", static_cast<double>(qp.assemblies - qp0.assemblies));
         s.counter("cg_iterations", static_cast<double>(qp.cg_iterations - qp0.cg_iterations));
+        s.counter("cg_residual", qp.cg_residual);
         if (res.budget_exhausted) {
             s.degraded("mapping budget exhausted; " + std::to_string(res.degraded_nodes) +
                        " nodes covered with base gates only (" + map_budget.describe() + ")");

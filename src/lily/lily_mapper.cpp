@@ -501,15 +501,16 @@ StatusOr<LilyResult> LilyMapper::map_checked(
     SubjectPlacementView view = make_placement_view(g);
     const Rect region = make_region(view.netlist.total_cell_area());
     const Clock::time_point t_place = Clock::now();
+    GlobalPlacementOptions place_opts = opts.placement;
+    if (place_opts.budget == nullptr) place_opts.budget = opts.budget;
     QuadraticPlacer placer(view.netlist);
-    std::vector<Point> pads = pad_positions.has_value() ? std::move(*pad_positions)
-                                                        : placer.place_pads(region);
+    std::vector<Point> pads = pad_positions.has_value()
+                                  ? std::move(*pad_positions)
+                                  : placer.place_pads(region, place_opts.budget);
     if (pads.size() != view.netlist.pad_positions.size()) {
         return Status(StatusCode::InvariantViolation, "LilyMapper: wrong pad position count");
     }
     view.netlist.pad_positions = pads;
-    GlobalPlacementOptions place_opts = opts.placement;
-    if (place_opts.budget == nullptr) place_opts.budget = opts.budget;
     GlobalPlacement inchoate = placer.place_global(pads, region, place_opts);
     result.timing.inchoate_place_ms = ms_since(t_place);
     if (inchoate.budget_exhausted) result.budget_exhausted = true;

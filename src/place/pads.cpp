@@ -44,7 +44,7 @@ std::vector<Point> place_pads(const PlacementNetlist& nl, const Rect& region) {
     return QuadraticPlacer(nl).place_pads(region);
 }
 
-std::vector<Point> QuadraticPlacer::place_pads(const Rect& region) {
+std::vector<Point> QuadraticPlacer::place_pads(const Rect& region, StageBudget* budget) {
     const PlacementNetlist& nl = nl_;
     const std::size_t n_pads = nl.pad_positions.size();
     if (n_pads == 0) return {};
@@ -52,7 +52,9 @@ std::vector<Point> QuadraticPlacer::place_pads(const Rect& region) {
     // Seed: pads uniform around the ring in index order, cells placed by one
     // quadratic solve against that ring.
     const std::vector<Point> ring = uniform_pad_ring(n_pads, region);
-    const GlobalPlacement seed = place_quadratic(ring, region);
+    GlobalPlacementOptions seed_opts;
+    seed_opts.budget = budget;
+    const GlobalPlacement seed = place_quadratic(ring, region, seed_opts);
 
     // Desired angular position of each pad: the center of mass of the cells
     // (and the seed itself, as a tiebreaker) on its nets. One pass over the

@@ -95,14 +95,20 @@ class QuadraticPlacer {
 public:
     explicit QuadraticPlacer(const PlacementNetlist& nl);
 
-    /// place_pads(nl, region).
-    std::vector<Point> place_pads(const Rect& region);
+    /// place_pads(nl, region); the optional budget bounds the seed solve
+    /// (its tolerance and iteration cap stay the defaults), which then
+    /// leaves a partial seed and the budget exhausted for the caller's
+    /// later solves to see.
+    std::vector<Point> place_pads(const Rect& region, StageBudget* budget = nullptr);
     /// place_quadratic / place_global with `pads` (one per netlist pad)
     /// standing in for nl.pad_positions.
     GlobalPlacement place_quadratic(std::span<const Point> pads, const Rect& region,
                                     const GlobalPlacementOptions& opts = {});
     GlobalPlacement place_global(std::span<const Point> pads, const Rect& region,
                                  const GlobalPlacementOptions& opts = {});
+
+    /// The assembled Laplacian (anchor slots hold the last solve's weights).
+    const SparseMatrix& laplacian() const { return a_; }
 
 private:
     /// Pad springs in (net, cell, pad) assembly order: the right-hand side
@@ -120,21 +126,24 @@ private:
     const PlacementNetlist& nl_;
     SparseMatrix a_;  // springs + pad anchors, one anchor slot per row
     std::vector<PadTerm> pad_terms_;
-    std::vector<double> base_bx_, base_by_;  // pad rhs, before region anchors
-    std::vector<double> bx_, by_, x_, y_;    // per-solve scratch
-    CgWorkspace cg_x_, cg_y_;
+    std::vector<double> base_b_;  // pad rhs before region anchors, (x, y) per cell
+    CgWorkspace cg_;              // both axes' b and x as lanes, reused by every solve
 };
 
 /// This thread's running totals of full-netlist placement work: Laplacian
 /// assemblies (one per QuadraticPlacer) and the CG iterations of the solves
-/// against them, both axes summed. Flow trace spans report the delta over
-/// the work they cover; placement is single-threaded, so a flow's work all
-/// lands on its own thread.
+/// against them, both axes summed, plus the largest final CG residual norm
+/// (either axis) since the last qp_span_start(). Flow trace spans report
+/// the totals' delta over the work they cover and that maximum; placement
+/// is single-threaded, so a flow's work all lands on its own thread.
 struct QpCounters {
     std::size_t assemblies = 0;
     std::size_t cg_iterations = 0;
+    double cg_residual = 0.0;
 };
 QpCounters qp_counters();
+/// qp_counters() for the start of a span: also restarts the residual maximum.
+QpCounters qp_span_start();
 
 /// Uniformly spaced boundary slots (pads in given order); the trivial pad
 /// placement used as an ablation baseline.

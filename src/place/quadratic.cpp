@@ -1,6 +1,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "place/placement.hpp"
 
@@ -53,6 +54,11 @@ struct Region {
 
 QpCounters qp_counters() { return t_qp; }
 
+QpCounters qp_span_start() {
+    t_qp.cg_residual = 0.0;
+    return t_qp;
+}
+
 // The connectivity part of the quadratic system: clique springs with weight
 // 2/k per pin pair, and pad springs folded into the diagonal (their
 // positions go to the right-hand side, see set_pads). Region anchors are
@@ -85,10 +91,7 @@ QuadraticPlacer::QuadraticPlacer(const PlacementNetlist& nl) : nl_(nl) {
     // weights are folded in by set_anchor in the slot's exact sort position.
     for (std::size_t c = 0; c < n; ++c) builder.add_anchor_slot(c);
     a_ = std::move(builder).build();
-    bx_.resize(n);
-    by_.resize(n);
-    x_.resize(n);
-    y_.resize(n);
+    cg_.resize(n);
     ++t_qp.assemblies;
 }
 
@@ -96,11 +99,10 @@ void QuadraticPlacer::set_pads(std::span<const Point> pads) {
     if (pads.size() != nl_.pad_positions.size()) {
         throw std::invalid_argument("QuadraticPlacer: pad count mismatch");
     }
-    base_bx_.assign(nl_.n_cells, 0.0);
-    base_by_.assign(nl_.n_cells, 0.0);
+    base_b_.assign(2 * nl_.n_cells, 0.0);
     for (const PadTerm& t : pad_terms_) {
-        base_bx_[t.cell] += t.w * pads[t.pad].x;
-        base_by_[t.cell] += t.w * pads[t.pad].y;
+        base_b_[2 * t.cell] += t.w * pads[t.pad].x;
+        base_b_[2 * t.cell + 1] += t.w * pads[t.pad].y;
     }
 }
 
@@ -111,22 +113,23 @@ bool QuadraticPlacer::solve(std::span<const Point> anchor_pos, std::span<const d
                             const GlobalPlacementOptions& opts, std::vector<Point>& positions) {
     const std::size_t n = nl_.n_cells;
     if (n == 0) return true;
+    double* const b = cg_.b.data();
+    double* const x = cg_.x.data();
     for (std::size_t c = 0; c < n; ++c) {
         const double w = std::max(anchor_w[c], 1e-9);
         a_.set_anchor(c, w);
-        bx_[c] = base_bx_[c] + w * anchor_pos[c].x;
-        by_[c] = base_by_[c] + w * anchor_pos[c].y;
-        x_[c] = positions[c].x;
-        y_[c] = positions[c].y;
+        b[2 * c] = base_b_[2 * c] + w * anchor_pos[c].x;
+        b[2 * c + 1] = base_b_[2 * c + 1] + w * anchor_pos[c].y;
+        x[2 * c] = positions[c].x;
+        x[2 * c + 1] = positions[c].y;
     }
-    // Both axes share one Laplacian, so the lockstep pair solver streams the
-    // matrix once per iteration for the two right-hand sides. Each axis's
-    // arithmetic is exactly a standalone conjugate_gradient call.
-    const auto [rx, ry] = conjugate_gradient_pair(a_, bx_, x_, cg_x_, by_, y_, cg_y_,
-                                                  opts.cg_tolerance, opts.cg_max_iters,
-                                                  opts.budget);
+    // Both axes share one Laplacian: they are the two lanes of one solve,
+    // and each lane's arithmetic is exactly a standalone scalar solve.
+    const auto [rx, ry] =
+        conjugate_gradient_pair(a_, cg_, opts.cg_tolerance, opts.cg_max_iters, opts.budget);
     t_qp.cg_iterations += rx.iterations + ry.iterations;
-    for (std::size_t c = 0; c < n; ++c) positions[c] = {x_[c], y_[c]};
+    t_qp.cg_residual = std::max({t_qp.cg_residual, rx.residual_norm, ry.residual_norm});
+    for (std::size_t c = 0; c < n; ++c) positions[c] = {x[2 * c], x[2 * c + 1]};
     return !rx.budget_exhausted && !ry.budget_exhausted;
 }
 
@@ -163,6 +166,7 @@ GlobalPlacement QuadraticPlacer::place_global(std::span<const Point> pads, const
     double anchor = opts.anchor_weight;
     std::vector<Point> anchor_pos(nl.n_cells, region.center());
     std::vector<double> anchor_w(nl.n_cells, 0.0);
+    std::vector<std::pair<double, std::size_t>> keyed;  // region-split sort scratch
 
     while (true) {
         // Budget guard: stop refining and keep the coarser (still legal)
@@ -182,10 +186,17 @@ GlobalPlacement QuadraticPlacer::place_global(std::span<const Point> pads, const
             }
             any_split = true;
             const bool split_x = r.rect.width() >= r.rect.height();
-            std::sort(r.cells.begin(), r.cells.end(), [&](std::size_t a, std::size_t b) {
-                return split_x ? out.positions[a].x < out.positions[b].x
-                               : out.positions[a].y < out.positions[b].y;
-            });
+            // Sort (coordinate, cell) pairs on the coordinate alone: the
+            // same comparison outcomes as comparing through the positions,
+            // so std::sort applies the same permutation, without the
+            // indirect loads.
+            keyed.clear();
+            for (const std::size_t c : r.cells) {
+                keyed.push_back({split_x ? out.positions[c].x : out.positions[c].y, c});
+            }
+            std::sort(keyed.begin(), keyed.end(),
+                      [](const auto& a, const auto& b) { return a.first < b.first; });
+            for (std::size_t i = 0; i < keyed.size(); ++i) r.cells[i] = keyed[i].second;
             // Area-balanced cut point.
             double total = 0.0;
             for (const std::size_t c : r.cells) total += nl.cell_area[c];
@@ -280,7 +291,9 @@ IncrementalPlacement place_incremental(const PlacementNetlist& nl, const Rect& r
     // into the diagonal and the right-hand side (exactly how the
     // QuadraticPlacer treats pads).
     SparseMatrix::Builder builder(n);
-    std::vector<double> bx(n, 0.0), by(n, 0.0);
+    CgWorkspace ws;
+    ws.resize(n);
+    double* const b = ws.b.data();  // lane vector: (x, y) per dirty cell
     for (const PlacementNetlist::Net& net : nl.nets) {
         const std::size_t k = net.pin_count();
         if (k < 2) continue;
@@ -303,19 +316,19 @@ IncrementalPlacement place_incremental(const PlacementNetlist& nl, const Rect& r
                     builder.add_spring(li, lj, w);
                 } else if (li != npos) {
                     builder.add_anchor(li, w);
-                    bx[li] += w * positions[cj].x;
-                    by[li] += w * positions[cj].y;
+                    b[2 * li] += w * positions[cj].x;
+                    b[2 * li + 1] += w * positions[cj].y;
                 } else if (lj != npos) {
                     builder.add_anchor(lj, w);
-                    bx[lj] += w * positions[ci].x;
-                    by[lj] += w * positions[ci].y;
+                    b[2 * lj] += w * positions[ci].x;
+                    b[2 * lj + 1] += w * positions[ci].y;
                 }
             }
             if (li == npos) continue;
             for (const std::size_t p : net.pads) {
                 builder.add_anchor(li, w);
-                bx[li] += w * nl.pad_positions[p].x;
-                by[li] += w * nl.pad_positions[p].y;
+                b[2 * li] += w * nl.pad_positions[p].x;
+                b[2 * li + 1] += w * nl.pad_positions[p].y;
             }
         }
     }
@@ -325,25 +338,24 @@ IncrementalPlacement place_incremental(const PlacementNetlist& nl, const Rect& r
     const Point center = region.center();
     for (std::size_t i = 0; i < n; ++i) {
         builder.add_anchor(i, w0);
-        bx[i] += w0 * center.x;
-        by[i] += w0 * center.y;
+        b[2 * i] += w0 * center.x;
+        b[2 * i + 1] += w0 * center.y;
     }
     const SparseMatrix a = std::move(builder).build();
 
-    std::vector<double> x(n), y(n);
+    double* const x = ws.x.data();
     for (std::size_t i = 0; i < n; ++i) {
-        x[i] = positions[cells[i]].x;
-        y[i] = positions[cells[i]].y;
+        x[2 * i] = positions[cells[i]].x;
+        x[2 * i + 1] = positions[cells[i]].y;
     }
-    CgWorkspace wsx, wsy;
-    const auto [rx, ry] = conjugate_gradient_pair(a, bx, x, wsx, by, y, wsy, opts.cg_tolerance,
-                                                  opts.cg_max_iters, opts.budget);
+    const auto [rx, ry] =
+        conjugate_gradient_pair(a, ws, opts.cg_tolerance, opts.cg_max_iters, opts.budget);
     out.cg_iterations = rx.iterations + ry.iterations;
     out.converged = rx.converged && ry.converged;
     out.budget_exhausted = rx.budget_exhausted || ry.budget_exhausted;
     for (std::size_t i = 0; i < n; ++i) {
-        positions[cells[i]] = {std::clamp(x[i], region.ll.x, region.ur.x),
-                               std::clamp(y[i], region.ll.y, region.ur.y)};
+        positions[cells[i]] = {std::clamp(x[2 * i], region.ll.x, region.ur.x),
+                               std::clamp(x[2 * i + 1], region.ll.y, region.ur.y)};
     }
     return out;
 }

@@ -317,10 +317,18 @@ TEST(ConjugateGradient, LockstepPairMatchesSequentialSolvesBitForBit) {
         const CgResult s1 = conjugate_gradient(a, b1, xs1, 1e-11, 100'000);
         const CgResult s2 = conjugate_gradient(a, b2, xs2, 1e-11, 100'000);
 
-        std::vector<double> xp1(n, 0.0), xp2(n, 0.0);
-        CgWorkspace w1, w2;
-        const auto [p1, p2] =
-            conjugate_gradient_pair(a, b1, xp1, w1, b2, xp2, w2, 1e-11, 100'000);
+        CgWorkspace ws;
+        ws.resize(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            ws.b[2 * i] = b1[i];
+            ws.b[2 * i + 1] = b2[i];
+        }
+        const auto [p1, p2] = conjugate_gradient_pair(a, ws, 1e-11, 100'000);
+        std::vector<double> xp1(n), xp2(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            xp1[i] = ws.x[2 * i];
+            xp2[i] = ws.x[2 * i + 1];
+        }
 
         ASSERT_TRUE(p1.converged);
         ASSERT_TRUE(p2.converged);

@@ -6,6 +6,8 @@
 #include "library/standard_cells.hpp"
 #include "lily/lily_mapper.hpp"
 #include "netlist/simulate.hpp"
+#include "place/netlist_adapters.hpp"
+#include "place/placement.hpp"
 #include "subject/decompose.hpp"
 #include "util/parallel.hpp"
 
@@ -291,6 +293,38 @@ TEST(Lily, PhaseTimesFitInsideTheCall) {
     EXPECT_GT(t.replace_ms, 0.0);
     EXPECT_GE(t.cone_order_ms, 0.0);
     EXPECT_LE(t.inchoate_place_ms + t.cone_order_ms + t.dp_ms + t.replace_ms, call_ms);
+}
+
+TEST(Lily, BudgetReachesThePadSeedSolve) {
+    const Library lib = load_msu_big();
+    const Network net = make_control_logic(16, 8, 120, 0x77, "btest");
+    const DecomposeResult r = decompose(net);
+    const SubjectPlacementView view = make_placement_view(r.graph);
+    const Rect region = make_region(view.netlist.total_cell_area());
+    QuadraticPlacer placer(view.netlist);
+    const std::vector<Point> free_pads = placer.place_pads(region);
+
+    // A budget that never fires leaves the pads exactly as unbudgeted.
+    StageBudget unlimited;
+    EXPECT_EQ(placer.place_pads(region, &unlimited), free_pads);
+
+    // A small iteration budget stops the seed solve at its cap: one
+    // failing tick per axis at most past the last granted one.
+    StageBudget budget = StageBudget::iterations(5);
+    const std::vector<Point> starved = placer.place_pads(region, &budget);
+    EXPECT_NE(starved, free_pads);  // placed from a partial seed
+    EXPECT_TRUE(budget.exhausted());
+    EXPECT_LE(budget.ticks_used(), 6u);
+
+    // The mapper hands its budget to the pad placement (its pads are the
+    // starved ones), and reports the exhaustion.
+    LilyOptions opts;
+    StageBudget map_budget = StageBudget::iterations(5);
+    opts.budget = &map_budget;
+    const StatusOr<LilyResult> res = LilyMapper(lib).map_checked(r.graph, opts);
+    ASSERT_TRUE(res.is_ok()) << res.status().to_string();
+    EXPECT_EQ(res.value().pad_positions, starved);
+    EXPECT_TRUE(res.value().budget_exhausted);
 }
 
 }  // namespace
