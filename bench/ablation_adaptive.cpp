@@ -26,7 +26,8 @@ int main() {
         const FlowResult base = run_baseline_flow(b.network, lib);
         const FlowResult lily = run_lily_flow(b.network, lib);
         const FlowResult tuned =
-            run_lily_flow_adaptive(b.network, lib, {}, base.metrics.wirelength);
+            run_lily_flow_adaptive_checked(b.network, lib, {}, base.metrics.wirelength)
+                .take_or_raise();
         plain.add(lily.metrics.wirelength, base.metrics.wirelength);
         adaptive.add(tuned.metrics.wirelength, base.metrics.wirelength);
         std::printf("%-8s | %10.1f | %10.1f %+6.1f%% | %10.1f %+6.1f%%\n", b.name.c_str(),

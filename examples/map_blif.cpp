@@ -7,7 +7,6 @@
 //     --lib <file.genlib>   library (default: bundled msu_big)
 //     --mapper lily|base    mapper (default: lily)
 //     --delay               optimize delay instead of area
-//     --buffer <N>          fanout-optimize to at most N sinks per net
 //     --out <mapped.blif>   write the mapped netlist here
 #include <cstdio>
 #include <cstring>
@@ -15,7 +14,6 @@
 
 #include "flow/flow.hpp"
 #include "library/standard_cells.hpp"
-#include "lily/fanout_opt.hpp"
 #include "netlist/blif.hpp"
 #include "netlist/simulate.hpp"
 
@@ -25,7 +23,7 @@ int main(int argc, char** argv) {
     if (argc < 2) {
         std::fprintf(stderr,
                      "usage: %s <circuit.blif> [--lib f.genlib] [--mapper lily|base]\n"
-                     "          [--delay] [--buffer N] [--out mapped.blif]\n",
+                     "          [--delay] [--out mapped.blif]\n",
                      argv[0]);
         return 2;
     }
@@ -34,7 +32,6 @@ int main(int argc, char** argv) {
     std::string out_path;
     std::string mapper = "lily";
     bool delay = false;
-    std::size_t buffer_limit = 0;
     for (int i = 2; i < argc; ++i) {
         const std::string arg = argv[i];
         const auto next = [&]() -> std::string {
@@ -48,10 +45,13 @@ int main(int argc, char** argv) {
             lib_path = next();
         } else if (arg == "--mapper") {
             mapper = next();
+            if (mapper != "lily" && mapper != "base") {
+                std::fprintf(stderr, "unknown mapper %s (expected lily or base)\n",
+                             mapper.c_str());
+                return 2;
+            }
         } else if (arg == "--delay") {
             delay = true;
-        } else if (arg == "--buffer") {
-            buffer_limit = static_cast<std::size_t>(std::stoul(next()));
         } else if (arg == "--out") {
             out_path = next();
         } else {
@@ -69,17 +69,8 @@ int main(int argc, char** argv) {
 
         FlowOptions opts;
         opts.objective = delay ? MapObjective::Delay : MapObjective::Area;
-        FlowResult result = mapper == "base" ? run_baseline_flow(net, lib, opts)
-                                             : run_lily_flow(net, lib, opts);
-
-        if (buffer_limit >= 2) {
-            FanoutOptOptions fo;
-            fo.max_fanout = buffer_limit;
-            const FanoutOptResult r =
-                optimize_fanout(result.netlist, lib, &result.final_positions, fo);
-            std::printf("fanout optimization: %zu buffers on %zu nets\n", r.buffers_added,
-                        r.nets_split);
-        }
+        const FlowResult result = mapper == "base" ? run_baseline_flow(net, lib, opts)
+                                                   : run_lily_flow(net, lib, opts);
 
         const bool ok = equivalent_random(net, result.netlist.to_network(lib), 32, 2024);
         std::printf("mapped: %zu gates, cell %.3f mm^2, chip %.3f mm^2, wire %.1f mm, "

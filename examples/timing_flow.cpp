@@ -2,9 +2,10 @@
 // mode with both pipelines, then reports the longest path delay (wire
 // delays included) and walks the critical path of the Lily result.
 //
-//   ./timing_flow [width]            (default: 16-bit ALU)
+//   ./timing_flow [width]            (default: 16-bit ALU, width 1..1024)
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
+#include <cstring>
 
 #include "circuits/benchmarks.hpp"
 #include "flow/flow.hpp"
@@ -14,7 +15,18 @@
 using namespace lily;
 
 int main(int argc, char** argv) {
-    const unsigned width = argc > 1 ? static_cast<unsigned>(std::atoi(argv[1])) : 16;
+    unsigned width = 16;
+    if (argc > 1) {
+        // Digits only: from_chars takes no sign or space into an unsigned,
+        // and the whole argument must parse.
+        const char* last = argv[1] + std::strlen(argv[1]);
+        const auto [end, ec] = std::from_chars(argv[1], last, width);
+        if (argc > 2 || ec != std::errc() || end != last || width < 1 || width > 1024) {
+            std::fprintf(stderr, "usage: %s [width]   (ALU width, 1..1024; default 16)\n",
+                         argv[0]);
+            return 2;
+        }
+    }
     const Network net = make_alu(width, true);
     const Library lib = load_msu_big();
     std::printf("%u-bit ALU: %zu nodes, depth %zu\n", width, net.logic_node_count(),

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "util/rng.hpp"
 
@@ -202,6 +203,7 @@ Network make_ecc_checker(unsigned data_bits, bool dual) {
 }
 
 Network make_alu(unsigned width, bool with_status) {
+    if (width == 0) throw std::invalid_argument("make_alu: width must be at least 1");
     Network net("alu" + std::to_string(width));
     std::vector<NodeId> a, b;
     for (unsigned i = 0; i < width; ++i) a.push_back(net.add_input("a" + std::to_string(i)));

@@ -38,7 +38,8 @@ Network make_priority_controller(unsigned channels = 27);
 Network make_ecc_checker(unsigned data_bits = 32, bool dual = false);
 
 /// w-bit ALU slice: add/sub with carry chain, AND/OR/XOR lanes, a 2-bit op
-/// select, zero flag (C880/C3540/C5315 flavor).
+/// select, zero flag (C880/C3540/C5315 flavor). Throws std::invalid_argument
+/// for width 0.
 Network make_alu(unsigned width = 8, bool with_status = false);
 
 /// Random multi-level control logic with reconvergent fanout (apex6/apex7/

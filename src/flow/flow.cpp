@@ -555,11 +555,6 @@ StatusOr<FlowResult> run_lily_flow_adaptive_checked(const Network& net, const Li
     return best;
 }
 
-FlowResult run_lily_flow_adaptive(const Network& net, const Library& lib,
-                                  const FlowOptions& opts, double reference_wirelength) {
-    return run_lily_flow_adaptive_checked(net, lib, opts, reference_wirelength).take_or_raise();
-}
-
 StatusOr<FlowResult> run_flow_checked(FlowKind kind, const Network& net, const Library& lib,
                                       const FlowOptions& opts) {
     switch (kind) {

@@ -196,11 +196,6 @@ StatusOr<FlowResult> run_lily_flow_adaptive_checked(const Network& net, const Li
                                                     const FlowOptions& opts = {},
                                                     double reference_wirelength = 0.0);
 
-/// Throwing wrapper for the adaptive pipeline.
-FlowResult run_lily_flow_adaptive(const Network& net, const Library& lib,
-                                  const FlowOptions& opts = {},
-                                  double reference_wirelength = 0.0);
-
 /// Pad positions expressed relative to the region they were assigned in, so
 /// the back end can rescale them onto the (differently sized) mapped
 /// region while keeping the boundary assignment.

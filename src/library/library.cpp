@@ -110,12 +110,6 @@ StatusOr<GateId> Library::add_gate_checked(std::string name, double area,
     return id;
 }
 
-GateId Library::add_gate(std::string name, double area, const std::string& equation,
-                         std::vector<PinTiming> pin_specs, std::size_t max_patterns) {
-    return add_gate_checked(std::move(name), area, equation, std::move(pin_specs), max_patterns)
-        .take_or_raise();
-}
-
 void Library::validate() const {
     if (inverter_ == kNullGate) throw std::logic_error("library: no inverter gate");
     if (nand2_ == kNullGate) throw std::logic_error("library: no 2-input NAND gate");

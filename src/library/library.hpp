@@ -101,10 +101,6 @@ public:
                                       std::vector<PinTiming> pin_specs,
                                       std::size_t max_patterns = 64);
 
-    /// Throwing wrapper around add_gate_checked (std::runtime_error).
-    GateId add_gate(std::string name, double area, const std::string& equation,
-                    std::vector<PinTiming> pin_specs, std::size_t max_patterns = 64);
-
     /// Check library invariants: base gates exist, every pattern's truth
     /// table equals its gate function, pin counts line up. Throws
     /// std::logic_error on violation.

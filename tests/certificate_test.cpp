@@ -16,7 +16,6 @@
 #include "flow/pipeline.hpp"
 #include "flow/stage.hpp"
 #include "library/standard_cells.hpp"
-#include "lily/fanout_opt.hpp"
 #include "lily/lily_mapper.hpp"
 #include "map/base_mapper.hpp"
 #include "netlist/blif.hpp"
@@ -315,9 +314,26 @@ TEST(CertificateFallback, FanoutBuffersDeclineThenProve) {
     }
     const DecomposeResult sub = decompose(net);
     MappedNetlist m = base_map(lib, sub);
-    FanoutOptOptions opts;
-    opts.max_fanout = 2;
-    ASSERT_GT(optimize_fanout(m, lib, nullptr, opts).buffers_added, 0u);
+    // Buffer one XOR sink off the hub: the buffer's driver is a fresh id
+    // past the subject graph, inserted right after the hub's instance so
+    // the netlist stays in topological order.
+    const auto buf = lib.find("buf1");
+    ASSERT_TRUE(buf.has_value());
+    const auto driven = [&](SubjectId in) {
+        return m.instance_driving(in) != MappedNetlist::npos;
+    };
+    const auto sink = std::find_if(m.gates.begin(), m.gates.end(), [&](const GateInstance& g) {
+        return std::any_of(g.inputs.begin(), g.inputs.end(), driven);
+    });
+    ASSERT_NE(sink, m.gates.end());
+    SubjectId& pin = *std::find_if(sink->inputs.begin(), sink->inputs.end(), driven);
+    const SubjectId hub_signal = pin;
+    const SubjectId buffered = static_cast<SubjectId>(sub.graph.size());
+    pin = buffered;
+    const std::size_t hub_at = m.instance_driving(hub_signal);
+    m.gates.insert(m.gates.begin() + static_cast<std::ptrdiff_t>(hub_at) + 1,
+                   GateInstance{*buf, buffered, {hub_signal}, {}});
+    m.bump_version();
 
     const CertificateResult cert = check_certificate(net, sub, lib, m, kBudget);
     EXPECT_FALSE(cert.proven);

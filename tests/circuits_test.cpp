@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <stdexcept>
 
 #include "circuits/benchmarks.hpp"
 #include "netlist/simulate.hpp"
@@ -185,6 +186,11 @@ TEST(Circuits, AluAddAndLogicLanes) {
             }
         }
     }
+}
+
+TEST(Circuits, AluRejectsZeroWidth) {
+    EXPECT_THROW(make_alu(0, true), std::invalid_argument);
+    EXPECT_THROW(make_alu(0, false), std::invalid_argument);
 }
 
 TEST(Circuits, MultiplierExhaustive4x4) {

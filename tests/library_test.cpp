@@ -183,9 +183,9 @@ TEST(Pattern, MatchesOracle) {
                                  lib.name() + "/" + g.name);
         }
     }
-    // The genlib snippets and pattern-test equations of this suite and
-    // fanout_opt_test, plus buffers, constants, XOR-like leaf DAGs and wide
-    // blocks where the cap truncates the enumeration.
+    // The genlib snippets and pattern-test equations of this suite, plus
+    // buffers, constants, XOR-like leaf DAGs and wide blocks where the cap
+    // truncates the enumeration.
     struct Case {
         const char* equation;
         std::size_t cap;
@@ -392,6 +392,18 @@ TEST(StandardCells, PatternsPresentAndBoundedEverywhere) {
             }
         }
     }
+}
+
+TEST(GateSizing, DriveVariantsExistInBigLibrary) {
+    const Library lib = load_msu_big();
+    // nand2x2 is a stronger, larger drive variant of nand2.
+    const auto a = lib.find("nand2");
+    const auto b = lib.find("nand2x2");
+    ASSERT_TRUE(a.has_value());
+    ASSERT_TRUE(b.has_value());
+    EXPECT_EQ(lib.gate(*a).function, lib.gate(*b).function);
+    EXPECT_LT(lib.gate(*b).pin(0).worst_fanout(), lib.gate(*a).pin(0).worst_fanout());
+    EXPECT_GT(lib.gate(*b).area, lib.gate(*a).area);
 }
 
 }  // namespace

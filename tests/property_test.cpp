@@ -178,7 +178,8 @@ TEST(FlowProperties, AdaptiveNeverWorseThanPlain) {
         const FlowResult base = run_baseline_flow(b.network, lib);
         const FlowResult plain = run_lily_flow(b.network, lib);
         const FlowResult tuned =
-            run_lily_flow_adaptive(b.network, lib, {}, base.metrics.wirelength);
+            run_lily_flow_adaptive_checked(b.network, lib, {}, base.metrics.wirelength)
+                .take_or_raise();
         EXPECT_LE(tuned.metrics.wirelength, plain.metrics.wirelength + 1e-9) << b.name;
         EXPECT_TRUE(equivalent_random(b.network, tuned.netlist.to_network(lib), 4, 3))
             << b.name;
