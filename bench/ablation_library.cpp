@@ -25,9 +25,9 @@ int main() {
     bench::RatioTracker lily_vs_tiny, lily_vs_big;
     for (const Benchmark& b : suite) {
         if (b.network.logic_node_count() > 800) continue;
-        const FlowResult f_tiny = run_baseline_flow(b.network, tiny);
-        const FlowResult f_big = run_baseline_flow(b.network, big);
-        const FlowResult f_lily = run_lily_flow(b.network, big);
+        const FlowResult f_tiny = run_baseline_flow_checked(b.network, tiny).take_or_raise();
+        const FlowResult f_big = run_baseline_flow_checked(b.network, big).take_or_raise();
+        const FlowResult f_lily = run_lily_flow_checked(b.network, big).take_or_raise();
         lily_vs_tiny.add(f_lily.metrics.chip_area, f_tiny.metrics.chip_area);
         lily_vs_big.add(f_lily.metrics.chip_area, f_big.metrics.chip_area);
         std::printf("%-8s | %9.1f %9.1f | %9.1f %9.1f | %9.1f %9.1f\n", b.name.c_str(),

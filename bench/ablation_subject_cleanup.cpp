@@ -30,10 +30,10 @@ int main() {
         FlowOptions kept;  // default: cancel_inverter_pairs = false
         FlowOptions folded;
         folded.decompose.cancel_inverter_pairs = true;
-        const FlowResult kb = run_baseline_flow(b.network, lib, kept);
-        const FlowResult kl = run_lily_flow(b.network, lib, kept);
-        const FlowResult fb = run_baseline_flow(b.network, lib, folded);
-        const FlowResult fl = run_lily_flow(b.network, lib, folded);
+        const FlowResult kb = run_baseline_flow_checked(b.network, lib, kept).take_or_raise();
+        const FlowResult kl = run_lily_flow_checked(b.network, lib, kept).take_or_raise();
+        const FlowResult fb = run_baseline_flow_checked(b.network, lib, folded).take_or_raise();
+        const FlowResult fl = run_lily_flow_checked(b.network, lib, folded).take_or_raise();
         kept_gap.add(kl.metrics.chip_area, kb.metrics.chip_area);
         folded_gap.add(fl.metrics.chip_area, fb.metrics.chip_area);
         absolute.add(fb.metrics.chip_area, kb.metrics.chip_area);

@@ -27,8 +27,8 @@ int main() {
         merged.lily.update = PositionUpdate::CMofMerged;
         FlowOptions fans;
         fans.lily.update = PositionUpdate::CMofFans;
-        const FlowResult fm = run_lily_flow(b.network, lib, merged);
-        const FlowResult ff = run_lily_flow(b.network, lib, fans);
+        const FlowResult fm = run_lily_flow_checked(b.network, lib, merged).take_or_raise();
+        const FlowResult ff = run_lily_flow_checked(b.network, lib, fans).take_or_raise();
         wire.add(ff.metrics.wirelength, fm.metrics.wirelength);
         std::printf("%-8s | %10.1f %10.1f | %10.1f %10.1f | %+6.1f%%\n", b.name.c_str(),
                     fm.metrics.chip_area, fm.metrics.wirelength, ff.metrics.chip_area,

@@ -34,11 +34,11 @@ int main() {
         // Phase 1: balanced decomposition, placed; positions per source node.
         const DecomposeResult balanced = decompose(b.network);
         LilyMapper mapper(lib);
-        const LilyResult bal_res = mapper.map(balanced.graph);
+        const LilyResult bal_res = mapper.map_checked(balanced.graph).take_or_raise();
         FlowOptions fopts;
-        const FlowResult bal_flow = run_backend(
+        const FlowResult bal_flow = run_backend_checked(
             bal_res.netlist, lib, fopts,
-            PadsInRegion{bal_res.pad_positions, bal_res.inchoate_placement.region});
+            PadsInRegion{bal_res.pad_positions, bal_res.inchoate_placement.region}).take_or_raise();
 
         // Harvest: each source node's position = its signal's placement.
         DecomposeOptions prox_opts;
@@ -64,10 +64,13 @@ int main() {
 
         // Phase 2: proximity decomposition, same pads.
         const DecomposeResult prox = decompose(b.network, prox_opts);
-        const LilyResult prox_res = mapper.map(prox.graph, {}, bal_res.pad_positions);
-        const FlowResult prox_flow = run_backend(
-            prox_res.netlist, lib, fopts,
-            PadsInRegion{prox_res.pad_positions, prox_res.inchoate_placement.region});
+        const LilyResult prox_res =
+            mapper.map_checked(prox.graph, {}, bal_res.pad_positions).take_or_raise();
+        const FlowResult prox_flow =
+            run_backend_checked(
+                prox_res.netlist, lib, fopts,
+                PadsInRegion{prox_res.pad_positions, prox_res.inchoate_placement.region})
+                .take_or_raise();
 
         wire.add(prox_flow.metrics.wirelength, bal_flow.metrics.wirelength);
         std::printf("%-8s | %10zu %10.2f | %10zu %10.2f | %+6.1f%%\n", b.name.c_str(),

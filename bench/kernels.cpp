@@ -16,9 +16,9 @@
 //                  positions from the CSR view, bound them, then take the
 //                  Manhattan median of the rectangle set (the Lily wire
 //                  model's geometric core)
-//   dp_scan        the full Lily DP candidate scan (LilyMapper::map on the
-//                  same subject graph, single thread)
-//   genlib_parse   read_genlib(msu_big_genlib()): equation parsing plus
+//   dp_scan        the full Lily DP candidate scan (LilyMapper::map_checked
+//                  on the same subject graph, single thread)
+//   genlib_parse   read_genlib_checked(msu_big_genlib()): equation parsing plus
 //                  NAND2/INV pattern enumeration for every gate
 //   maze_route     route_global on a fixed, congested (scattered)
 //                  placement of the same subject graph: L-shape passes
@@ -171,15 +171,15 @@ KernelReport bench_dp_scan(const SubjectGraph& g, const Library& lib, int reps) 
     // The DP allocates its solution arrays per map() call by design; the
     // interesting number here is the wall time, not the allocation delta.
     return run_kernel("dp_scan", g.size(), reps, [&] {
-        const LilyResult res = mapper.map(g);
+        const LilyResult res = mapper.map_checked(g).take_or_raise();
         return res.total_area + res.estimated_wirelength;
     });
 }
 
 KernelReport bench_genlib_parse(int reps) {
-    const std::size_t gates = read_genlib(msu_big_genlib()).size();
+    const std::size_t gates = read_genlib_checked(msu_big_genlib()).take_or_raise().size();
     return run_kernel("genlib_parse", gates, reps, [] {
-        const Library lib = read_genlib(msu_big_genlib());
+        const Library lib = read_genlib_checked(msu_big_genlib()).take_or_raise();
         std::size_t patterns = 0;
         for (const Gate& g : lib.gates()) patterns += g.patterns.size();
         return static_cast<double>(patterns);

@@ -26,8 +26,8 @@ int main() {
 
     bench::RatioTracker cell, chip, wire;
     for (const Benchmark& b : suite) {
-        const FlowResult base = run_baseline_flow(b.network, lib);
-        const FlowResult lily = run_lily_flow(b.network, lib);
+        const FlowResult base = run_baseline_flow_checked(b.network, lib).take_or_raise();
+        const FlowResult lily = run_lily_flow_checked(b.network, lib).take_or_raise();
         cell.add(lily.metrics.cell_area, base.metrics.cell_area);
         chip.add(lily.metrics.chip_area, base.metrics.chip_area);
         wire.add(lily.metrics.wirelength, base.metrics.wirelength);

@@ -28,8 +28,8 @@ int main() {
     bench::RatioTracker delay;
     for (const Benchmark& b : suite) {
         if (std::find(names.begin(), names.end(), b.name) == names.end()) continue;
-        const FlowResult base = run_baseline_flow(b.network, lib, opts);
-        const FlowResult lily = run_lily_flow(b.network, lib, opts);
+        const FlowResult base = run_baseline_flow_checked(b.network, lib, opts).take_or_raise();
+        const FlowResult lily = run_lily_flow_checked(b.network, lib, opts).take_or_raise();
         delay.add(lily.metrics.critical_delay, base.metrics.critical_delay);
         std::printf("%-8s | %10.3f %10.2f | %10.3f %10.2f | %+7.1f%%\n", b.name.c_str(),
                     base.metrics.cell_area_mm2(), base.metrics.critical_delay,

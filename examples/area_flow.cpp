@@ -31,8 +31,8 @@ int main(int argc, char** argv) {
     std::printf("benchmark %s: %zu PIs, %zu POs, %zu nodes\n", which.c_str(),
                 net.inputs().size(), net.outputs().size(), net.logic_node_count());
 
-    const FlowResult base = run_baseline_flow(net, lib);
-    const FlowResult lily = run_lily_flow(net, lib);
+    const FlowResult base = run_baseline_flow_checked(net, lib).take_or_raise();
+    const FlowResult lily = run_lily_flow_checked(net, lib).take_or_raise();
 
     const auto row = [](const char* name, const FlowMetrics& m) {
         std::printf("%-10s %6zu gates  cell %8.3f mm^2  chip %8.3f mm^2  wire %9.1f mm  "

@@ -69,8 +69,9 @@ int main(int argc, char** argv) {
 
         FlowOptions opts;
         opts.objective = delay ? MapObjective::Delay : MapObjective::Area;
-        const FlowResult result = mapper == "base" ? run_baseline_flow(net, lib, opts)
-                                                   : run_lily_flow(net, lib, opts);
+        const FlowResult result = (mapper == "base" ? run_baseline_flow_checked(net, lib, opts)
+                                                    : run_lily_flow_checked(net, lib, opts))
+                                      .take_or_raise();
 
         const bool ok = equivalent_random(net, result.netlist.to_network(lib), 32, 2024);
         std::printf("mapped: %zu gates, cell %.3f mm^2, chip %.3f mm^2, wire %.1f mm, "

@@ -62,14 +62,14 @@ int main(int argc, char** argv) {
     }
     const Library lib = load_msu_big();
     const DecomposeResult sub = decompose(it->network);
-    const LilyResult lily = LilyMapper(lib).map(sub.graph);
+    const LilyResult lily = LilyMapper(lib).map_checked(sub.graph).take_or_raise();
 
     render("1. balanced global placement of the inchoate network",
            lily.inchoate_placement.positions, lily.inchoate_placement.region);
     render("2. Lily constructive placement (mapPositions of chosen gates)",
            lily.instance_positions, lily.inchoate_placement.region);
 
-    const FlowResult flow = run_lily_flow(it->network, lib);
+    const FlowResult flow = run_lily_flow_checked(it->network, lib).take_or_raise();
     render("3. detailed (row-legalized) placement of the mapped circuit",
            flow.final_positions, flow.region);
 

@@ -4,9 +4,12 @@
 //
 //   ./quickstart [file.blif]
 //
-// Without an argument a small built-in full-adder BLIF is used.
+// Without an argument a small built-in full-adder BLIF is used. Exits 0 when
+// both mappings pass the equivalence check and 1 otherwise, including when
+// the circuit cannot be read or mapped.
 #include <cstdio>
 #include <string>
+#include <utility>
 
 #include "library/standard_cells.hpp"
 #include "lily/lily_mapper.hpp"
@@ -41,8 +44,14 @@ constexpr const char* kFullAdderBlif = R"(.model full_adder
 }  // namespace
 
 int main(int argc, char** argv) {
-    // 1. Load a circuit.
-    const Network net = argc > 1 ? read_blif_file(argv[1]) : read_blif(kFullAdderBlif);
+    // 1. Load a circuit. Parse errors come back as a Status, not an exception.
+    StatusOr<Network> parsed =
+        argc > 1 ? read_blif_file_checked(argv[1]) : read_blif_checked(kFullAdderBlif);
+    if (!parsed.is_ok()) {
+        std::fprintf(stderr, "error: %s\n", parsed.status().to_string().c_str());
+        return 1;
+    }
+    const Network net = std::move(parsed).value();
     std::printf("circuit '%s': %zu inputs, %zu outputs, %zu logic nodes, depth %zu\n",
                 net.name().c_str(), net.inputs().size(), net.outputs().size(),
                 net.logic_node_count(), net.depth());
@@ -63,7 +72,12 @@ int main(int argc, char** argv) {
                 base.total_area);
 
     // ...and layout-driven (Lily).
-    const LilyResult lily = LilyMapper(lib).map(sub.graph);
+    StatusOr<LilyResult> mapped = LilyMapper(lib).map_checked(sub.graph);
+    if (!mapped.is_ok()) {
+        std::fprintf(stderr, "error: %s\n", mapped.status().to_string().c_str());
+        return 1;
+    }
+    const LilyResult lily = std::move(mapped).value();
     std::printf("lily mapping:     %zu gates, area %.1f, estimated wire %.1f\n",
                 lily.netlist.gate_count(), lily.total_area, lily.estimated_wirelength);
 

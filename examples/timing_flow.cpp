@@ -34,8 +34,8 @@ int main(int argc, char** argv) {
 
     FlowOptions opts;
     opts.objective = MapObjective::Delay;
-    const FlowResult base = run_baseline_flow(net, lib, opts);
-    const FlowResult lily = run_lily_flow(net, lib, opts);
+    const FlowResult base = run_baseline_flow_checked(net, lib, opts).take_or_raise();
+    const FlowResult lily = run_lily_flow_checked(net, lib, opts).take_or_raise();
 
     std::printf("baseline: %4zu gates, cell %7.3f mm^2, delay %7.2f ns\n",
                 base.metrics.gate_count, base.metrics.cell_area_mm2(),

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI entrypoint: build twice (release with -Werror, and ASan+UBSan with the
 # pipeline's Light checks and proving verify stage forced on), run the
-# full test suite on both, then audit the example circuits with lily_lint —
+# full test suite on both, build the perfbench/ package and run its
+# self-test, then audit the example circuits with lily_lint —
 # including the injected-violation runs that prove the checkers still bite.
 #
 # Usage: scripts/ci.sh [--jobs N]
@@ -17,6 +18,13 @@ run() { echo "+ $*"; "$@"; }
 run cmake -B build-ci-release -S . -DCMAKE_BUILD_TYPE=Release -DLILY_WERROR=ON
 run cmake --build build-ci-release -j "$JOBS"
 run env -C build-ci-release ctest --output-on-failure -j "$JOBS"
+
+# ---- Benchmark package: perfbench/ compiles ../src on its own -----------
+# A src/ change that breaks an API the benchmark calls fails here, not
+# first in the benchmark run.
+run cmake -S perfbench -B build-ci-perfbench -DCMAKE_BUILD_TYPE=Release
+run cmake --build build-ci-perfbench -j "$JOBS" --target perfbench_flow perfbench_selftest
+run build-ci-perfbench/perfbench_selftest
 
 # ---- Build 2: ASan+UBSan, Light checks + proving verify ----------------
 # Every flow in the suite proves its mapping: the mapping certificate first,

@@ -35,21 +35,23 @@
 //                              verified result.
 //     --eco=<n-edits>          ECO smoke mode: build the incremental
 //                              pipeline, apply a random local delta of
-//                              n edits, and report the reuse ratios; the
-//                              ECO flow itself checks the maintained
-//                              artifacts (Light checks, version stamps,
-//                              verify stage as in --flow). With
+//                              n edits (1 to 1000), and report the reuse
+//                              ratios; the ECO flow itself checks the
+//                              maintained artifacts (Light checks, version
+//                              stamps, verify stage as in --flow). With
 //                              --inject=eco:stale-epoch the run passes when
 //                              the corrupted version stamp is rejected with
 //                              InvariantViolation. With --json the report
 //                              and LILY_TRACE cover the ECO run alone.
-//     --budget-ms=<n>          whole-flow wall-clock budget (flow mode)
+//     --budget-ms=<n>          whole-flow wall-clock budget in whole ms
+//                              (flow mode; 0 = none)
 //     --quiet                  suppress per-issue lines, print summary only
 //     --json                   machine-readable report on stdout
 //
 // Exit codes: 0 = clean (warnings allowed), 1 = invariant errors found or
 // unrecoverable flow failure, 2 = usage or input error.
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -73,6 +75,7 @@
 #include "place/netlist_adapters.hpp"
 #include "subject/decompose.hpp"
 #include "util/fault.hpp"
+#include "util/text.hpp"
 #include "verify/cec.hpp"
 #include "verify/lint.hpp"
 
@@ -93,6 +96,11 @@ struct LintArgs {
     bool netlist_lint_mode = false;
     bool json = false;
 };
+
+/// Upper bound on --eco. The smoke check needs a few edits; the cap keeps a
+/// mistyped count from sizing the delta generator's target scan (8 per edit)
+/// without bound.
+constexpr std::uint32_t kMaxEcoEdits = 1000;
 
 void usage(std::FILE* to) {
     std::fputs(
@@ -164,13 +172,22 @@ bool parse_args(int argc, char** argv, LintArgs& out) {
             }
         } else if (arg.rfind("--eco=", 0) == 0) {
             out.eco_mode = true;
-            out.eco_edits = static_cast<std::size_t>(std::stoull(arg.substr(6)));
-            if (out.eco_edits == 0) {
-                std::fprintf(stderr, "lily_lint: --eco needs at least one edit\n");
+            std::uint32_t edits = 0;
+            if (!parse_u32(std::string_view(arg).substr(6), edits) || edits == 0 ||
+                edits > kMaxEcoEdits) {
+                std::fprintf(stderr, "lily_lint: --eco needs 1 to %u edits, got '%s'\n",
+                             kMaxEcoEdits, arg.c_str() + 6);
                 return false;
             }
+            out.eco_edits = edits;
         } else if (arg.rfind("--budget-ms=", 0) == 0) {
-            out.budget_ms = std::stod(arg.substr(12));
+            std::uint32_t ms = 0;
+            if (!parse_u32(std::string_view(arg).substr(12), ms)) {
+                std::fprintf(stderr, "lily_lint: --budget-ms needs whole milliseconds, got '%s'\n",
+                             arg.c_str() + 12);
+                return false;
+            }
+            out.budget_ms = ms;
         } else if (arg == "--json") {
             // Machine-readable report on stdout (flow/report.hpp — the same
             // document the serving daemon attaches to per-job verdicts).

@@ -356,13 +356,6 @@ StatusOr<FlowResult> run_backend_checked(const MappedNetlist& mapped, const Libr
     return run_backend_stages(exec, mapped, lib, std::move(pads), std::move(seed_positions));
 }
 
-FlowResult run_backend(const MappedNetlist& mapped, const Library& lib, const FlowOptions& opts,
-                       std::optional<PadsInRegion> pads,
-                       std::optional<std::vector<Point>> seed_positions) {
-    return run_backend_checked(mapped, lib, opts, std::move(pads), std::move(seed_positions))
-        .take_or_raise();
-}
-
 StatusOr<FlowResult> run_baseline_flow_checked(const Network& net, const Library& lib,
                                                const FlowOptions& opts) {
     // Pipeline 1: map first (interconnect-blind), lay out afterwards. The
@@ -395,10 +388,6 @@ StatusOr<FlowResult> run_baseline_flow_checked(const Network& net, const Library
                                        "mapping"));
     LILY_RETURN_IF_ERROR(run_verify_stage(ctx, net, *sub, lib, res->netlist));
     return run_backend_stages(exec, res->netlist, lib, std::nullopt, std::nullopt);
-}
-
-FlowResult run_baseline_flow(const Network& net, const Library& lib, const FlowOptions& opts) {
-    return run_baseline_flow_checked(net, lib, opts).take_or_raise();
 }
 
 StatusOr<FlowResult> run_lily_flow_checked(const Network& net, const Library& lib,
@@ -512,10 +501,6 @@ StatusOr<FlowResult> run_lily_flow_checked(const Network& net, const Library& li
         capture->used_baseline_fallback = false;
     }
     return out;
-}
-
-FlowResult run_lily_flow(const Network& net, const Library& lib, const FlowOptions& opts) {
-    return run_lily_flow_checked(net, lib, opts).take_or_raise();
 }
 
 StatusOr<FlowResult> run_lily_flow_adaptive_checked(const Network& net, const Library& lib,

@@ -147,13 +147,9 @@ struct FlowResult {
     FlowDiagnostics diagnostics;
 };
 
-/// Pipeline 1: interconnect-blind mapping, layout afterwards (Status form).
+/// Pipeline 1: interconnect-blind mapping, layout afterwards.
 StatusOr<FlowResult> run_baseline_flow_checked(const Network& net, const Library& lib,
                                                const FlowOptions& opts = {});
-
-/// Pipeline 1, throwing wrapper.
-FlowResult run_baseline_flow(const Network& net, const Library& lib,
-                             const FlowOptions& opts = {});
 
 /// Optional tap for the flow's intermediate artifacts. FlowResult carries
 /// only what metrics reporting needs; the incremental (ECO) pipeline also
@@ -171,7 +167,7 @@ struct FlowCapture {
 };
 
 /// Pipeline 2: layout-driven (Lily) mapping, with the graceful-degradation
-/// ladder (Status form). A Lily mapping failure falls back to the wire-blind
+/// ladder. A Lily mapping failure falls back to the wire-blind
 /// baseline mapping; routing budget exhaustion falls back to HPWL metrics;
 /// both are recorded in FlowResult::diagnostics. A non-OK return means no
 /// rung of the ladder could produce a usable result. `capture`, when
@@ -179,9 +175,6 @@ struct FlowCapture {
 StatusOr<FlowResult> run_lily_flow_checked(const Network& net, const Library& lib,
                                            const FlowOptions& opts = {},
                                            FlowCapture* capture = nullptr);
-
-/// Pipeline 2, throwing wrapper.
-FlowResult run_lily_flow(const Network& net, const Library& lib, const FlowOptions& opts = {});
 
 /// The paper's Section 5 remedy for circuits where the dynamic wire length
 /// estimation misfires (their misex1): "repeat the mapping with reduced
@@ -209,12 +202,7 @@ struct PadsInRegion {
 /// anchors the global placement — this is how Lily's constructive
 /// mapPositions carry through to detailed placement, per the paper's
 /// integrated pipeline. The placer still balances and legalizes, so a poor
-/// seed degrades gracefully.
-FlowResult run_backend(const MappedNetlist& mapped, const Library& lib, const FlowOptions& opts,
-                       std::optional<PadsInRegion> pads = std::nullopt,
-                       std::optional<std::vector<Point>> seed_positions = std::nullopt);
-
-/// Status form of run_backend (diagnostics carried on the result).
+/// seed degrades gracefully. Diagnostics are carried on the result.
 StatusOr<FlowResult> run_backend_checked(
     const MappedNetlist& mapped, const Library& lib, const FlowOptions& opts,
     std::optional<PadsInRegion> pads = std::nullopt,

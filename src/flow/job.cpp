@@ -107,8 +107,8 @@ JobOutcome run_flow_job(const JobSpec& spec) {
     const StatusOr<Network> net =
         parse_stage(StageId::ParseBlif, [&] { return read_blif_checked(spec.blif); });
     if (!net.is_ok()) return fail(net.status());
-    // Every served library is named "genlib" (the name reaches only the
-    // Verilog writer's banner), so served bytes depend on the text alone.
+    // Every served library is named "genlib", so served bytes depend on the
+    // library text alone.
     const StatusOr<Library> lib = parse_stage(
         StageId::ParseGenlib, [&] { return read_genlib_checked(spec.genlib, "genlib"); });
     if (!lib.is_ok()) return fail(lib.status());

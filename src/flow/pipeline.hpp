@@ -7,7 +7,7 @@
 // network version it was built from. run_eco_flow_checked applies a
 // NetDelta and re-derives only what the edit dirtied:
 //
-//   network  -> journaled edit (Network::apply_delta)
+//   network  -> atomic edit (Network::apply_delta)
 //   subject  -> decompose_incremental: structural hashing folds unchanged
 //               cones back onto existing nodes (append-only ids)
 //   mapping  -> LilyMapper::remap_checked: cone-scoped DP over the dirty

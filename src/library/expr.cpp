@@ -176,10 +176,6 @@ StatusOr<ParsedEquation> parse_equation_checked(std::string_view text) {
     return out;
 }
 
-ParsedEquation parse_equation(std::string_view text) {
-    return parse_equation_checked(text).take_or_raise();
-}
-
 bool eval_expr(const Expr& e, std::uint64_t assignment) {
     switch (e.kind) {
         case ExprKind::Var:

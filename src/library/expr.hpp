@@ -45,9 +45,6 @@ struct ParsedEquation {
 /// (with the offending offset in the message) on malformed input.
 StatusOr<ParsedEquation> parse_equation_checked(std::string_view text);
 
-/// Throwing wrapper: std::runtime_error on malformed input.
-ParsedEquation parse_equation(std::string_view text);
-
 /// Evaluate under an assignment bit vector (bit i = variable i).
 bool eval_expr(const Expr& e, std::uint64_t assignment);
 

@@ -282,10 +282,6 @@ StatusOr<Library> read_genlib_checked(std::string_view text, std::string library
     return lib;
 }
 
-Library read_genlib(std::string_view text, std::string library_name) {
-    return read_genlib_checked(text, std::move(library_name)).take_or_raise();
-}
-
 StatusOr<Library> read_genlib_file_checked(const std::string& path) {
     std::ifstream in(path);
     if (!in) return Status(StatusCode::ParseError, "genlib: cannot open " + path);

@@ -121,13 +121,10 @@ private:
 StatusOr<Library> read_genlib_checked(std::string_view text,
                                       std::string library_name = "genlib");
 
-/// Throwing wrapper: std::runtime_error with a line number.
-Library read_genlib(std::string_view text, std::string library_name = "genlib");
-
 /// Parse a genlib file from disk (Status form).
 StatusOr<Library> read_genlib_file_checked(const std::string& path);
 
-/// Throwing wrapper for file loads.
+/// Throwing wrapper for file loads; kept because perfbench/ calls it.
 Library read_genlib_file(const std::string& path);
 
 }  // namespace lily

@@ -164,10 +164,6 @@ public:
         const SubjectGraph& g, const LilyOptions& opts = {},
         std::optional<std::vector<Point>> pad_positions = std::nullopt) const;
 
-    /// Throwing wrapper around map_checked.
-    LilyResult map(const SubjectGraph& g, const LilyOptions& opts = {},
-                   std::optional<std::vector<Point>> pad_positions = std::nullopt) const;
-
     /// Cone-scoped incremental re-mapping for ECO deltas. `prior` is the
     /// previous mapping of the same subject graph lineage, taken over (its
     /// DP state becomes the result's), and `prior_subject_size` the graph

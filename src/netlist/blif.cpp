@@ -232,10 +232,6 @@ StatusOr<Network> read_blif_checked(std::string_view text) {
     return net;
 }
 
-Network read_blif(std::string_view text) {
-    return read_blif_checked(text).take_or_raise();
-}
-
 StatusOr<Network> read_blif_file_checked(const std::string& path) {
     std::ifstream in(path);
     if (!in) return Status(StatusCode::ParseError, "blif: cannot open " + path);

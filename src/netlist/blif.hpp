@@ -22,17 +22,13 @@ namespace lily {
 /// terminator is treated as truncated input.
 StatusOr<Network> read_blif_checked(std::string_view text);
 
-/// Throwing wrapper: std::runtime_error with a line number on malformed
-/// input.
-Network read_blif(std::string_view text);
-
 /// Parse from a file path (Status form).
 StatusOr<Network> read_blif_file_checked(const std::string& path);
 
-/// Throwing wrapper for file loads.
+/// Throwing wrapper for file loads; kept because perfbench/ calls it.
 Network read_blif_file(const std::string& path);
 
-/// Serialize; the output round-trips through read_blif.
+/// Serialize; the output round-trips through read_blif_checked.
 std::string write_blif(const Network& net);
 
 void write_blif_file(const Network& net, const std::string& path);

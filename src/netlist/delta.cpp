@@ -1,7 +1,7 @@
 // Network::apply_delta — atomic application of ECO edit lists — and the
 // random_delta generator used by the ECO tests and benches. Edits mutate a
 // scratch copy of the network so a delta either applies in full (one version
-// bump, one journal entry) or leaves the network untouched.
+// bump) or leaves the network untouched.
 #include "netlist/delta.hpp"
 
 #include <algorithm>
@@ -129,7 +129,6 @@ StatusOr<AppliedDelta> Network::apply_delta(const NetDelta& delta) {
     // Rewire/remove edits mutate adjacency without going through allocate();
     // one unconditional bump marks every frozen topology view stale.
     tmp.struct_version_.bump();
-    tmp.journal_.push_back({v, touched});
     *this = std::move(tmp);
     return AppliedDelta{v, std::move(touched)};
 }

@@ -1,9 +1,9 @@
 // Engineering-change deltas over a Network: the edit vocabulary of the
 // incremental pipeline. A NetDelta is an ordered list of operations —
 // add/remove/rewire/refunction/retarget — applied atomically by
-// Network::apply_delta, which journals the touched nodes under a new
-// network version. Downstream stages ask the journal which nodes changed
-// since the version they were built from and re-derive only those cones.
+// Network::apply_delta, which advances the network one version and returns
+// the directly edited nodes. The ECO pipeline expands those to their dirty
+// cones and re-derives only what they reach.
 #pragma once
 
 #include <cstdint>

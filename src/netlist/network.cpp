@@ -140,12 +140,6 @@ std::optional<NodeId> Network::find_node(std::string_view name) const {
     return it->second;
 }
 
-std::vector<NodeId> Network::topological_order() const {
-    std::vector<NodeId> order(nodes_.size());
-    for (NodeId i = 0; i < nodes_.size(); ++i) order[i] = i;
-    return order;
-}
-
 std::vector<NodeId> Network::transitive_fanin(NodeId root) const {
     const NetworkTopology& t = topology();
     std::vector<bool> in_tfi(nodes_.size(), false);
@@ -293,17 +287,6 @@ void Network::check() const {
             throw std::logic_error("Network::check: PO " + po.name + " driven by dead node");
         }
     }
-}
-
-std::vector<NodeId> Network::touched_since(Version since) const {
-    std::vector<NodeId> out;
-    for (const JournalEntry& e : journal_) {
-        if (e.version <= since) continue;
-        out.insert(out.end(), e.touched.begin(), e.touched.end());
-    }
-    std::sort(out.begin(), out.end());
-    out.erase(std::unique(out.begin(), out.end()), out.end());
-    return out;
 }
 
 }  // namespace lily

@@ -106,13 +106,7 @@ public:
     std::span<const NodeId> inputs() const { return inputs_; }
     std::span<const PrimaryOutput> outputs() const { return outputs_; }
 
-    bool is_dead(NodeId id) const { return nodes_[id].dead; }
-
     std::optional<NodeId> find_node(std::string_view name) const;
-
-    /// All node ids in creation order (creation order is topological because
-    /// fanins must exist before a node is added).
-    std::vector<NodeId> topological_order() const;
 
     /// Nodes in the transitive fanin of `root`, including `root`, in
     /// topological order.
@@ -136,13 +130,7 @@ public:
     /// violation; cheap enough to call in tests after every transformation.
     void check() const;
 
-    // ---- change journal (ECO pipeline) ---------------------------------
-    /// One journal record: the nodes directly edited under one version bump.
-    struct JournalEntry {
-        Version version = kNeverBuilt;
-        std::vector<NodeId> touched;
-    };
-
+    // ---- versioning (ECO pipeline) -------------------------------------
     /// Current generation. Starts at 1; every successful apply_delta bumps
     /// it, so a downstream artifact stamped with the version it was built
     /// from can detect staleness by comparison.
@@ -150,7 +138,7 @@ public:
 
     /// Structure generation: bumped by every node allocation, sweep, and
     /// applied delta — anything that can change adjacency. Distinct from
-    /// version(), which counts ECO deltas for the journal. Note that the
+    /// version(), which counts applied ECO deltas. Note that the
     /// non-const node() accessor is a mutation backdoor this counter cannot
     /// see; code editing fanins/fanouts directly (rather than through
     /// add_node/apply_delta/sweep) must not be mixed with topology().
@@ -164,17 +152,9 @@ public:
 
     /// Apply an ordered list of ECO edits atomically: either every op
     /// validates and the network advances one version, or the network is
-    /// left untouched and an error Status is returned. The touched node ids
-    /// are journaled under the new version.
+    /// left untouched and an error Status is returned. The result carries
+    /// the new version and the directly edited node ids.
     StatusOr<AppliedDelta> apply_delta(const NetDelta& delta);
-
-    /// All journal entries, oldest first (full-rebuild sentinels journal an
-    /// empty touched list).
-    std::span<const JournalEntry> journal() const { return journal_; }
-
-    /// Union of nodes touched by every delta applied after `since`, sorted
-    /// and deduplicated.
-    std::vector<NodeId> touched_since(Version since) const;
 
 private:
     NodeId allocate(Node n);
@@ -189,7 +169,6 @@ private:
     VersionCounter version_;
     VersionCounter struct_version_;
     mutable std::shared_ptr<const NetworkTopology> topo_;  // stamped lazy cache
-    std::vector<JournalEntry> journal_;
 };
 
 }  // namespace lily

@@ -35,7 +35,8 @@ StatusOr<bool> equivalent_random_checked(const Network& a, const Network& b,
 
 /// Throwing wrapper: true iff equivalent on every sampled vector. A PI/PO
 /// interface mismatch raises std::logic_error (it historically returned
-/// false, which let interface bugs masquerade as miscompares).
+/// false, which let interface bugs masquerade as miscompares). Kept
+/// because perfbench/ calls it.
 bool equivalent_random(const Network& a, const Network& b, std::size_t blocks,
                        std::uint64_t seed);
 

@@ -93,7 +93,6 @@ public:
     /// Intern a name for `s` (interface nodes only — internal decomposition
     /// nodes stay anonymous and print as "s<id>").
     void set_name(SubjectId s, std::string name);
-    bool has_name(SubjectId s) const { return names_.contains(s); }
     /// Interned name, or the canonical anonymous name "s<id>".
     std::string name_of(SubjectId s) const;
     /// The interned (explicitly named) nodes, unordered.

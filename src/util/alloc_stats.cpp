@@ -1,7 +1,5 @@
 #include "util/alloc_stats.hpp"
 
-#include <unistd.h>
-
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -40,17 +38,6 @@ void* checked_aligned_alloc(std::size_t size, std::size_t align) {
 AllocStats alloc_stats_snapshot() {
     return {g_alloc_count.load(std::memory_order_relaxed),
             g_alloc_bytes.load(std::memory_order_relaxed)};
-}
-
-std::size_t current_rss_bytes() {
-    std::FILE* f = std::fopen("/proc/self/statm", "r");
-    if (f == nullptr) return 0;
-    unsigned long long vm_pages = 0, rss_pages = 0;
-    const int got = std::fscanf(f, "%llu %llu", &vm_pages, &rss_pages);
-    std::fclose(f);
-    if (got != 2) return 0;
-    return static_cast<std::size_t>(rss_pages) *
-           static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
 }
 
 std::size_t peak_rss_bytes() {

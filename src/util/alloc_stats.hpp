@@ -8,7 +8,7 @@
 // `alloc_count.<stage>` / `alloc_bytes.<stage>` trace counters. That delta
 // is exactly what the perf_opt acceptance gate watches — a warmed hot stage
 // (mapping DP, CG placement) must show O(1) allocations per flow, proving
-// the scratch pools and arena/CSR views actually removed the churn.
+// the scratch pools and CSR views actually removed the churn.
 //
 // Counting uses relaxed ordering: per-stage deltas only need to be
 // monotone and complete, not ordered against other memory traffic, and the
@@ -31,10 +31,6 @@ struct AllocStats {
 /// when the replaced operators were not linked in (never the case for the
 /// flow binaries, which link lily_util).
 AllocStats alloc_stats_snapshot();
-
-/// Current resident-set size of this process in bytes (0 when /proc is
-/// unavailable).
-std::size_t current_rss_bytes();
 
 /// Peak resident-set size (VmHWM high-water mark) in bytes; monotone over
 /// the process lifetime (0 when /proc is unavailable).

@@ -1,5 +1,4 @@
-// Flat adjacency (CSR) and bump-pointer arena storage for the hot-path
-// graph kernels.
+// Flat adjacency (CSR) for the hot-path graph kernels.
 //
 // The pointer-based graph types (Network, SubjectGraph) keep one
 // std::vector per node for adjacency — ideal for incremental construction,
@@ -11,19 +10,12 @@
 // and `targets`, with node i's neighbors at targets[offsets[i]..offsets[i+1]).
 // Frozen views are immutable; mutation invalidates them by version bump and
 // the next consumer rebuilds.
-//
-// The Arena is the companion allocator for per-flow scratch that would
-// otherwise churn the global heap: bump-pointer allocation out of chunked
-// blocks, O(1) reset that retains capacity, no per-object free. Objects
-// placed in an arena must be trivially destructible.
 #pragma once
 
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <span>
-#include <type_traits>
 #include <vector>
 
 namespace lily {
@@ -70,80 +62,6 @@ private:
     // the offset table is most of the point of flattening.
     std::vector<std::uint32_t> offsets_;  // n + 1 entries (empty when unbuilt)
     std::vector<Id> targets_;
-};
-
-/// Bump-pointer allocator: carve trivially-destructible scratch out of
-/// chunked blocks, release everything at once with reset(). Blocks are
-/// retained across resets, so a warmed arena allocates nothing in steady
-/// state — the property the per-stage allocation counters assert.
-class Arena {
-public:
-    explicit Arena(std::size_t block_bytes = 1 << 16) : block_bytes_(block_bytes) {}
-
-    /// Uninitialized storage for `count` T, aligned for T.
-    template <typename T>
-    T* allocate(std::size_t count) {
-        static_assert(std::is_trivially_destructible_v<T>,
-                      "Arena memory is reclaimed without running destructors");
-        return static_cast<T*>(allocate_bytes(count * sizeof(T), alignof(T)));
-    }
-
-    /// A span of `count` value-initialized T.
-    template <typename T>
-    std::span<T> make_span(std::size_t count) {
-        T* p = allocate<T>(count);
-        for (std::size_t i = 0; i < count; ++i) new (p + i) T();
-        return {p, count};
-    }
-
-    /// Drop every allocation, keep the blocks. O(1).
-    void reset() {
-        block_ = 0;
-        used_ = 0;
-    }
-
-    std::size_t allocated_bytes() const { return allocated_; }
-    std::size_t capacity_bytes() const { return blocks_.size() * block_bytes_ + oversize_bytes_; }
-
-private:
-    void* allocate_bytes(std::size_t bytes, std::size_t align) {
-        if (bytes == 0) bytes = 1;
-        allocated_ += bytes;
-        // Oversize requests get their own block (kept until destruction;
-        // reset does not recycle them — they are rare by construction).
-        if (bytes + align > block_bytes_) {
-            oversize_.push_back(std::make_unique<std::byte[]>(bytes + align));
-            oversize_bytes_ += bytes + align;
-            return align_up(oversize_.back().get(), align);
-        }
-        while (true) {
-            if (block_ == blocks_.size()) {
-                blocks_.push_back(std::make_unique<std::byte[]>(block_bytes_));
-                used_ = 0;
-            }
-            std::byte* base = blocks_[block_].get();
-            std::byte* p = align_up(base + used_, align);
-            if (static_cast<std::size_t>(p - base) + bytes <= block_bytes_) {
-                used_ = static_cast<std::size_t>(p - base) + bytes;
-                return p;
-            }
-            ++block_;  // current block full; move on (fresh block => used_ = 0)
-            used_ = 0;
-        }
-    }
-
-    static std::byte* align_up(std::byte* p, std::size_t align) {
-        const auto v = reinterpret_cast<std::uintptr_t>(p);
-        return p + ((align - v % align) % align);
-    }
-
-    std::size_t block_bytes_;
-    std::vector<std::unique_ptr<std::byte[]>> blocks_;
-    std::vector<std::unique_ptr<std::byte[]>> oversize_;
-    std::size_t block_ = 0;      // block currently bumped into
-    std::size_t used_ = 0;       // bytes used in blocks_[block_]
-    std::size_t allocated_ = 0;  // lifetime bytes handed out (stat)
-    std::size_t oversize_bytes_ = 0;
 };
 
 }  // namespace lily

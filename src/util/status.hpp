@@ -4,9 +4,9 @@
 // rejecting its input, a solver that will not converge, a stage running out
 // of its wall-clock budget) from programming errors. Recoverable failures
 // travel as `Status` / `StatusOr<T>` values so callers can climb the
-// graceful-degradation ladder (flow/flow.hpp) instead of unwinding; the
-// thin `*_checked` wrappers keep the historical throwing API for callers
-// that want exceptions.
+// graceful-degradation ladder (flow/flow.hpp) instead of unwinding. Each
+// job has one `*_checked` entry point; a caller that wants an exception
+// unwraps its result with StatusOr::take_or_raise().
 #pragma once
 
 #include <optional>
@@ -53,7 +53,7 @@ public:
     /// "parse-error: blif:12: bad cube" (or "ok").
     std::string to_string() const;
 
-    /// Throw the exception type the historical API used for this code:
+    /// Throw the exception type that matches this code:
     /// InvariantViolation -> std::logic_error, everything else ->
     /// std::runtime_error. No-op free pass is a bug: calling raise() on an
     /// OK status throws std::logic_error.

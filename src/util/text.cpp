@@ -40,10 +40,6 @@ std::vector<std::string_view> split_char(std::string_view s, char sep) {
     return out;
 }
 
-bool starts_with(std::string_view s, std::string_view prefix) {
-    return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
-}
-
 double parse_double(std::string_view s, std::string_view context) {
     double v = 0.0;
     const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);

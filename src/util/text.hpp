@@ -19,9 +19,6 @@ std::vector<std::string_view> split_ws(std::string_view s);
 /// Split on a single character; keeps empty fields.
 std::vector<std::string_view> split_char(std::string_view s, char sep);
 
-/// True if `s` starts with `prefix`.
-bool starts_with(std::string_view s, std::string_view prefix);
-
 /// Parse a double; throws std::invalid_argument naming `context` on failure.
 double parse_double(std::string_view s, std::string_view context);
 

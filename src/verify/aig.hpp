@@ -49,8 +49,6 @@ public:
     /// Fanin literals of an AND node.
     AigLit fanin0(std::uint32_t node) const { return nodes_[node].f0; }
     AigLit fanin1(std::uint32_t node) const { return nodes_[node].f1; }
-    /// Input position of an input node (index into inputs()).
-    std::size_t input_index(std::uint32_t node) const { return nodes_[node].f0; }
 
     // ---- construction (all return hashed, simplified literals) ----------
     AigLit make_and(AigLit a, AigLit b);

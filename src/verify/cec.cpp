@@ -30,10 +30,6 @@ std::optional<VerifyLevel> match_verify_level(std::string_view text) {
 
 }  // namespace
 
-VerifyLevel parse_verify_level(std::string_view text, VerifyLevel fallback) {
-    return match_verify_level(text).value_or(fallback);
-}
-
 VerifyLevel verify_level_from_env() {
     static const VerifyLevel cached = [] {
         const char* text = std::getenv("LILY_VERIFY");

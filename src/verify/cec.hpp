@@ -51,10 +51,6 @@ namespace lily {
 ///            CEC, with fallback to Sim when that is inconclusive.
 enum class VerifyLevel : std::uint8_t { Off, Sim, Prove };
 
-/// Parse "off" / "sim" / "prove" (case-insensitive). Unknown text returns
-/// `fallback`.
-VerifyLevel parse_verify_level(std::string_view text, VerifyLevel fallback = VerifyLevel::Off);
-
 /// VerifyLevel from the LILY_VERIFY environment variable (unset -> Off;
 /// unparsable -> Off with one stderr line). Read once and cached.
 VerifyLevel verify_level_from_env();

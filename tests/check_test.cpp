@@ -341,11 +341,11 @@ TEST(FlowCheck, LightChecksWithSimVerifyStayQuiet) {
     FlowOptions opts;
     opts.check = CheckLevel::Light;
     opts.verify = VerifyLevel::Sim;
-    EXPECT_NO_THROW(run_baseline_flow(net, lib, opts));
-    EXPECT_NO_THROW(run_lily_flow(net, lib, opts));
+    EXPECT_TRUE(run_baseline_flow_checked(net, lib, opts).is_ok());
+    EXPECT_TRUE(run_lily_flow_checked(net, lib, opts).is_ok());
     opts.objective = MapObjective::Delay;
-    EXPECT_NO_THROW(run_baseline_flow(net, lib, opts));
-    EXPECT_NO_THROW(run_lily_flow(net, lib, opts));
+    EXPECT_TRUE(run_baseline_flow_checked(net, lib, opts).is_ok());
+    EXPECT_TRUE(run_lily_flow_checked(net, lib, opts).is_ok());
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Tests for the flat-adjacency (CSR) machinery and the rewritten CG kernel:
-//  * Csr builder + Arena unit behaviour;
+//  * Csr builder unit behaviour;
 //  * property tests that the frozen Network/SubjectGraph topology views
 //    agree edge-for-edge with the pointer-based adjacency, across random
 //    ECO deltas (staleness is the bug class: a view that survives a
@@ -27,7 +27,7 @@
 namespace lily {
 namespace {
 
-// ---- Csr / Arena units -------------------------------------------------
+// ---- Csr units --------------------------------------------------------
 
 TEST(Csr, CountedBuildPreservesPerSourceOrder) {
     // 0 -> {2, 1}, 1 -> {}, 2 -> {0}
@@ -57,30 +57,6 @@ TEST(Csr, EmptyGraph) {
         0, [](std::size_t) { return 0u; }, [](auto) {});
     EXPECT_EQ(c.node_count(), 0u);
     EXPECT_EQ(c.edge_count(), 0u);
-}
-
-TEST(Arena, ResetRetainsBlocksAndAllocatesNothing) {
-    Arena a(1 << 12);
-    for (int round = 0; round < 3; ++round) {
-        a.reset();
-        const AllocStats before = alloc_stats_snapshot();
-        for (int i = 0; i < 64; ++i) {
-            std::span<std::uint64_t> s = a.make_span<std::uint64_t>(32);
-            s[0] = static_cast<std::uint64_t>(i);
-            EXPECT_EQ(s.size(), 32u);
-        }
-        if (round > 0) {
-            // Warmed arena: every block already exists.
-            EXPECT_EQ(alloc_stats_snapshot().count, before.count);
-        }
-    }
-}
-
-TEST(Arena, AlignmentHonored) {
-    Arena a;
-    a.allocate<char>(1);
-    double* d = a.allocate<double>(4);
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(d) % alignof(double), 0u);
 }
 
 // ---- Topology-view property tests --------------------------------------

@@ -59,7 +59,7 @@ TEST(Eco, RandomDeltaSequencesStayEquivalent) {
         }
 
         // ...and agree with a from-scratch flow of the final edited circuit.
-        const FlowResult scratch = run_lily_flow(state.net, lib, opts);
+        const FlowResult scratch = run_lily_flow_checked(state.net, lib, opts).take_or_raise();
         EXPECT_TRUE(equivalent_random(scratch.netlist.to_network(lib),
                                       state.flow.netlist.to_network(lib), 8, 99))
             << name;
@@ -87,7 +87,7 @@ void expect_full_rebuild_matches_batch(std::size_t threads) {
     ASSERT_TRUE(full.is_ok()) << full.status().to_string();
     EXPECT_TRUE(full.value().full_reflow);
 
-    const FlowResult batch = run_lily_flow(state.net, lib, opts);
+    const FlowResult batch = run_lily_flow_checked(state.net, lib, opts).take_or_raise();
     const FlowResult& eco = state.flow;
     EXPECT_EQ(eco.metrics.gate_count, batch.metrics.gate_count);
     EXPECT_EQ(eco.metrics.cell_area, batch.metrics.cell_area);

@@ -35,11 +35,11 @@ TEST(Edge, WireOnlyCircuitThroughFlow) {
     net.add_output("f", a);
     const Library lib = load_msu_big();
     const DecomposeResult sub = decompose(net);
-    const LilyResult res = LilyMapper(lib).map(sub.graph);
+    const LilyResult res = LilyMapper(lib).map_checked(sub.graph).take_or_raise();
     EXPECT_EQ(res.netlist.gate_count(), 0u);
     EXPECT_TRUE(equivalent_random(net, res.netlist.to_network(lib), 4, 1));
     // The full pipeline also survives (placement/routing of zero cells).
-    const FlowResult flow = run_lily_flow(net, lib);
+    const FlowResult flow = run_lily_flow_checked(net, lib).take_or_raise();
     EXPECT_EQ(flow.metrics.gate_count, 0u);
 }
 
@@ -49,8 +49,8 @@ TEST(Edge, SingleGateCircuitThroughBothFlows) {
     const NodeId b = net.add_input("b");
     net.add_output("f", net.make_nand(std::array{a, b}));
     const Library lib = load_msu_tiny();
-    const FlowResult base = run_baseline_flow(net, lib);
-    const FlowResult lily = run_lily_flow(net, lib);
+    const FlowResult base = run_baseline_flow_checked(net, lib).take_or_raise();
+    const FlowResult lily = run_lily_flow_checked(net, lib).take_or_raise();
     // Period-accurate subject graphs wrap the NAND in an inverter pair, so
     // the cover is a NAND plus a buffer (or two inverters); with
     // cancel_inverter_pairs a single nand2 suffices.
@@ -60,7 +60,7 @@ TEST(Edge, SingleGateCircuitThroughBothFlows) {
     DecomposeOptions clean;
     clean.cancel_inverter_pairs = true;
     const DecomposeResult sub = decompose(net, clean);
-    const LilyResult direct = LilyMapper(lib).map(sub.graph);
+    const LilyResult direct = LilyMapper(lib).map_checked(sub.graph).take_or_raise();
     EXPECT_EQ(direct.netlist.gate_count(), 1u);
 }
 
@@ -93,10 +93,11 @@ TEST(Edge, PadPlacementWithNoPads) {
 }
 
 TEST(Edge, BlifMinimalModel) {
-    const Network net = read_blif(".model m\n.inputs a\n.outputs a\n.end\n");
+    const Network net =
+        read_blif_checked(".model m\n.inputs a\n.outputs a\n.end\n").take_or_raise();
     EXPECT_EQ(net.inputs().size(), 1u);
     const std::string round = write_blif(net);
-    EXPECT_TRUE(equivalent_random(net, read_blif(round), 4, 3));
+    EXPECT_TRUE(equivalent_random(net, read_blif_checked(round).take_or_raise(), 4, 3));
 }
 
 TEST(Edge, OptimizeEmptyAndTrivial) {
@@ -117,7 +118,7 @@ TEST(Edge, SingleCubeWideGateMaps) {
     net.add_output("f", net.make_and(ins));
     const Library lib = load_msu_big();
     const DecomposeResult sub = decompose(net);
-    const LilyResult res = LilyMapper(lib).map(sub.graph);
+    const LilyResult res = LilyMapper(lib).map_checked(sub.graph).take_or_raise();
     EXPECT_GT(res.netlist.gate_count(), 1u);
     EXPECT_TRUE(equivalent_random(net, res.netlist.to_network(lib), 8, 5));
 }
@@ -134,7 +135,7 @@ TEST(Edge, DuplicatePoDrivers) {
     const Library lib = load_msu_big();
     const DecomposeResult sub = decompose(net);
     EXPECT_EQ(partition_cones(sub.graph).size(), 1u);
-    const FlowResult flow = run_lily_flow(net, lib);
+    const FlowResult flow = run_lily_flow_checked(net, lib).take_or_raise();
     EXPECT_TRUE(equivalent_random(net, flow.netlist.to_network(lib), 4, 6));
 }
 

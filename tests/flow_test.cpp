@@ -11,7 +11,7 @@ namespace {
 TEST(Flow, BaselinePipelineEndToEnd) {
     const Library lib = load_msu_big();
     const Network net = make_priority_controller(10);
-    const FlowResult res = run_baseline_flow(net, lib);
+    const FlowResult res = run_baseline_flow_checked(net, lib).take_or_raise();
     EXPECT_GT(res.metrics.gate_count, 0u);
     EXPECT_GT(res.metrics.cell_area, 0.0);
     EXPECT_GT(res.metrics.chip_area, res.metrics.cell_area);
@@ -24,7 +24,7 @@ TEST(Flow, BaselinePipelineEndToEnd) {
 TEST(Flow, LilyPipelineEndToEnd) {
     const Library lib = load_msu_big();
     const Network net = make_priority_controller(10);
-    const FlowResult res = run_lily_flow(net, lib);
+    const FlowResult res = run_lily_flow_checked(net, lib).take_or_raise();
     EXPECT_GT(res.metrics.gate_count, 0u);
     EXPECT_GT(res.metrics.chip_area, res.metrics.cell_area);
     EXPECT_TRUE(equivalent_random(net, res.netlist.to_network(lib), 8, 3));
@@ -35,8 +35,8 @@ TEST(Flow, DelayModePipelines) {
     const Network net = make_alu(5, false);
     FlowOptions opts;
     opts.objective = MapObjective::Delay;
-    const FlowResult base = run_baseline_flow(net, lib, opts);
-    const FlowResult lily = run_lily_flow(net, lib, opts);
+    const FlowResult base = run_baseline_flow_checked(net, lib, opts).take_or_raise();
+    const FlowResult lily = run_lily_flow_checked(net, lib, opts).take_or_raise();
     EXPECT_GT(base.metrics.critical_delay, 0.0);
     EXPECT_GT(lily.metrics.critical_delay, 0.0);
     EXPECT_TRUE(equivalent_random(net, base.netlist.to_network(lib), 8, 4));
@@ -56,9 +56,11 @@ TEST(Flow, MetricsUnitConversions) {
 TEST(Flow, BackendPadMismatchRejected) {
     const Library lib = load_msu_big();
     const Network net = make_priority_controller(8);
-    const FlowResult base = run_baseline_flow(net, lib);
+    const FlowResult base = run_baseline_flow_checked(net, lib).take_or_raise();
     PadsInRegion pads{{Point{0, 0}}, Rect({0, 0}, {1, 1})};  // wrong count
-    EXPECT_THROW(run_backend(base.netlist, lib, {}, pads), std::logic_error);
+    const StatusOr<FlowResult> r = run_backend_checked(base.netlist, lib, {}, pads);
+    ASSERT_FALSE(r.is_ok());
+    EXPECT_EQ(r.status().code(), StatusCode::InvariantViolation) << r.status().to_string();
 }
 
 TEST(Flow, SuiteShapeOnSmallScale) {
@@ -72,8 +74,8 @@ TEST(Flow, SuiteShapeOnSmallScale) {
         const auto it = std::find_if(suite.begin(), suite.end(),
                                      [&](const Benchmark& b) { return b.name == name; });
         ASSERT_NE(it, suite.end());
-        const FlowResult base = run_baseline_flow(it->network, lib);
-        const FlowResult lily = run_lily_flow(it->network, lib);
+        const FlowResult base = run_baseline_flow_checked(it->network, lib).take_or_raise();
+        const FlowResult lily = run_lily_flow_checked(it->network, lib).take_or_raise();
         EXPECT_LT(lily.metrics.wirelength, base.metrics.wirelength * 1.15) << name;
         if (lily.metrics.wirelength < base.metrics.wirelength) ++lily_wins;
         ++comparisons;

@@ -78,7 +78,7 @@ TEST_P(GoldenFlow, BaselineBatch) {
     const Library lib = load_msu_big();
     const Network net = make_priority_controller(10);
     const FlowResult res =
-        run_baseline_flow(net, lib, options_with_threads(GetParam()));
+        run_baseline_flow_checked(net, lib, options_with_threads(GetParam())).take_or_raise();
     check_golden("baseline_prio10.txt",
                  render(res.metrics, write_blif(res.netlist.to_network(lib, "golden"))));
 }
@@ -86,7 +86,8 @@ TEST_P(GoldenFlow, BaselineBatch) {
 TEST_P(GoldenFlow, LilyBatch) {
     const Library lib = load_msu_big();
     const Network net = make_priority_controller(10);
-    const FlowResult res = run_lily_flow(net, lib, options_with_threads(GetParam()));
+    const FlowResult res =
+        run_lily_flow_checked(net, lib, options_with_threads(GetParam())).take_or_raise();
     check_golden("lily_prio10.txt",
                  render(res.metrics, write_blif(res.netlist.to_network(lib, "golden"))));
 }
@@ -96,7 +97,7 @@ TEST_P(GoldenFlow, LilyBatchDelayObjective) {
     const Network net = make_alu(5, false);
     FlowOptions opts = options_with_threads(GetParam());
     opts.objective = MapObjective::Delay;
-    const FlowResult res = run_lily_flow(net, lib, opts);
+    const FlowResult res = run_lily_flow_checked(net, lib, opts).take_or_raise();
     check_golden("lily_alu5_delay.txt",
                  render(res.metrics, write_blif(res.netlist.to_network(lib, "golden"))));
 }

@@ -36,7 +36,7 @@ TEST_P(LilyParam, MapsBenchmarksEquivalent) {
         ASSERT_NE(it, suite.end());
         const Network& net = it->network;
         const DecomposeResult r = decompose(net);
-        const LilyResult res = mapper.map(r.graph, opts);
+        const LilyResult res = mapper.map_checked(r.graph, opts).take_or_raise();
         res.netlist.check(lib);
         EXPECT_TRUE(equivalent_random(net, res.netlist.to_network(lib), 8, 17)) << name;
         EXPECT_EQ(res.instance_positions.size(), res.netlist.gate_count());
@@ -66,7 +66,7 @@ TEST(Lily, LifeCycleEndsInHawksAndDoves) {
     const Library lib = load_msu_big();
     const Network net = small_circuit();
     const DecomposeResult r = decompose(net);
-    const LilyResult res = LilyMapper(lib).map(r.graph);
+    const LilyResult res = LilyMapper(lib).map_checked(r.graph).take_or_raise();
     // Every subject gate node reachable from a PO is Hawk or Dove; inputs
     // stay Egg (they are never "processed").
     std::vector<bool> live(r.graph.size(), false);
@@ -102,7 +102,7 @@ TEST(Lily, ConeOrderIsPermutation) {
     const Library lib = load_msu_big();
     const Network net = small_circuit();
     const DecomposeResult r = decompose(net);
-    const LilyResult res = LilyMapper(lib).map(r.graph);
+    const LilyResult res = LilyMapper(lib).map_checked(r.graph).take_or_raise();
     auto order = res.cone_order;
     std::sort(order.begin(), order.end());
     for (std::size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
@@ -117,7 +117,7 @@ TEST(Lily, ZeroWireWeightMatchesBaselineArea) {
     const DecomposeResult r = decompose(net);
     LilyOptions lily_opts;
     lily_opts.wire_weight = 0.0;
-    const LilyResult lres = LilyMapper(lib).map(r.graph, lily_opts);
+    const LilyResult lres = LilyMapper(lib).map_checked(r.graph, lily_opts).take_or_raise();
     const MapResult bres = BaseMapper(lib).map(r.graph);
     EXPECT_NEAR(lres.total_area, bres.total_area, 1e-6);
 }
@@ -131,8 +131,8 @@ TEST(Lily, WireAwareMappingReducesEstimatedWire) {
     no_wire.wire_weight = 0.0;
     LilyOptions with_wire;
     with_wire.wire_weight = 2.0;
-    const LilyResult r0 = LilyMapper(lib).map(r.graph, no_wire);
-    const LilyResult r1 = LilyMapper(lib).map(r.graph, with_wire);
+    const LilyResult r0 = LilyMapper(lib).map_checked(r.graph, no_wire).take_or_raise();
+    const LilyResult r1 = LilyMapper(lib).map_checked(r.graph, with_wire).take_or_raise();
     EXPECT_LE(r1.estimated_wirelength, r0.estimated_wirelength * 1.02);
 }
 
@@ -140,7 +140,7 @@ TEST(Lily, InstancePositionsInsideRegion) {
     const Library lib = load_msu_big();
     const Network net = small_circuit();
     const DecomposeResult r = decompose(net);
-    const LilyResult res = LilyMapper(lib).map(r.graph);
+    const LilyResult res = LilyMapper(lib).map_checked(r.graph).take_or_raise();
     // mapPositions stay within (a small margin of) the placement region.
     Rect grown = res.inchoate_placement.region;
     const double margin = grown.half_perimeter() * 0.25;
@@ -158,13 +158,15 @@ TEST(Lily, ExternalPadPositionsRespected) {
     const SubjectPlacementView view = make_placement_view(r.graph);
     const Rect region = make_region(view.netlist.total_cell_area());
     const auto pads = uniform_pad_ring(view.netlist.pad_positions.size(), region);
-    const LilyResult res = LilyMapper(lib).map(r.graph, {}, pads);
+    const LilyResult res = LilyMapper(lib).map_checked(r.graph, {}, pads).take_or_raise();
     ASSERT_EQ(res.pad_positions.size(), pads.size());
     for (std::size_t i = 0; i < pads.size(); ++i) {
         EXPECT_EQ(res.pad_positions[i], pads[i]);
     }
-    EXPECT_THROW(LilyMapper(lib).map(r.graph, {}, std::vector<Point>{{0, 0}}),
-                 std::logic_error);
+    const StatusOr<LilyResult> wrong =
+        LilyMapper(lib).map_checked(r.graph, {}, std::vector<Point>{{0, 0}});
+    ASSERT_FALSE(wrong.is_ok());
+    EXPECT_EQ(wrong.status().code(), StatusCode::InvariantViolation) << wrong.status().to_string();
 }
 
 TEST(Lily, PeriodicReplacementRunsAndStaysEquivalent) {
@@ -173,7 +175,7 @@ TEST(Lily, PeriodicReplacementRunsAndStaysEquivalent) {
     const DecomposeResult r = decompose(net);
     LilyOptions opts;
     opts.replace_every_n_cones = 2;
-    const LilyResult res = LilyMapper(lib).map(r.graph, opts);
+    const LilyResult res = LilyMapper(lib).map_checked(r.graph, opts).take_or_raise();
     EXPECT_GT(res.replacements, 0u);
     EXPECT_TRUE(equivalent_random(net, res.netlist.to_network(lib), 8, 23));
 }
@@ -186,8 +188,8 @@ TEST(Lily, ConeOrderingToggleBothEquivalent) {
     ordered.order_cones = true;
     LilyOptions unordered;
     unordered.order_cones = false;
-    const LilyResult a = LilyMapper(lib).map(r.graph, ordered);
-    const LilyResult b = LilyMapper(lib).map(r.graph, unordered);
+    const LilyResult a = LilyMapper(lib).map_checked(r.graph, ordered).take_or_raise();
+    const LilyResult b = LilyMapper(lib).map_checked(r.graph, unordered).take_or_raise();
     EXPECT_TRUE(equivalent_random(net, a.netlist.to_network(lib), 8, 29));
     EXPECT_TRUE(equivalent_random(net, b.netlist.to_network(lib), 8, 29));
 }
@@ -198,7 +200,7 @@ TEST(Lily, DelayModeArrivalPositiveAndConsistent) {
     const DecomposeResult r = decompose(net);
     LilyOptions opts;
     opts.objective = MapObjective::Delay;
-    const LilyResult res = LilyMapper(lib).map(r.graph, opts);
+    const LilyResult res = LilyMapper(lib).map_checked(r.graph, opts).take_or_raise();
     EXPECT_GT(res.worst_arrival, 0.0);
     EXPECT_LT(res.worst_arrival, 1e4);
     // Block arrival consistency: for every hawk, the stored output arrival
@@ -216,8 +218,8 @@ TEST(Lily, DeterministicAcrossRuns) {
     const Library lib = load_msu_big();
     const Network net = small_circuit();
     const DecomposeResult r = decompose(net);
-    const LilyResult a = LilyMapper(lib).map(r.graph);
-    const LilyResult b = LilyMapper(lib).map(r.graph);
+    const LilyResult a = LilyMapper(lib).map_checked(r.graph).take_or_raise();
+    const LilyResult b = LilyMapper(lib).map_checked(r.graph).take_or_raise();
     ASSERT_EQ(a.netlist.gate_count(), b.netlist.gate_count());
     for (std::size_t i = 0; i < a.netlist.gates.size(); ++i) {
         EXPECT_EQ(a.netlist.gates[i].gate, b.netlist.gates[i].gate);
@@ -247,9 +249,9 @@ TEST(Lily, SameMappingAtOneAndEightThreads) {
         ThreadPool& pool = ThreadPool::global();
         const std::size_t saved = pool.size();
         pool.resize(1);
-        const LilyResult one = LilyMapper(lib).map(r.graph, opts);
+        const LilyResult one = LilyMapper(lib).map_checked(r.graph, opts).take_or_raise();
         pool.resize(8);
-        const LilyResult eight = LilyMapper(lib).map(r.graph, opts);
+        const LilyResult eight = LilyMapper(lib).map_checked(r.graph, opts).take_or_raise();
         pool.resize(saved);
         EXPECT_EQ(one.cone_order, eight.cone_order);
         expect_same_cover(one, eight);
@@ -262,7 +264,7 @@ TEST(Lily, NoOpRemapReusesEveryNode) {
     const Network net = make_control_logic(14, 10, 100, 0x56, "ctest");
     const DecomposeResult r = decompose(net);
     const LilyMapper mapper(lib);
-    const LilyResult full = mapper.map(r.graph);
+    const LilyResult full = mapper.map_checked(r.graph).take_or_raise();
     std::size_t solved = 0;
     for (SubjectId v = 0; v < r.graph.size(); ++v) {
         if (r.graph.node(v).kind != SubjectKind::Input && full.solution[v].has_match) ++solved;
@@ -284,7 +286,7 @@ TEST(Lily, PhaseTimesFitInsideTheCall) {
     LilyOptions opts;
     opts.replace_every_n_cones = 2;
     const auto t0 = std::chrono::steady_clock::now();
-    const LilyResult res = LilyMapper(lib).map(r.graph, opts);
+    const LilyResult res = LilyMapper(lib).map_checked(r.graph, opts).take_or_raise();
     const double call_ms =
         std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
     const LilyPhaseTimes& t = res.timing;

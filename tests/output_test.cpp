@@ -1,82 +1,12 @@
 #include <gtest/gtest.h>
 
-#include <fstream>
-
 #include "circuits/benchmarks.hpp"
-#include "library/standard_cells.hpp"
-#include "lily/lily_mapper.hpp"
-#include "map/verilog.hpp"
 #include "netlist/simulate.hpp"
 #include "place/netlist_adapters.hpp"
 #include "subject/decompose.hpp"
 
 namespace lily {
 namespace {
-
-struct Mapped {
-    Library lib = load_msu_big();
-    Network net;
-    MappedNetlist netlist;
-};
-
-Mapped map_small() {
-    Mapped m;
-    m.net = make_priority_controller(8);
-    const DecomposeResult sub = decompose(m.net);
-    m.netlist = LilyMapper(m.lib).map(sub.graph).netlist;
-    return m;
-}
-
-// ---------------------------------------------------------------- verilog
-
-TEST(Verilog, StructureOfOutput) {
-    const Mapped m = map_small();
-    const std::string v = write_verilog(m.netlist, m.lib, "prio");
-    EXPECT_NE(v.find("module prio ("), std::string::npos);
-    EXPECT_NE(v.find("endmodule"), std::string::npos);
-    // Every PI is declared as input, every PO as output.
-    for (const std::string& n : m.netlist.subject_input_names) {
-        EXPECT_NE(v.find("input " + n + ";"), std::string::npos) << n;
-    }
-    for (const MappedOutput& po : m.netlist.outputs) {
-        EXPECT_NE(v.find("output " + po.name), std::string::npos) << po.name;
-    }
-    // One instance per gate, named u<i>.
-    EXPECT_NE(v.find(" u0 ("), std::string::npos);
-    EXPECT_NE(v.find(" u" + std::to_string(m.netlist.gate_count() - 1) + " ("),
-              std::string::npos);
-    // Cell names from the library appear.
-    bool found_cell = false;
-    for (const Gate& g : m.lib.gates()) {
-        if (v.find("  " + g.name + " u") != std::string::npos) found_cell = true;
-    }
-    EXPECT_TRUE(found_cell);
-}
-
-TEST(Verilog, SanitizesAwkwardNames) {
-    Network net("weird");
-    const NodeId a = net.add_input("sig[3]");
-    const NodeId b = net.add_input("2bad");
-    net.add_output("out.x", net.make_and2(a, b));
-    const Library lib = load_msu_big();
-    const DecomposeResult sub = decompose(net);
-    const MappedNetlist m = LilyMapper(lib).map(sub.graph).netlist;
-    const std::string v = write_verilog(m, lib);
-    EXPECT_EQ(v.find('['), std::string::npos);
-    EXPECT_EQ(v.find('.'), v.find(".O("));  // only pin connections use '.'
-    EXPECT_NE(v.find("sig_3_"), std::string::npos);
-    EXPECT_NE(v.find("n2bad"), std::string::npos);
-}
-
-TEST(Verilog, FileWriting) {
-    const Mapped m = map_small();
-    const std::string path = ::testing::TempDir() + "/lily_out.v";
-    write_verilog_file(m.netlist, m.lib, path, "prio");
-    std::ifstream in(path);
-    ASSERT_TRUE(in.good());
-    std::string text((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-    EXPECT_EQ(text, write_verilog(m.netlist, m.lib, "prio"));
-}
 
 // ------------------------------------------------------------ improve_rows
 

@@ -290,7 +290,7 @@ void expect_flows_bit_identical(MapObjective objective) {
         FlowOptions opts;
         opts.objective = objective;
         opts.threads = threads;
-        return run_lily_flow(net, lib, opts);
+        return run_lily_flow_checked(net, lib, opts).take_or_raise();
     };
     const FlowResult r1 = run_with(1);
     const FlowResult r8 = run_with(8);
@@ -330,8 +330,8 @@ TEST(FlowDeterminism, BaselineFlowBitIdentical1vs8Threads) {
     o1.threads = 1;
     FlowOptions o8;
     o8.threads = 8;
-    const FlowResult r1 = run_baseline_flow(net, lib, o1);
-    const FlowResult r8 = run_baseline_flow(net, lib, o8);
+    const FlowResult r1 = run_baseline_flow_checked(net, lib, o1).take_or_raise();
+    const FlowResult r8 = run_baseline_flow_checked(net, lib, o8).take_or_raise();
     EXPECT_EQ(r1.metrics.cell_area, r8.metrics.cell_area);
     EXPECT_EQ(r1.metrics.wirelength, r8.metrics.wirelength);
     EXPECT_EQ(r1.metrics.critical_delay, r8.metrics.critical_delay);

@@ -106,7 +106,8 @@ TEST(PlaceOracle, TableOneViewsMatch) {
                               b.name + " baseline");
 
         // The Lily back end's seed-anchored view: pads given, cells placed.
-        const LilyResult lily = LilyMapper(lib).map(dec.graph, LilyOptions{});
+        const LilyResult lily =
+            LilyMapper(lib).map_checked(dec.graph, LilyOptions{}).take_or_raise();
         const MappedPlacementView lily_view = make_placement_view(lily.netlist, lib);
         const Rect region =
             make_region(lily_view.netlist.total_cell_area(), flow.placement_utilization);

@@ -96,8 +96,8 @@ TEST_P(SuiteEquivalence, BothPipelinesPreserveFunction) {
     FlowOptions opts;
     opts.objective = GetParam();
     for (const Benchmark& b : paper_suite(0.2)) {
-        const FlowResult base = run_baseline_flow(b.network, lib, opts);
-        const FlowResult lily = run_lily_flow(b.network, lib, opts);
+        const FlowResult base = run_baseline_flow_checked(b.network, lib, opts).take_or_raise();
+        const FlowResult lily = run_lily_flow_checked(b.network, lib, opts).take_or_raise();
         EXPECT_TRUE(equivalent_random(b.network, base.netlist.to_network(lib), 4, 7)) << b.name;
         EXPECT_TRUE(equivalent_random(b.network, lily.netlist.to_network(lib), 4, 7)) << b.name;
     }
@@ -135,7 +135,7 @@ TEST_P(CrossMatrix, MappedEquivalent) {
         const DecomposeResult sub = decompose(net, dopts);
         MappedNetlist mapped;
         if (c.lily) {
-            mapped = LilyMapper(lib).map(sub.graph).netlist;
+            mapped = LilyMapper(lib).map_checked(sub.graph).take_or_raise().netlist;
         } else {
             mapped = BaseMapper(lib).map(sub.graph).netlist;
         }
@@ -164,8 +164,8 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(FlowProperties, Deterministic) {
     const Library lib = load_msu_big();
     const Network net = make_priority_controller(10);
-    const FlowResult a = run_lily_flow(net, lib);
-    const FlowResult b = run_lily_flow(net, lib);
+    const FlowResult a = run_lily_flow_checked(net, lib).take_or_raise();
+    const FlowResult b = run_lily_flow_checked(net, lib).take_or_raise();
     EXPECT_EQ(a.metrics.gate_count, b.metrics.gate_count);
     EXPECT_DOUBLE_EQ(a.metrics.wirelength, b.metrics.wirelength);
     EXPECT_DOUBLE_EQ(a.metrics.critical_delay, b.metrics.critical_delay);
@@ -175,8 +175,8 @@ TEST(FlowProperties, AdaptiveNeverWorseThanPlain) {
     const Library lib = load_msu_big();
     for (const Benchmark& b : paper_suite(0.25)) {
         if (b.network.logic_node_count() > 250) continue;
-        const FlowResult base = run_baseline_flow(b.network, lib);
-        const FlowResult plain = run_lily_flow(b.network, lib);
+        const FlowResult base = run_baseline_flow_checked(b.network, lib).take_or_raise();
+        const FlowResult plain = run_lily_flow_checked(b.network, lib).take_or_raise();
         const FlowResult tuned =
             run_lily_flow_adaptive_checked(b.network, lib, {}, base.metrics.wirelength)
                 .take_or_raise();
@@ -189,7 +189,8 @@ TEST(FlowProperties, AdaptiveNeverWorseThanPlain) {
 TEST(FlowProperties, MetricsAreConsistent) {
     const Library lib = load_msu_big();
     const Network net = make_alu(6, false);
-    for (const auto& res : {run_baseline_flow(net, lib), run_lily_flow(net, lib)}) {
+    for (const auto& res : {run_baseline_flow_checked(net, lib).take_or_raise(),
+                            run_lily_flow_checked(net, lib).take_or_raise()}) {
         EXPECT_GT(res.metrics.gate_count, 0u);
         EXPECT_GT(res.metrics.cell_area, 0.0);
         EXPECT_GE(res.metrics.chip_area, res.metrics.cell_area);
@@ -220,8 +221,8 @@ TEST(LibraryFiles, BundledGenlibFilesMatchEmbedded) {
         if (!in) GTEST_SKIP() << "library file not present: " << full;
         std::string text((std::istreambuf_iterator<char>(in)),
                          std::istreambuf_iterator<char>());
-        const Library from_file = read_genlib(text, path);
-        const Library from_mem = read_genlib(embedded, path);
+        const Library from_file = read_genlib_checked(text, path).take_or_raise();
+        const Library from_mem = read_genlib_checked(embedded, path).take_or_raise();
         ASSERT_EQ(from_file.size(), from_mem.size()) << path;
         for (GateId g = 0; g < from_file.size(); ++g) {
             EXPECT_EQ(from_file.gate(g).name, from_mem.gate(g).name);
@@ -245,13 +246,13 @@ TEST(BlifFiles, MappedNetlistRoundTrip) {
     const Library lib = load_msu_big();
     const Network net = make_alu(4, false);
     const DecomposeResult sub = decompose(net);
-    const LilyResult res = LilyMapper(lib).map(sub.graph);
+    const LilyResult res = LilyMapper(lib).map_checked(sub.graph).take_or_raise();
     const std::string path = ::testing::TempDir() + "/lily_mapped.blif";
     write_blif_file(res.netlist.to_network(lib, "mapped"), path);
     const Network back = read_blif_file(path);
     EXPECT_TRUE(equivalent_random(net, back, 8, 17));
     const DecomposeResult sub2 = decompose(back);
-    const LilyResult res2 = LilyMapper(lib).map(sub2.graph);
+    const LilyResult res2 = LilyMapper(lib).map_checked(sub2.graph).take_or_raise();
     EXPECT_TRUE(equivalent_random(net, res2.netlist.to_network(lib), 8, 19));
 }
 

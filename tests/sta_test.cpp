@@ -338,8 +338,10 @@ TEST(TimingOracle, Table1SuiteMatches) {
     const Library lib = load_msu_big();
     for (const Benchmark& b : paper_suite(0.25)) {
         for (const bool lily : {false, true}) {
-            const FlowResult res = lily ? run_lily_flow(b.network, lib, oracle_flow_options())
-                                        : run_baseline_flow(b.network, lib, oracle_flow_options());
+            const FlowResult res =
+                (lily ? run_lily_flow_checked(b.network, lib, oracle_flow_options())
+                      : run_baseline_flow_checked(b.network, lib, oracle_flow_options()))
+                    .take_or_raise();
             expect_matches_oracle(res.netlist, lib, res.final_positions, res.pad_positions,
                                   b.name + (lily ? " lily" : " baseline"));
         }

@@ -3,7 +3,6 @@
 #include <array>
 #include <cmath>
 
-#include "util/disjoint_set.hpp"
 #include "util/geometry.hpp"
 #include "util/rng.hpp"
 #include "util/sparse.hpp"
@@ -135,21 +134,6 @@ TEST(Rng, DoublesInUnitInterval) {
         EXPECT_GE(d, 2.0);
         EXPECT_LT(d, 3.0);
     }
-}
-
-// ------------------------------------------------------------ disjoint set
-
-TEST(DisjointSet, UniteAndFind) {
-    DisjointSet ds(5);
-    EXPECT_FALSE(ds.same(0, 1));
-    EXPECT_TRUE(ds.unite(0, 1));
-    EXPECT_FALSE(ds.unite(0, 1));
-    EXPECT_TRUE(ds.same(0, 1));
-    EXPECT_TRUE(ds.unite(2, 3));
-    EXPECT_TRUE(ds.unite(1, 3));
-    EXPECT_TRUE(ds.same(0, 2));
-    EXPECT_EQ(ds.set_size(3), 4u);
-    EXPECT_EQ(ds.set_size(4), 1u);
 }
 
 // ------------------------------------------------------------------ sparse
