@@ -6,11 +6,13 @@ Usage: check_trace.py <trace-file> <report-json-file>
 Checks (all hard failures):
   * the trace parses as JSON-lines with flow/span/counter records;
   * every flow and span record is closed (no scope leaked);
-  * every span name is a stage the report knows — i.e. it comes from the
-    shared stage-name table in src/flow/stage.cpp, the same names the
+  * every flow record names a live entry point (FLOW_LABELS, the
+    flow_label constants in src/flow/stage.hpp);
+  * every span name is a stage the report knows — i.e. it comes from
+    stage_name() in src/flow/stage.cpp, the same names the
     FlowDiagnostics "stages" array uses;
   * per-stage span sums equal the report's per-stage elapsed_ms figures
-    (the executor feeds the identical increment to both sides, so the
+    (each StageScope feeds the identical increment to both sides, so the
     match is exact up to float round-trip);
   * memory counters (alloc_count.<stage> / alloc_bytes.<stage> /
     rss_peak_kb.<stage>) reference known stages, are non-negative, and
@@ -68,6 +70,9 @@ PROVING_NOTES = ("proven", "proof inconclusive")
 GENLIB_COUNTERS = ("parse-genlib.gates", "parse-genlib.patterns",
                    "parse-genlib.skipped")
 FROM_FILES_FLOW = "run_flow_from_files"
+FLOW_LABELS = ("run_baseline_flow_checked", "run_lily_flow_checked",
+               "run_backend_checked", "run_eco_flow_checked", FROM_FILES_FLOW,
+               "run_flow_job")
 ROUTING_STAGES = ("routing", "eco-routing")
 ROUTER_COUNTERS = ("connections", "mazed", "maze_expanded", "overflow", "kept")
 COMPLETED_STATES = ("ok", "degraded")
@@ -181,10 +186,15 @@ def main():
         if not rec.get("closed"):
             fail(f"unclosed record: {rec}")
 
+    for rec in flows:
+        if rec.get("name") not in FLOW_LABELS:
+            fail(f"flow record names {rec.get('name')!r}, which is not a live "
+                 f"entry point {FLOW_LABELS!r}")
+
     for s in spans:
         if s["name"] not in stages:
             fail(f"span name {s['name']!r} is not a stage the report knows "
-                 f"(shared stage table violation)")
+                 f"(not a stage_name())")
 
     sums = {}
     for s in spans:

@@ -90,17 +90,26 @@ echo "+ $LINT --flow (expect 'flow: clean')"
 "$LINT" --flow --quiet examples/circuits/parity8.blif lib/msu_big.genlib \
   | grep -q "^flow: clean"
 
-# ---- Trace smoke: executor spans vs FlowDiagnostics --------------------
+# ---- Trace smoke: stage spans vs FlowDiagnostics -----------------------
 # LILY_TRACE must dump a JSON-lines trace in which every span is closed,
-# every span name comes from the shared stage table (the report's own
-# stage names), and per-stage span sums equal the report's elapsed_ms
-# figures — the executor stamps both from the same increment, so any drift
-# means the orchestration double-counted or leaked a scope.
+# every flow record names a live entry point, every span name is a
+# stage_name() (the report's own stage names), and per-stage span sums
+# equal the report's elapsed_ms figures — each StageScope stamps both from
+# the same increment, so any drift means the orchestration double-counted
+# or leaked a scope.
 TRACE_DIR="$(mktemp -d)"
 echo "+ LILY_TRACE trace smoke"
 LILY_TRACE="$TRACE_DIR/flow.trace" "$LINT" --flow --json \
     examples/circuits/parity8.blif lib/msu_big.genlib > "$TRACE_DIR/report.json"
 run python3 scripts/check_trace.py "$TRACE_DIR/flow.trace" "$TRACE_DIR/report.json"
+# A flow record naming an entry point that no longer exists must fail.
+sed 's/"run_lily_flow_checked"/"run_lily_flow"/' "$TRACE_DIR/flow.trace" \
+  > "$TRACE_DIR/stalelabel.trace"
+echo "+ check_trace.py on a trace with a stale flow label (expect failure)"
+if python3 scripts/check_trace.py "$TRACE_DIR/stalelabel.trace" "$TRACE_DIR/report.json"; then
+  echo "FAIL: check_trace.py accepted a flow record naming no live entry point" >&2
+  exit 1
+fi
 # The routing span's router counters (routing.connections/mazed/
 # maze_expanded/overflow/kept) are required too: stripped, the trace fails.
 grep -v '"routing\.' "$TRACE_DIR/flow.trace" > "$TRACE_DIR/noroute.trace"

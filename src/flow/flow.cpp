@@ -10,24 +10,27 @@
 #include "netlist/blif.hpp"
 #include "netlist/simulate.hpp"
 #include "subject/decompose.hpp"
+#include "util/fault.hpp"
 #include "verify/certificate.hpp"
 
 namespace lily {
 
 namespace {
 
+/// Section 5's remedy schedule for run_lily_flow_adaptive_checked: the wire
+/// weight scales each retry applies, in order (weight/4, then wire-blind).
+constexpr double kRetryWireWeightScales[] = {0.25, 0.0};
+
 /// The stages every pipeline shares once a mapped netlist exists:
-/// placement, routing (with the HPWL rung of the degradation ladder),
-/// timing and the mapped/placement checkers — executed through the
-/// caller's pass manager so diagnostics, budgets and trace spans land in
-/// the caller's context. The context's diagnostics are moved onto the
-/// result. `capture` (nullable) receives the backend artifacts for the ECO
-/// pipeline's seed.
-StatusOr<FlowResult> run_backend_stages(StageExecutor& exec, const MappedNetlist& mapped,
+/// placement, routing (with the HPWL-metrics fallback), timing and the
+/// mapped/placement checkers — run in the caller's context so diagnostics,
+/// budgets and trace spans land there. The context's diagnostics are moved
+/// onto the result. `capture` (nullable) receives the backend artifacts for
+/// the ECO pipeline's seed.
+StatusOr<FlowResult> run_backend_stages(FlowContext& ctx, const MappedNetlist& mapped,
                                         const Library& lib, std::optional<PadsInRegion> pads,
                                         std::optional<std::vector<Point>> seed_positions,
                                         FlowCapture* capture = nullptr) {
-    FlowContext& ctx = exec.context();
     const FlowOptions& opts = ctx.opts();
     FlowResult out;
     out.netlist = mapped;
@@ -45,7 +48,7 @@ StatusOr<FlowResult> run_backend_stages(StageExecutor& exec, const MappedNetlist
     std::optional<QuadraticPlacer> placer;
     if (pads.has_value()) {
         if (pads->positions.size() != view.netlist.pad_positions.size()) {
-            return Status(StatusCode::InvariantViolation, "run_backend: pad count mismatch");
+            return Status(StatusCode::InvariantViolation, ctx.context("pad count mismatch"));
         }
         for (std::size_t i = 0; i < pads->positions.size(); ++i) {
             view.netlist.pad_positions[i] =
@@ -62,7 +65,7 @@ StatusOr<FlowResult> run_backend_stages(StageExecutor& exec, const MappedNetlist
     if (seed_positions.has_value()) {
         if (seed_positions->size() != view.netlist.n_cells) {
             return Status(StatusCode::InvariantViolation,
-                          "run_backend: seed position count mismatch");
+                          ctx.context("seed position count mismatch"));
         }
         anchored.emplace(view.netlist);
         for (std::size_t c = 0; c < anchored->n_cells; ++c) {
@@ -86,12 +89,9 @@ StatusOr<FlowResult> run_backend_stages(StageExecutor& exec, const MappedNetlist
     // ---- Placement stage (budgeted: exhaustion keeps the coarser result).
     GlobalPlacement global;
     DetailedPlacement detailed;
-    exec.run(StageId::Placement, [&](StageScope& s) {
-        StageBudget& place_budget = s.budget();
+    run_stage(ctx, StageId::Placement, [&](StageScope& s) {
         GlobalPlacementOptions place_opts = opts.lily.placement;
-        if (place_opts.budget == nullptr && place_budget.limited()) {
-            place_opts.budget = &place_budget;
-        }
+        if (place_opts.budget == nullptr) place_opts.budget = ctx.total();
         global = placer->place_global(placed_netlist.pad_positions, region, place_opts);
         const QpCounters qp = qp_counters();
         s.counter("qp_assemblies", static_cast<double>(qp.assemblies - qp0.assemblies));
@@ -101,7 +101,7 @@ StatusOr<FlowResult> run_backend_stages(StageExecutor& exec, const MappedNetlist
         improve_rows(view.netlist, detailed);
         if (global.budget_exhausted) {
             s.degraded("placement budget exhausted; kept best-effort positions (" +
-                       place_budget.describe() + ")");
+                       place_opts.budget->describe() + ")");
         } else {
             s.ok_if_unset();
         }
@@ -110,38 +110,29 @@ StatusOr<FlowResult> run_backend_stages(StageExecutor& exec, const MappedNetlist
     out.pad_positions = view.netlist.pad_positions;
     if (capture != nullptr) capture->detailed = detailed;
 
-    // ---- Routing stage, with the HPWL rung of the ladder: an injected
+    // ---- Routing stage, with the HPWL-metrics fallback: an injected
     // router:overbudget fault or a flow budget already spent means routed
     // metrics are unobtainable; estimate wirelength from the placement
     // instead of aborting (flagged Degraded).
     RouteResult routed;
-    exec.run(StageId::Routing, [&](StageScope& s) {
-        StageBudget& route_budget = s.budget();
+    run_stage(ctx, StageId::Routing, [&](StageScope& s) {
         RouterOptions router_opts = opts.router;
-        if (router_opts.budget == nullptr && route_budget.limited()) {
-            router_opts.budget = &route_budget;
+        if (router_opts.budget == nullptr) router_opts.budget = ctx.total();
+        std::string hpwl_reason;
+        if (fault_enabled("router", "overbudget")) {
+            hpwl_reason = "injected fault router:overbudget";
+        } else if (ctx.total() != nullptr && ctx.total()->exhausted()) {
+            hpwl_reason = "flow budget exhausted before routing (" + ctx.total()->describe() + ")";
         }
-        bool hpwl_rung = false;
-        std::string rung_reason;
-        if (s.rung("hpwl-metrics")) {
-            if (s.fault("overbudget")) {
-                hpwl_rung = true;
-                rung_reason = "injected fault router:overbudget";
-            } else if (ctx.total() != nullptr && ctx.total()->exhausted()) {
-                hpwl_rung = true;
-                rung_reason =
-                    "flow budget exhausted before routing (" + ctx.total()->describe() + ")";
-            }
-        }
-        if (hpwl_rung) {
+        if (!hpwl_reason.empty()) {
             routed.total_wirelength = total_hpwl(view.netlist, detailed.positions);
-            s.degraded(rung_reason +
+            s.degraded(hpwl_reason +
                        "; wirelength/chip-area are HPWL estimates, congestion unknown");
         } else {
             routed = route_global(view.netlist, detailed.positions, region, router_opts);
             if (routed.budget_exhausted) {
                 s.degraded("routing budget exhausted; refinement passes skipped (" +
-                           route_budget.describe() + ")");
+                           router_opts.budget->describe() + ")");
             } else {
                 s.ok_if_unset();
             }
@@ -156,13 +147,13 @@ StatusOr<FlowResult> run_backend_stages(StageExecutor& exec, const MappedNetlist
     if (capture != nullptr) capture->routed = std::move(routed);
 
     TimingReport timing;
-    exec.run(StageId::Timing, [&](StageScope& s) {
+    run_stage(ctx, StageId::Timing, [&](StageScope& s) {
         timing = analyze_timing(mapped, lib, view, detailed.positions, opts.timing);
         s.ok_if_unset();
     });
 
     if (ctx.checks_enabled()) {
-        Status checked = exec.run(StageId::Checks, [&](StageScope& s) -> Status {
+        Status checked = run_stage(ctx, StageId::Checks, [&](StageScope& s) -> Status {
             LILY_RETURN_IF_ERROR(guarded_check([&] {
                 const MappedChecker mapped_checker(lib);
                 const PlacementChecker placement_checker;
@@ -181,7 +172,7 @@ StatusOr<FlowResult> run_backend_stages(StageExecutor& exec, const MappedNetlist
                         placement_checker.check_pads(view.netlist.pad_positions, region));
                 }
                 rep.merge(mapped_checker.check_timing(mapped, timing));
-                rep.throw_if_errors("run_backend");
+                rep.throw_if_errors(ctx.context("backend"));
             }));
             s.ok_if_unset();
             return Status::ok();
@@ -198,10 +189,9 @@ StatusOr<FlowResult> run_backend_stages(StageExecutor& exec, const MappedNetlist
 }
 
 /// The decompose pass shared by both batch pipelines.
-Status run_decompose_stage(StageExecutor& exec, const Network& net,
+Status run_decompose_stage(FlowContext& ctx, const Network& net,
                            std::optional<DecomposeResult>& sub) {
-    FlowContext& ctx = exec.context();
-    Status decomposed = exec.run(StageId::Decompose, [&](StageScope& s) -> Status {
+    Status decomposed = run_stage(ctx, StageId::Decompose, [&](StageScope& s) -> Status {
         try {
             sub = decompose(net, ctx.opts().decompose);
         } catch (const std::exception& e) {
@@ -222,12 +212,11 @@ Status run_verify_stage(FlowContext& ctx, const Network& source, const Decompose
     if (ctx.opts().verify == VerifyLevel::Off) return Status::ok();
     const FlowOptions& opts = ctx.opts();
     const std::string verify_ctx = ctx.context("verify");
-    StageExecutor exec(ctx);
-    return exec.run(StageId::Verify, [&](StageScope& s) -> Status {
+    return run_stage(ctx, StageId::Verify, [&](StageScope& s) -> Status {
         // The verify:miscompare probe flips one gate first so the refutation
         // path can be exercised deterministically.
         std::optional<MappedNetlist> corrupted;
-        if (s.fault("miscompare")) {
+        if (fault_enabled("verify", "miscompare")) {
             corrupted = mapped;
             if (!inject_wrong_cover(*corrupted, lib)) {
                 s.failed("verify:miscompare probe found no same-arity gate pair");
@@ -352,8 +341,7 @@ StatusOr<FlowResult> run_backend_checked(const MappedNetlist& mapped, const Libr
                                          std::optional<std::vector<Point>> seed_positions) {
     FlowDiagnostics diag;
     FlowContext ctx(flow_label::kBackend, opts, diag);
-    StageExecutor exec(ctx);
-    return run_backend_stages(exec, mapped, lib, std::move(pads), std::move(seed_positions));
+    return run_backend_stages(ctx, mapped, lib, std::move(pads), std::move(seed_positions));
 }
 
 StatusOr<FlowResult> run_baseline_flow_checked(const Network& net, const Library& lib,
@@ -363,13 +351,12 @@ StatusOr<FlowResult> run_baseline_flow_checked(const Network& net, const Library
     // standard MIS pipeline "cannot make use of the location of pads".
     FlowDiagnostics diag;
     FlowContext ctx(flow_label::kBaseline, opts, diag);
-    StageExecutor exec(ctx);
 
     std::optional<DecomposeResult> sub;
-    LILY_RETURN_IF_ERROR(run_decompose_stage(exec, net, sub));
+    LILY_RETURN_IF_ERROR(run_decompose_stage(ctx, net, sub));
 
     std::optional<MapResult> res;
-    Status mapped = exec.run(StageId::Mapping, [&](StageScope& s) -> Status {
+    Status mapped = run_stage(ctx, StageId::Mapping, [&](StageScope& s) -> Status {
         BaseMapperOptions base = opts.base;
         base.objective = opts.objective;
         base.mode = effective_cover(opts);
@@ -387,7 +374,7 @@ StatusOr<FlowResult> run_baseline_flow_checked(const Network& net, const Library
     LILY_RETURN_IF_ERROR(check_mapping(ctx, lib, sub->graph, res->solution, res->netlist,
                                        "mapping"));
     LILY_RETURN_IF_ERROR(run_verify_stage(ctx, net, *sub, lib, res->netlist));
-    return run_backend_stages(exec, res->netlist, lib, std::nullopt, std::nullopt);
+    return run_backend_stages(ctx, res->netlist, lib, std::nullopt, std::nullopt);
 }
 
 StatusOr<FlowResult> run_lily_flow_checked(const Network& net, const Library& lib,
@@ -395,34 +382,27 @@ StatusOr<FlowResult> run_lily_flow_checked(const Network& net, const Library& li
     // Pipeline 2: pads first, then placement-coupled mapping.
     FlowDiagnostics diag;
     FlowContext ctx(flow_label::kLily, opts, diag);
-    StageExecutor exec(ctx);
 
     std::optional<DecomposeResult> sub;
-    LILY_RETURN_IF_ERROR(run_decompose_stage(exec, net, sub));
+    LILY_RETURN_IF_ERROR(run_decompose_stage(ctx, net, sub));
 
-    // ---- Mapping stage, with the baseline-fallback rung of the ladder:
-    // when the layout-driven mapping cannot finish (placement divergence,
-    // matcher dead end), fall back to the wire-blind baseline mapping of
-    // the same subject graph — the flow still delivers a correct netlist,
-    // just without layout-driven covers, and the diagnostics say so.
+    // ---- Mapping stage, with the baseline fallback: when the layout-driven
+    // mapping cannot finish (placement divergence, matcher dead end), fall
+    // back to the wire-blind baseline mapping of the same subject graph —
+    // the flow still delivers a correct netlist, just without layout-driven
+    // covers, and the diagnostics say so.
     StatusOr<LilyResult> mapped = Status(StatusCode::Internal, "mapping stage never ran");
     std::optional<MapResult> fallback;
-    Status map_status = exec.run(StageId::Mapping, [&](StageScope& s) -> Status {
+    Status map_status = run_stage(ctx, StageId::Mapping, [&](StageScope& s) -> Status {
         LilyOptions lily = opts.lily;
         lily.objective = opts.objective;
         lily.cover = effective_cover(opts);
-        StageBudget& map_budget = s.budget();
-        if (lily.budget == nullptr && map_budget.limited()) lily.budget = &map_budget;
+        if (lily.budget == nullptr) lily.budget = ctx.total();
         LilyMapper mapper(lib);
         const QpCounters qp0 = qp_span_start();
         mapped = mapper.map_checked(sub->graph, lily);
         const QpCounters qp = qp_counters();
         if (!mapped.is_ok()) {
-            if (!s.rung("baseline-fallback")) {
-                s.failed();
-                Status bad = mapped.status();
-                return bad.with_context(ctx.context("mapping"));
-            }
             s.recovered(mapped.status().to_string() +
                         "; fell back to wire-blind baseline mapping");
             ++s.diag().retries;
@@ -447,8 +427,12 @@ StatusOr<FlowResult> run_lily_flow_checked(const Network& net, const Library& li
         s.counter("cg_iterations", static_cast<double>(qp.cg_iterations - qp0.cg_iterations));
         s.counter("cg_residual", qp.cg_residual);
         if (res.budget_exhausted) {
+            // The DP polls lily.budget; without one, only the inchoate
+            // placement's own budget can have run out.
+            const StageBudget* polled =
+                lily.budget != nullptr ? lily.budget : lily.placement.budget;
             s.degraded("mapping budget exhausted; " + std::to_string(res.degraded_nodes) +
-                       " nodes covered with base gates only (" + map_budget.describe() + ")");
+                       " nodes covered with base gates only (" + polled->describe() + ")");
         } else {
             s.ok();
         }
@@ -460,7 +444,7 @@ StatusOr<FlowResult> run_lily_flow_checked(const Network& net, const Library& li
         LILY_RETURN_IF_ERROR(check_mapping(ctx, lib, sub->graph, fallback->solution,
                                            fallback->netlist, "fallback mapping"));
         LILY_RETURN_IF_ERROR(run_verify_stage(ctx, net, *sub, lib, fallback->netlist));
-        StatusOr<FlowResult> out = run_backend_stages(exec, fallback->netlist, lib,
+        StatusOr<FlowResult> out = run_backend_stages(ctx, fallback->netlist, lib,
                                                       std::nullopt, std::nullopt, capture);
         if (out.is_ok() && capture != nullptr) {
             capture->subject = std::move(*sub);
@@ -493,7 +477,7 @@ StatusOr<FlowResult> run_lily_flow_checked(const Network& net, const Library& li
     // Reuse the pre-mapping pad assignment for the back end; the pad ring
     // was chosen on the inchoate region, so pass that region for rescaling.
     PadsInRegion pads{res.pad_positions, res.inchoate_placement.region};
-    StatusOr<FlowResult> out = run_backend_stages(exec, res.netlist, lib, std::move(pads),
+    StatusOr<FlowResult> out = run_backend_stages(ctx, res.netlist, lib, std::move(pads),
                                                   res.instance_positions, capture);
     if (out.is_ok() && capture != nullptr) {
         capture->subject = std::move(*sub);
@@ -514,15 +498,12 @@ StatusOr<FlowResult> run_lily_flow_adaptive_checked(const Network& net, const Li
     }
     if (best.metrics.wirelength <= reference) return best;
 
-    // Section 5 remedy, generalized by RecoveryPolicy (the descriptor
-    // table's wire-weight-retry rung): re-run with the wire weight scaled
-    // down, keeping the best attempt.
+    // Section 5 remedy: re-run with the wire weight scaled down, keeping the
+    // best attempt.
     FlowOptions retry = opts;
-    const std::size_t tries =
-        std::min(opts.recovery.max_retries, opts.recovery.wire_weight_scale.size());
     std::size_t attempted = 0;
-    for (std::size_t i = 0; i < tries; ++i) {
-        retry.lily.wire_weight = opts.lily.wire_weight * opts.recovery.wire_weight_scale[i];
+    for (const double scale : kRetryWireWeightScales) {
+        retry.lily.wire_weight = opts.lily.wire_weight * scale;
         StatusOr<FlowResult> attempt = run_lily_flow_checked(net, lib, retry);
         if (!attempt.is_ok()) continue;  // retries are best-effort; keep what we have
         ++attempted;
@@ -558,10 +539,9 @@ StatusOr<FlowResult> run_flow_from_files(const std::string& blif_path,
                                          const FlowOptions& opts, FlowKind kind) {
     FlowDiagnostics diag;
     FlowContext ctx(flow_label::kFromFiles, opts, diag);
-    StageExecutor exec(ctx);
 
     std::optional<StatusOr<Library>> lib;
-    Status genlib_parsed = exec.run(StageId::ParseGenlib, [&](StageScope& s) -> Status {
+    Status genlib_parsed = run_stage(ctx, StageId::ParseGenlib, [&](StageScope& s) -> Status {
         lib.emplace(read_genlib_file_checked(genlib_path));
         if (!lib->is_ok()) {
             s.failed(lib->status().to_string());
@@ -591,7 +571,7 @@ StatusOr<FlowResult> run_flow_from_files(const std::string& blif_path,
                              .with_context("run_flow_from_files: library validation"));
 
     std::optional<StatusOr<Network>> net;
-    Status blif_parsed = exec.run(StageId::ParseBlif, [&](StageScope& s) -> Status {
+    Status blif_parsed = run_stage(ctx, StageId::ParseBlif, [&](StageScope& s) -> Status {
         net.emplace(read_blif_file_checked(blif_path));
         if (!net->is_ok()) {
             s.failed(net->status().to_string());

@@ -39,37 +39,14 @@ class TraceSink;  // util/trace.hpp
 inline constexpr double kAreaUnitMm2 = 0.001;
 inline constexpr double kLengthUnitMm = 0.0316227766;
 
-/// Wall-clock budgets for the expensive stages, in milliseconds; 0 leaves a
-/// dimension unlimited. `total_ms` caps the whole flow (per-stage budgets
-/// are intersected with what remains of it) and defaults to LILY_BUDGET_MS
-/// from the environment. Exhaustion never aborts the flow: stages hand back
-/// best-effort partial results and FlowDiagnostics records the degradation.
+/// The whole flow's wall-clock budget in milliseconds; 0 leaves it
+/// unlimited. Defaults to LILY_BUDGET_MS from the environment. Exhaustion
+/// never aborts the flow: stages hand back best-effort partial results and
+/// FlowDiagnostics records the degradation. A kernel budget set on
+/// LilyOptions, GlobalPlacementOptions or RouterOptions bounds that kernel
+/// instead.
 struct FlowBudget {
     double total_ms = budget_ms_from_env();
-    double placement_ms = 0.0;
-    double mapping_ms = 0.0;
-    double routing_ms = 0.0;
-
-    bool unlimited() const {
-        return total_ms <= 0.0 && placement_ms <= 0.0 && mapping_ms <= 0.0 && routing_ms <= 0.0;
-    }
-};
-
-/// The graceful-degradation ladder's knobs (Section 5's "repeat the mapping
-/// with reduced wire cost weight" generalized). Scales apply to
-/// LilyOptions::wire_weight in order; the defaults reproduce the historical
-/// adaptive schedule (weight/4, then 0).
-struct RecoveryPolicy {
-    std::size_t max_retries = 2;
-    std::vector<double> wire_weight_scale = {0.25, 0.0};
-    /// Rung: Lily mapping failure (placement divergence, matcher dead end)
-    /// falls back to the wire-blind baseline mapper on the same subject
-    /// graph instead of failing the flow.
-    bool allow_baseline_fallback = true;
-    /// Rung: routing budget exhaustion (or the router:overbudget fault)
-    /// reports HPWL-estimated wirelength/chip-area instead of routed
-    /// metrics, flagged in FlowDiagnostics.
-    bool allow_hpwl_metrics = true;
 };
 
 struct FlowOptions {
@@ -107,14 +84,12 @@ struct FlowOptions {
     VerifyLevel verify = verify_level_from_env();
     /// Prover knobs (budgets, simulation blocks) for the verify stage.
     CecOptions cec;
-    /// Per-stage wall-clock budgets (default: LILY_BUDGET_MS or unlimited).
+    /// Whole-flow wall-clock budget (default: LILY_BUDGET_MS or unlimited).
     FlowBudget budget;
-    /// Fallback/retry behavior when a stage fails or runs out of budget.
-    RecoveryPolicy recovery;
     /// Ignored: every flow runs on the calling thread. Kept for source
     /// compatibility with callers that still set it.
     std::size_t threads = 0;
-    /// Structured trace sink the StageExecutor emits spans/counters into
+    /// Structured trace sink each StageScope emits spans/counters into
     /// (caller-owned; see util/trace.hpp). nullptr falls back to the
     /// LILY_TRACE environment variable: when that names a file, each flow
     /// appends its JSON-lines records there on completion. Tracing never
@@ -182,9 +157,8 @@ StatusOr<FlowResult> run_lily_flow_checked(const Network& net, const Library& li
 /// compares its routed wirelength against `reference_wirelength` (pass the
 /// baseline pipeline's result; 0 runs the baseline internally), and retries
 /// with the wire weight quartered and then zeroed, keeping the best run.
-/// The retry schedule comes from FlowOptions::recovery (max_retries,
-/// wire_weight_scale); retries are recorded in the "adaptive" stage of the
-/// winning run's diagnostics.
+/// Retries are recorded in the "adaptive" stage of the winning run's
+/// diagnostics.
 StatusOr<FlowResult> run_lily_flow_adaptive_checked(const Network& net, const Library& lib,
                                                     const FlowOptions& opts = {},
                                                     double reference_wirelength = 0.0);

@@ -46,17 +46,10 @@ FlowOptions options_for(const JobSpec& spec) {
     opts.verify = spec.options.verify;
     opts.budget.total_ms = spec.options.budget_ms;
     if (spec.tier == JobTier::Degraded) {
-        // The retry tier applies the recovery ladder's final rung up front:
-        // the wire weight rung that PR 2's adaptive schedule ends on, with
-        // the baseline fallback armed. A job whose full-effort run crashed
-        // the worker gets the cheapest viable path, not a second identical
-        // crash.
-        const RecoveryPolicy& policy = opts.recovery;
-        const double scale =
-            policy.wire_weight_scale.empty() ? 0.0 : policy.wire_weight_scale.back();
-        opts.lily.wire_weight *= scale;
-        opts.recovery.allow_baseline_fallback = true;
-        opts.recovery.allow_hpwl_metrics = true;
+        // The retry tier starts where the adaptive schedule ends: wire-blind
+        // Lily mapping. A job whose full-effort run crashed the worker gets
+        // the cheapest viable path, not a second identical crash.
+        opts.lily.wire_weight = 0.0;
     }
     return opts;
 }
@@ -84,7 +77,6 @@ JobOutcome run_flow_job(const JobSpec& spec) {
     const FlowOptions opts = options_for(spec);
     FlowDiagnostics job_diag;
     FlowContext ctx(flow_label::kJob, opts, job_diag);
-    StageExecutor exec(ctx);
     const auto fail = [&](const Status& status) {
         JobOutcome out =
             error_outcome(spec, Status(status).with_context("job " + spec.name), elapsed());
@@ -92,7 +84,7 @@ JobOutcome run_flow_job(const JobSpec& spec) {
         return out;
     };
     const auto parse_stage = [&](StageId id, auto parse) {
-        return exec.run(id, [&](StageScope& s) {
+        return run_stage(ctx, id, [&](StageScope& s) {
             auto parsed = parse();
             if (parsed.is_ok()) {
                 s.ok();

@@ -16,9 +16,8 @@
 namespace lily {
 
 /// Effort tier. A job crashed or killed at Full is retried once at
-/// Degraded, which applies the RecoveryPolicy's final rung up front
-/// (wire-blind mapping weight, baseline fallback armed) so the retry takes
-/// the cheapest viable path through the flow.
+/// Degraded, which maps with wire weight 0 (where the adaptive schedule
+/// ends) so the retry takes the cheapest viable path through the flow.
 enum class JobTier : std::uint8_t { Full = 0, Degraded = 1 };
 
 const char* to_string(JobTier tier);
@@ -61,7 +60,7 @@ inline bool job_state_terminal(JobState s) {
     return s == JobState::Ok || s == JobState::Degraded || s == JobState::Error;
 }
 
-/// One executed stage's wall time, as stamped by the StageExecutor. The
+/// One executed stage's wall time, as stamped by its StageScope. The
 /// job's own parse stages come first (from the job context), then the
 /// selected flow's stages in execution order. The server aggregates these
 /// into per-stage latency percentiles (Stats "stage_timings").
@@ -97,9 +96,9 @@ struct JobOutcome {
 };
 
 /// Execute a job in the current process: parse the embedded circuit and
-/// library, apply the options (a Degraded tier applies the recovery
-/// ladder's final rung), run the selected checked flow, and fold the result
-/// into a terminal JobOutcome. Never throws: parse failures and flow errors
+/// library, apply the options (a Degraded tier maps wire-blind), run the
+/// selected checked flow, and fold the result into a terminal JobOutcome.
+/// Never throws: parse failures and flow errors
 /// come back as state=Error with the Status taxonomy preserved.
 JobOutcome run_flow_job(const JobSpec& spec);
 

@@ -7,6 +7,7 @@
 #include "check/placement_checker.hpp"
 #include "flow/stage.hpp"
 #include "place/netlist_adapters.hpp"
+#include "util/fault.hpp"
 
 namespace lily {
 
@@ -68,13 +69,12 @@ StatusOr<PipelineState> build_pipeline(const Network& net, const Library& lib,
 }
 
 StatusOr<EcoStats> run_eco_flow_checked(PipelineState& state, const NetDelta& delta) {
-    if (state.lib == nullptr || !state.built()) {
-        return Status(StatusCode::InvariantViolation,
-                      "run_eco_flow: pipeline state not built (call build_pipeline first)");
-    }
     FlowDiagnostics diag;
     FlowContext ctx(flow_label::kEco, state.opts, diag);
-    StageExecutor exec(ctx);
+    if (state.lib == nullptr || !state.built()) {
+        return Status(StatusCode::InvariantViolation,
+                      ctx.context("pipeline state not built (call build_pipeline first)"));
+    }
 
     // ---- Stale-artifact gate: every downstream artifact must reflect the
     // current network generation before the delta advances it. Runs
@@ -85,13 +85,13 @@ StatusOr<EcoStats> run_eco_flow_checked(PipelineState& state, const NetDelta& de
         {"mapping", state.mapping_built_from, state.net.version()},
         {"backend", state.backend_built_from, state.net.version()},
     };
-    if (ctx.fault(StageId::Eco, "stale-epoch")) {
+    if (fault_enabled("eco", "stale-epoch")) {
         records[1].built_from -= 1;  // mapping now trails the subject epoch
     }
     const CheckReport stale = PipelineChecker{}.check(records);
     if (stale.has_errors()) {
         return Status(StatusCode::InvariantViolation, stale.to_string())
-            .with_context("run_eco_flow: stale stage artifacts");
+            .with_context(ctx.context("stale stage artifacts"));
     }
 
     EcoStats stats;
@@ -108,7 +108,7 @@ StatusOr<EcoStats> run_eco_flow_checked(PipelineState& state, const NetDelta& de
     StatusOr<AppliedDelta> appliedOr = state.net.apply_delta(delta);
     if (!appliedOr.is_ok()) {
         Status bad = appliedOr.status();
-        return bad.with_context("run_eco_flow: apply_delta");
+        return bad.with_context(ctx.context("apply_delta"));
     }
     const AppliedDelta applied = std::move(appliedOr).value();
     stats.version = applied.version;
@@ -129,7 +129,7 @@ StatusOr<EcoStats> run_eco_flow_checked(PipelineState& state, const NetDelta& de
     // incremental failure climbs the full-reflow rung instead of erroring.
     std::optional<std::string> reflow_reason;
     IncrementalDecomposeStats dstats;
-    exec.run(StageId::EcoSubject, [&](StageScope& s) {
+    run_stage(ctx, StageId::EcoSubject, [&](StageScope& s) {
         stats.subject_nodes_before = state.subject.graph.size();
         try {
             dstats = decompose_incremental(state.net, applied.touched, state.subject,
@@ -159,7 +159,7 @@ StatusOr<EcoStats> run_eco_flow_checked(PipelineState& state, const NetDelta& de
 
     // ---- Mapping stage: cone-scoped DP over the dirty cones only.
     LilyResult res;
-    exec.run(StageId::EcoMapping, [&](StageScope& s) {
+    run_stage(ctx, StageId::EcoMapping, [&](StageScope& s) {
         LilyOptions lily = state.opts.lily;
         lily.objective = state.opts.objective;
         lily.cover = effective_cover(state.opts);
@@ -202,7 +202,7 @@ StatusOr<EcoStats> run_eco_flow_checked(PipelineState& state, const NetDelta& de
     MappedPlacementView view;
     DetailedPlacement detailed;
     RouteResult routed;
-    exec.run(StageId::EcoPlacement, [&](StageScope& s) {
+    run_stage(ctx, StageId::EcoPlacement, [&](StageScope& s) {
         view = make_placement_view(res.netlist, *state.lib);
         // An ECO preserves the floorplan; if the edit grew the circuit past
         // the region's capacity (10% slack over the configured utilization),
@@ -299,12 +299,9 @@ StatusOr<EcoStats> run_eco_flow_checked(PipelineState& state, const NetDelta& de
     // their prior routes (clean nets reproduce identical MST connections, so
     // the diff is pure geometry); vanished routes are subtracted from the
     // congestion map and new connections routed against the patched map.
-    exec.run(StageId::EcoRouting, [&](StageScope& s) {
-        StageBudget& route_budget = s.budget();
+    run_stage(ctx, StageId::EcoRouting, [&](StageScope& s) {
         RouterOptions router_opts = state.opts.router;
-        if (router_opts.budget == nullptr && route_budget.limited()) {
-            router_opts.budget = &route_budget;
-        }
+        if (router_opts.budget == nullptr) router_opts.budget = ctx.total();
         routed = route_incremental(view.netlist, detailed.positions, region, state.routed,
                                    router_opts);
         route_counters(s, routed);
@@ -313,7 +310,7 @@ StatusOr<EcoStats> run_eco_flow_checked(PipelineState& state, const NetDelta& de
                                  std::to_string(routed.rerouted_connections) + " re-routed";
         if (routed.budget_exhausted) {
             s.degraded(note + "; routing budget exhausted, remaining detours skipped (" +
-                       route_budget.describe() + ")");
+                       router_opts.budget->describe() + ")");
         } else {
             s.ok(note);
         }
@@ -323,7 +320,7 @@ StatusOr<EcoStats> run_eco_flow_checked(PipelineState& state, const NetDelta& de
 
     // ---- Timing: the batch STA pass over the updated netlist.
     TimingReport timing;
-    exec.run(StageId::EcoTiming, [&](StageScope& s) {
+    run_stage(ctx, StageId::EcoTiming, [&](StageScope& s) {
         timing = analyze_timing(res.netlist, *state.lib, view, detailed.positions,
                                 state.opts.timing);
         s.ok_if_unset();
@@ -336,7 +333,7 @@ StatusOr<EcoStats> run_eco_flow_checked(PipelineState& state, const NetDelta& de
             CheckReport rep = mapped_checker.check(res.netlist);
             rep.merge(placement_checker.check_detailed(view.netlist, detailed));
             rep.merge(mapped_checker.check_timing(res.netlist, timing));
-            rep.throw_if_errors("run_eco_flow: backend");
+            rep.throw_if_errors(ctx.context("backend"));
         }));
     }
 
@@ -350,7 +347,7 @@ StatusOr<EcoStats> run_eco_flow_checked(PipelineState& state, const NetDelta& de
     // PipelineChecker sees a consistent generation on the next delta. The
     // mapped netlist moves into the flow result; the mapping artifact keeps
     // only the DP state the next remap resumes from.
-    exec.run(StageId::Eco, [&](StageScope& s) {
+    run_stage(ctx, StageId::Eco, [&](StageScope& s) {
         FlowResult& out = state.flow;
         out.netlist = std::exchange(res.netlist, MappedNetlist{});
         out.final_positions = detailed.positions;

@@ -3,70 +3,28 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <iterator>
 
 #include "check/subject_checker.hpp"
-#include "util/fault.hpp"
 
 namespace lily {
 
 namespace {
 
-// Rung name constants double as documentation of the ladder: a rung not
-// listed on a stage's descriptor can never fire there (rung_enabled checks
-// membership first).
-constexpr const char* kMappingRungs[] = {"baseline-fallback"};
-constexpr const char* kRoutingRungs[] = {"hpwl-metrics"};
-constexpr const char* kVerifyRungs[] = {"sim-fallback"};
-constexpr const char* kAdaptiveRungs[] = {"wire-weight-retry"};
-constexpr const char* kEcoRungs[] = {"full-reflow"};
-
-constexpr std::array<StageDescriptor, kStageCount> kStageTable{{
-    {StageId::ParseGenlib, "parse-genlib", CheckStage::Network, BudgetKey::None, "parser",
-     nullptr, 0},
-    {StageId::ParseBlif, "parse-blif", CheckStage::Network, BudgetKey::None, "parser",
-     nullptr, 0},
-    {StageId::Decompose, "decompose", CheckStage::Subject, BudgetKey::None, "", nullptr, 0},
-    {StageId::Mapping, "mapping", CheckStage::Match, BudgetKey::Mapping, "matcher",
-     kMappingRungs, 1},
-    {StageId::Placement, "placement", CheckStage::Placement, BudgetKey::Placement,
-     "placement", nullptr, 0},
-    {StageId::Routing, "routing", CheckStage::Placement, BudgetKey::Routing, "router",
-     kRoutingRungs, 1},
-    {StageId::Timing, "timing", CheckStage::Mapped, BudgetKey::None, "", nullptr, 0},
-    {StageId::Checks, "checks", CheckStage::Mapped, BudgetKey::None, "", nullptr, 0},
-    {StageId::Verify, "verify", CheckStage::Verify, BudgetKey::None, "verify",
-     kVerifyRungs, 1},
-    {StageId::Adaptive, "adaptive", CheckStage::Pipeline, BudgetKey::None, "",
-     kAdaptiveRungs, 1},
-    {StageId::Eco, "eco", CheckStage::Pipeline, BudgetKey::None, "eco", kEcoRungs, 1},
-    {StageId::EcoSubject, "eco-subject", CheckStage::Subject, BudgetKey::None, "eco",
-     kEcoRungs, 1},
-    {StageId::EcoMapping, "eco-mapping", CheckStage::Match, BudgetKey::Mapping, "eco",
-     kEcoRungs, 1},
-    {StageId::EcoPlacement, "eco-placement", CheckStage::Placement, BudgetKey::Placement,
-     "eco", kEcoRungs, 1},
-    {StageId::EcoRouting, "eco-routing", CheckStage::Placement, BudgetKey::Routing, "eco",
-     kEcoRungs, 1},
-    {StageId::EcoTiming, "eco-timing", CheckStage::Mapped, BudgetKey::None, "eco",
-     kEcoRungs, 1},
-}};
+// Indexed by StageId. These strings are read back by check_trace.py,
+// FlowDiagnostics consumers, served stage_times and the server's
+// stage_timings: renaming one is a format change.
+constexpr const char* kStageNames[] = {
+    "parse-genlib", "parse-blif",  "decompose",   "mapping",       "placement",
+    "routing",      "timing",      "checks",      "verify",        "adaptive",
+    "eco",          "eco-subject", "eco-mapping", "eco-placement", "eco-routing",
+    "eco-timing",
+};
+static_assert(std::size(kStageNames) == kStageCount, "one name per StageId");
 
 }  // namespace
 
-const std::array<StageDescriptor, kStageCount>& stage_table() { return kStageTable; }
-
-const StageDescriptor& stage_descriptor(StageId id) {
-    return kStageTable[static_cast<std::size_t>(id)];
-}
-
-const char* stage_name(StageId id) { return stage_descriptor(id).name; }
-
-std::optional<StageId> stage_id_from_name(std::string_view name) {
-    for (const StageDescriptor& d : kStageTable) {
-        if (name == d.name) return d.id;
-    }
-    return std::nullopt;
-}
+const char* stage_name(StageId id) { return kStageNames[static_cast<std::size_t>(id)]; }
 
 double ms_since(StageBudget::Clock::time_point t0) {
     return std::chrono::duration<double, std::milli>(StageBudget::Clock::now() - t0).count();
@@ -117,43 +75,7 @@ FlowContext::~FlowContext() {
     }
 }
 
-StageBudget FlowContext::stage_budget(StageId id) {
-    double ms = 0.0;
-    switch (stage_descriptor(id).budget_key) {
-        case BudgetKey::Mapping: ms = opts_.budget.mapping_ms; break;
-        case BudgetKey::Placement: ms = opts_.budget.placement_ms; break;
-        case BudgetKey::Routing: ms = opts_.budget.routing_ms; break;
-        case BudgetKey::None: break;
-    }
-    StageBudget* parent = total();
-    return parent != nullptr ? StageBudget::stage(ms, *parent) : StageBudget(ms);
-}
-
 bool FlowContext::checks_enabled() const { return opts_.check != CheckLevel::Off; }
-
-bool FlowContext::fault(StageId id, std::string_view kind) const {
-    const StageDescriptor& d = stage_descriptor(id);
-    if (d.fault_stage[0] == '\0') return false;
-    return fault_enabled(d.fault_stage, kind);
-}
-
-bool FlowContext::rung_enabled(StageId id, std::string_view rung) const {
-    const StageDescriptor& d = stage_descriptor(id);
-    bool declared = false;
-    for (std::size_t i = 0; i < d.n_rungs; ++i) {
-        if (rung == d.rungs[i]) {
-            declared = true;
-            break;
-        }
-    }
-    if (!declared) return false;
-    if (rung == "baseline-fallback") return opts_.recovery.allow_baseline_fallback;
-    if (rung == "hpwl-metrics") return opts_.recovery.allow_hpwl_metrics;
-    if (rung == "wire-weight-retry") return opts_.recovery.max_retries > 0;
-    // sim-fallback and full-reflow are unconditional: correctness rungs the
-    // policy never disables.
-    return true;
-}
 
 std::string FlowContext::context(std::string_view what) const {
     std::string out(label_);
@@ -192,14 +114,6 @@ StageScope::~StageScope() {
         sink.counter("alloc_bytes." + stage, static_cast<double>(a1.bytes - alloc0_.bytes));
         sink.counter("rss_peak_kb." + stage, static_cast<double>(peak_rss_bytes() / 1024));
     }
-}
-
-StageBudget& StageScope::budget() {
-    if (!budget_derived_) {
-        budget_ = ctx_.stage_budget(id_);
-        budget_derived_ = true;
-    }
-    return budget_;
 }
 
 void StageScope::counter(std::string_view name, double value) {

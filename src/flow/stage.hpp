@@ -1,37 +1,29 @@
-// The pass-manager layer: one stage-execution substrate shared by every
-// flow entry point (batch baseline, batch Lily, adaptive, ECO, served
-// jobs, file loads).
-//
-// Each pipeline stage is registered in kStageTable as data: its canonical
-// name (the single source of truth for FlowDiagnostics, traces, reports
-// and the grep-based CI gates), the CheckStage family that guards it, the
-// FlowBudget field that bounds it, the fault-registry stage its probes
-// fire under, and the recovery rungs the graceful-degradation ladder may
-// climb when it fails. The entry points then *execute* stages through
-// StageExecutor/StageScope instead of hand-rolling budget derivation,
-// elapsed-ms stamping, CheckLevel gating and fault probes four separate
-// times:
+// The stage layer shared by every flow entry point (batch baseline, batch
+// Lily, ECO, served jobs, file loads): stage names, the per-flow context
+// and the scope that times one stage.
 //
 //   FlowDiagnostics diag;
 //   FlowContext ctx(flow_label::kLily, opts, diag);
-//   StageExecutor exec(ctx);
-//   LILY_RETURN_IF_ERROR(exec.run(StageId::Decompose, [&](StageScope& s) {
-//       ...;          // kernel calls; s.budget() for the derived budget
+//   LILY_RETURN_IF_ERROR(run_stage(ctx, StageId::Decompose, [&](StageScope& s) {
+//       ...;          // kernel calls
 //       s.ok();       // terminal StageState + note
 //       return Status::ok();
 //   }));
 //
-// A StageScope accumulates (never overwrites) the stage's elapsed_ms on
-// exit and mirrors the exact same increment into the trace span it opened,
-// so per-stage trace sums and FlowDiagnostics agree bit-for-bit. The
-// FlowContext owns the whole-flow budget, the CheckLevel gate and the
-// trace sink (FlowOptions::trace, or a file sink when LILY_TRACE is set).
+// stage_name() is the single source of the names FlowDiagnostics, traces,
+// reports and scripts/check_trace.py use. A StageScope accumulates (never
+// overwrites) the stage's elapsed_ms on exit and mirrors the exact same
+// increment into the trace span it opened, so per-stage trace sums and
+// FlowDiagnostics agree bit-for-bit. The FlowContext owns the whole-flow
+// budget, the CheckLevel gate and the trace sink (FlowOptions::trace, or a
+// file sink when LILY_TRACE is set). Kernels poll the caller's own budget
+// (LilyOptions::budget, GlobalPlacementOptions::budget,
+// RouterOptions::budget) when one is set, and the whole-flow budget
+// otherwise.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -45,18 +37,18 @@
 namespace lily {
 
 /// Canonical entry-point labels: the flow names used for trace records and
-/// Status context strings ("run_lily_flow: decompose").
+/// Status context strings ("run_lily_flow_checked: decompose").
+/// scripts/check_trace.py keeps the same set.
 namespace flow_label {
-inline constexpr const char* kBaseline = "run_baseline_flow";
-inline constexpr const char* kLily = "run_lily_flow";
-inline constexpr const char* kAdaptive = "run_lily_flow_adaptive";
-inline constexpr const char* kBackend = "run_backend";
-inline constexpr const char* kEco = "run_eco_flow";
+inline constexpr const char* kBaseline = "run_baseline_flow_checked";
+inline constexpr const char* kLily = "run_lily_flow_checked";
+inline constexpr const char* kBackend = "run_backend_checked";
+inline constexpr const char* kEco = "run_eco_flow_checked";
 inline constexpr const char* kFromFiles = "run_flow_from_files";
 inline constexpr const char* kJob = "run_flow_job";
 }  // namespace flow_label
 
-/// Every stage any flow entry point executes. Values index kStageTable.
+/// Every stage any flow entry point executes.
 enum class StageId : std::uint8_t {
     ParseGenlib,
     ParseBlif,
@@ -76,31 +68,12 @@ enum class StageId : std::uint8_t {
     EcoTiming,
 };
 
-inline constexpr std::size_t kStageCount = 16;
+inline constexpr std::size_t kStageCount = static_cast<std::size_t>(StageId::EcoTiming) + 1;
 
-/// Which FlowBudget field bounds a stage (None = unbudgeted).
-enum class BudgetKey : std::uint8_t { None, Mapping, Placement, Routing };
-
-/// One registered pass: everything the executor needs, declared as data.
-struct StageDescriptor {
-    StageId id;
-    const char* name;        // canonical diagnostics/trace/report name
-    CheckStage check_stage;  // checker family guarding the stage
-    BudgetKey budget_key;    // FlowBudget field intersected with the total
-    const char* fault_stage; // fault-registry stage name ("" = no probes)
-    /// Recovery rungs this stage may climb, in firing order. Names are
-    /// matched by FlowContext::rung_enabled against RecoveryPolicy.
-    const char* const* rungs;
-    std::size_t n_rungs;
-};
-
-const std::array<StageDescriptor, kStageCount>& stage_table();
-const StageDescriptor& stage_descriptor(StageId id);
+/// The stage's canonical diagnostics/trace/report name ("mapping").
 const char* stage_name(StageId id);
-/// Reverse lookup; nullopt for names not in the table.
-std::optional<StageId> stage_id_from_name(std::string_view name);
 
-// ---- Shared helpers (deduplicated from flow.cpp / pipeline.cpp) --------
+// ---- Shared helpers ---------------------------------------------------
 
 double ms_since(StageBudget::Clock::time_point t0);
 
@@ -125,11 +98,10 @@ Status guarded_check(F&& body) {
 }
 
 /// Per-flow execution context: options, diagnostics, the whole-flow budget,
-/// check gating, fault probes and the trace sink. One per entry-point
-/// invocation; stages run against it through StageExecutor. Construction
-/// sizes the worker pool and opens the trace flow record; destruction
-/// closes the record and, for a LILY_TRACE-owned sink, appends the
-/// JSON-lines dump to the file.
+/// check gating and the trace sink. One per entry-point invocation; stages
+/// run against it through StageScope. Construction opens the trace flow
+/// record; destruction closes it and, for a LILY_TRACE-owned sink, appends
+/// the JSON-lines dump to the file.
 class FlowContext {
 public:
     FlowContext(const char* flow_label, const FlowOptions& opts, FlowDiagnostics& diag);
@@ -141,25 +113,12 @@ public:
     const FlowOptions& opts() const { return opts_; }
     FlowDiagnostics& diag() { return diag_; }
 
-    /// Whole-flow wall-clock budget; nullptr when unlimited.
+    /// Whole-flow wall-clock budget; nullptr when unlimited. Kernels
+    /// without a budget of their own poll this one.
     StageBudget* total() { return limited_ ? &total_ : nullptr; }
-
-    /// Derive a stage's budget from its descriptor's budget key, intersected
-    /// with what remains of the whole flow's budget — the deduplicated
-    /// derive_stage_budget.
-    StageBudget stage_budget(StageId id);
 
     /// True unless FlowOptions::check is Off.
     bool checks_enabled() const;
-
-    /// Fault probe for `kind` against the stage's registry name; always
-    /// false for stages with no fault_stage.
-    bool fault(StageId id, std::string_view kind) const;
-
-    /// True when the named recovery rung is declared on the stage *and*
-    /// enabled by RecoveryPolicy. Unknown names are false, so a rung the
-    /// descriptor table doesn't declare can never fire.
-    bool rung_enabled(StageId id, std::string_view rung) const;
 
     /// Status context string "label: what".
     std::string context(std::string_view what) const;
@@ -179,9 +138,9 @@ private:
 };
 
 /// RAII execution of one stage: opens the trace span and the diagnostics
-/// entry on entry; on exit accumulates elapsed_ms (+=, never =, so retry
-/// rungs inside the scope keep earlier attempts' time) and closes the span
-/// with the identical increment plus the terminal state/retries/note.
+/// entry on entry; on exit accumulates elapsed_ms (+=, never =, so a
+/// re-entered stage keeps earlier attempts' time) and closes the span with
+/// the identical increment plus the terminal state/retries/note.
 class StageScope {
 public:
     StageScope(FlowContext& ctx, StageId id);
@@ -189,20 +148,10 @@ public:
     StageScope(const StageScope&) = delete;
     StageScope& operator=(const StageScope&) = delete;
 
-    FlowContext& ctx() { return ctx_; }
-    StageId id() const { return id_; }
-    const StageDescriptor& descriptor() const { return stage_descriptor(id_); }
-
-    /// The stage's diagnostics entry (find-or-add; re-fetched per call so a
-    /// concurrent stage insertion can never dangle the reference).
+    /// The stage's diagnostics entry (find-or-add; re-fetched per call
+    /// because a nested scope's first touch appends to the stage vector and
+    /// may move the entries).
     StageDiagnostics& diag() { return ctx_.diag().stage(stage_name(id_)); }
-
-    /// The stage budget, derived once on first use; the reference stays
-    /// valid for the scope's lifetime so kernels may hold the pointer.
-    StageBudget& budget();
-
-    bool fault(std::string_view kind) const { return ctx_.fault(id_, kind); }
-    bool rung(std::string_view name) const { return ctx_.rung_enabled(id_, name); }
 
     /// Terminal-state helpers. An empty note leaves the existing note
     /// untouched (e.g. Failed after Recovered keeps the rung's note).
@@ -211,8 +160,6 @@ public:
     void degraded(std::string note);
     void recovered(std::string note);
     void failed(std::string note = "");
-
-    double elapsed_ms() const { return ms_since(t0_); }
 
     /// Trace counter "<stage>.<name>" (no-op when the flow is untraced).
     void counter(std::string_view name, double value);
@@ -223,31 +170,19 @@ private:
     FlowContext& ctx_;
     StageId id_;
     StageBudget::Clock::time_point t0_;
-    StageBudget budget_;
-    bool budget_derived_ = false;
     std::size_t span_ = static_cast<std::size_t>(-1);
     bool traced_ = false;
     AllocStats alloc0_;  // heap counters at entry, for the exit delta
 };
 
-/// The pass manager's run primitive: body(scope) under a StageScope. The
-/// body's return value passes through, so Status-returning stages compose
-/// with LILY_RETURN_IF_ERROR.
-class StageExecutor {
-public:
-    explicit StageExecutor(FlowContext& ctx) : ctx_(ctx) {}
-
-    template <typename F>
-    auto run(StageId id, F&& body) {
-        StageScope scope(ctx_, id);
-        return std::forward<F>(body)(scope);
-    }
-
-    FlowContext& context() { return ctx_; }
-
-private:
-    FlowContext& ctx_;
-};
+/// Run body(scope) under a StageScope for `id`. The body's return value
+/// passes through, so Status-returning stages compose with
+/// LILY_RETURN_IF_ERROR.
+template <typename F>
+auto run_stage(FlowContext& ctx, StageId id, F&& body) {
+    StageScope scope(ctx, id);
+    return std::forward<F>(body)(scope);
+}
 
 /// The verify stage shared by the batch and ECO entry points: check that
 /// `mapped` (through its library cell functions) computes the same function

@@ -22,15 +22,6 @@ StageBudget::StageBudget(double ms, std::size_t iters) : max_ticks_(iters) {
     }
 }
 
-StageBudget StageBudget::stage(double ms, const StageBudget& parent) {
-    StageBudget out(ms);
-    if (parent.has_deadline_ && (!out.has_deadline_ || parent.deadline_ < out.deadline_)) {
-        out.has_deadline_ = true;
-        out.deadline_ = parent.deadline_;
-    }
-    return out;
-}
-
 bool StageBudget::exhausted() const {
     if (has_deadline_ && Clock::now() >= deadline_) return true;
     return max_ticks_ != 0 && used_.load(std::memory_order_relaxed) >= max_ticks_;

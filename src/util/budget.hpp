@@ -55,11 +55,6 @@ public:
     static StageBudget deadline_ms(double ms) { return StageBudget(ms); }
     static StageBudget iterations(std::size_t n) { return StageBudget(0.0, n); }
 
-    /// Derive a sub-stage budget: its own limit of `ms` (<= 0 for none)
-    /// intersected with the parent's remaining wall-clock allowance, so a
-    /// stage can never outlive the whole flow's deadline.
-    static StageBudget stage(double ms, const StageBudget& parent);
-
     bool limited() const { return has_deadline_ || max_ticks_ != 0; }
 
     /// Thread-safe: polled concurrently by worker threads inside the CG

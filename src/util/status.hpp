@@ -31,7 +31,7 @@ enum class StatusCode : std::uint8_t {
 const char* to_string(StatusCode code);
 
 /// An error code plus a human-readable message with a context chain
-/// ("run_lily_flow: placement: cg diverged"). The default-constructed
+/// ("run_lily_flow_checked: placement: cg diverged"). The default-constructed
 /// Status is OK.
 class Status {
 public:

@@ -1,7 +1,7 @@
 // Structured tracing for the flow engine: spans and counters collected by
-// the StageExecutor while a flow runs, rendered as JSON-lines.
+// each StageScope while a flow runs, rendered as JSON-lines.
 //
-// A TraceSink is an in-memory recorder. The pass manager opens one span per
+// A TraceSink is an in-memory recorder. Each StageScope opens one span per
 // stage execution (nested under a per-flow record), stamps it with the
 // stage's terminal StageState, retry count and note, and closes it with the
 // exact elapsed value it added to FlowDiagnostics — so a trace consumer can
@@ -11,7 +11,7 @@
 //
 // Sinks are thread-safe recorders but the span *stack* (depth bookkeeping)
 // assumes the nested begin/end pairs of one flow come from one thread —
-// which the single-threaded pass manager guarantees. Two concurrent flows
+// which the single-threaded flows guarantee. Two concurrent flows
 // should use two sinks.
 //
 // Emission: LILY_TRACE=<path> makes every checked flow entry point append
@@ -48,7 +48,7 @@ struct TraceSpan {
 /// One flow-entry record: the root every stage span nests under.
 struct TraceFlow {
     std::uint64_t id = 0;
-    std::string name;  // entry-point label ("run_lily_flow", ...)
+    std::string name;  // entry-point label ("run_lily_flow_checked", ...)
     double start_ms = 0.0;
     double elapsed_ms = 0.0;
     bool closed = false;

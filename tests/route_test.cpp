@@ -613,7 +613,9 @@ TEST(RouteIncremental, EcoRoutingStageHonorsRoutingBudget) {
     StatusOr<PipelineState> built = build_pipeline(net, lib, oracle_flow_options());
     ASSERT_TRUE(built.is_ok()) << built.status().to_string();
     PipelineState state = std::move(built).value();
-    state.opts.budget.routing_ms = 1e-6;  // spent before the first detour
+    StageBudget spent = StageBudget::iterations(1);
+    spent.tick();  // spent before the first detour
+    state.opts.router.budget = &spent;
     const StatusOr<EcoStats> eco = run_eco_flow_checked(state, local_delta(state.net, 4, 5));
     ASSERT_TRUE(eco.is_ok()) << eco.status().to_string();
     ASSERT_FALSE(eco.value().full_reflow);

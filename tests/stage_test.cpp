@@ -1,8 +1,7 @@
-// Unit suite for the pass-manager layer (flow/stage.hpp): the stage
-// descriptor table, budget derivation, recovery-rung gating, fault probes,
-// trace-span nesting, and elapsed-ms accumulation across re-entered
-// scopes. The bit-identity side of the refactor lives in golden_test.cpp;
-// this file pins the executor's *mechanics*.
+// Unit suite for the stage layer (flow/stage.hpp): the stage names,
+// trace-span nesting, and elapsed-ms accumulation across re-entered scopes.
+// The bit-identity side lives in golden_test.cpp; this file pins the
+// scope's *mechanics*.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -15,7 +14,6 @@
 #include "flow/job.hpp"
 #include "flow/stage.hpp"
 #include "netlist/blif.hpp"
-#include "util/fault.hpp"
 
 namespace lily {
 namespace {
@@ -27,184 +25,65 @@ FlowOptions quiet_options() {
     return opts;
 }
 
-// ---- Descriptor table ---------------------------------------------------
+// ---- Stage names --------------------------------------------------------
 
 TEST(StageTable, NamesAreUniqueAndNonEmpty) {
     std::set<std::string> seen;
-    for (const StageDescriptor& d : stage_table()) {
-        ASSERT_NE(d.name, nullptr);
-        EXPECT_NE(std::string(d.name), "");
-        EXPECT_TRUE(seen.insert(d.name).second) << "duplicate stage name " << d.name;
+    for (std::size_t i = 0; i < kStageCount; ++i) {
+        const char* name = stage_name(static_cast<StageId>(i));
+        ASSERT_NE(name, nullptr);
+        EXPECT_NE(std::string(name), "");
+        EXPECT_TRUE(seen.insert(name).second) << "duplicate stage name " << name;
     }
     EXPECT_EQ(seen.size(), kStageCount);
 }
 
-TEST(StageTable, NameLookupRoundTrips) {
-    for (const StageDescriptor& d : stage_table()) {
-        const auto id = stage_id_from_name(d.name);
-        ASSERT_TRUE(id.has_value()) << d.name;
-        EXPECT_EQ(*id, d.id);
-        EXPECT_STREQ(stage_name(d.id), d.name);
-    }
-    EXPECT_FALSE(stage_id_from_name("no-such-stage").has_value());
-    EXPECT_FALSE(stage_id_from_name("").has_value());
+TEST(StageTable, NamesArePinned) {
+    // Traces, reports, served stage_times and scripts/check_trace.py all
+    // read these strings back, so each StageId keeps its name byte for byte.
+    EXPECT_STREQ(stage_name(StageId::ParseGenlib), "parse-genlib");
+    EXPECT_STREQ(stage_name(StageId::ParseBlif), "parse-blif");
+    EXPECT_STREQ(stage_name(StageId::Decompose), "decompose");
+    EXPECT_STREQ(stage_name(StageId::Mapping), "mapping");
+    EXPECT_STREQ(stage_name(StageId::Placement), "placement");
+    EXPECT_STREQ(stage_name(StageId::Routing), "routing");
+    EXPECT_STREQ(stage_name(StageId::Timing), "timing");
+    EXPECT_STREQ(stage_name(StageId::Checks), "checks");
+    EXPECT_STREQ(stage_name(StageId::Verify), "verify");
+    EXPECT_STREQ(stage_name(StageId::Adaptive), "adaptive");
+    EXPECT_STREQ(stage_name(StageId::Eco), "eco");
+    EXPECT_STREQ(stage_name(StageId::EcoSubject), "eco-subject");
+    EXPECT_STREQ(stage_name(StageId::EcoMapping), "eco-mapping");
+    EXPECT_STREQ(stage_name(StageId::EcoPlacement), "eco-placement");
+    EXPECT_STREQ(stage_name(StageId::EcoRouting), "eco-routing");
+    EXPECT_STREQ(stage_name(StageId::EcoTiming), "eco-timing");
 }
 
-TEST(StageTable, DescriptorIndexMatchesId) {
+bool is_stage_name(const std::string& name) {
     for (std::size_t i = 0; i < kStageCount; ++i) {
-        EXPECT_EQ(static_cast<std::size_t>(stage_table()[i].id), i)
-            << "table order must match enum order for O(1) lookup";
+        if (name == stage_name(static_cast<StageId>(i))) return true;
     }
+    return false;
 }
 
-TEST(StageTable, RecoveryRungsDeclaredInFiringOrder) {
-    // The ladder is data: mapping's only rung is the baseline fallback,
-    // routing degrades to HPWL metrics, verify falls back to simulation,
-    // the adaptive schedule retries with rescaled wire weights, and every
-    // ECO stage may escalate to a full reflow.
-    const StageDescriptor& mapping = stage_descriptor(StageId::Mapping);
-    ASSERT_EQ(mapping.n_rungs, 1u);
-    EXPECT_STREQ(mapping.rungs[0], "baseline-fallback");
-
-    const StageDescriptor& routing = stage_descriptor(StageId::Routing);
-    ASSERT_EQ(routing.n_rungs, 1u);
-    EXPECT_STREQ(routing.rungs[0], "hpwl-metrics");
-
-    const StageDescriptor& verify = stage_descriptor(StageId::Verify);
-    ASSERT_EQ(verify.n_rungs, 1u);
-    EXPECT_STREQ(verify.rungs[0], "sim-fallback");
-
-    const StageDescriptor& adaptive = stage_descriptor(StageId::Adaptive);
-    ASSERT_EQ(adaptive.n_rungs, 1u);
-    EXPECT_STREQ(adaptive.rungs[0], "wire-weight-retry");
-
-    for (const StageId id : {StageId::Eco, StageId::EcoSubject, StageId::EcoMapping,
-                             StageId::EcoPlacement, StageId::EcoRouting, StageId::EcoTiming}) {
-        const StageDescriptor& d = stage_descriptor(id);
-        ASSERT_EQ(d.n_rungs, 1u) << d.name;
-        EXPECT_STREQ(d.rungs[0], "full-reflow") << d.name;
-    }
-}
-
-// ---- Budget derivation --------------------------------------------------
-
-TEST(FlowContextBudget, StageKeySelectsTheMatchingBudgetField) {
-    FlowOptions opts = quiet_options();
-    opts.budget.mapping_ms = 50.0;
-    FlowDiagnostics diag;
-    FlowContext ctx("test", opts, diag);
-    EXPECT_TRUE(ctx.stage_budget(StageId::Mapping).limited());
-    // Stages with BudgetKey::None stay unlimited when the flow has no
-    // total budget, whatever the per-stage fields say.
-    EXPECT_FALSE(ctx.stage_budget(StageId::Decompose).limited());
-    EXPECT_FALSE(ctx.stage_budget(StageId::Timing).limited());
-}
-
-TEST(FlowContextBudget, StageBudgetIntersectsWithWholeFlowTotal) {
-    FlowOptions opts = quiet_options();
-    opts.budget.total_ms = 30.0;
-    opts.budget.mapping_ms = 100000.0;  // far looser than the total
-    FlowDiagnostics diag;
-    FlowContext ctx("test", opts, diag);
-    ASSERT_NE(ctx.total(), nullptr);
-    StageBudget derived = ctx.stage_budget(StageId::Mapping);
-    EXPECT_TRUE(derived.limited());
-    // The derived deadline is clamped by the whole-flow remainder, never
-    // the loose per-stage figure.
-    EXPECT_LE(derived.remaining_ms(), 30.0 + 1.0);
-    // Unbudgeted stages inherit the total as their only bound.
-    EXPECT_TRUE(ctx.stage_budget(StageId::Decompose).limited());
-}
+// ---- Whole-flow budget --------------------------------------------------
 
 TEST(FlowContextBudget, UnlimitedFlowHasNullTotal) {
     FlowOptions opts = quiet_options();
+    opts.budget.total_ms = 0.0;
     FlowDiagnostics diag;
     FlowContext ctx("test", opts, diag);
     EXPECT_EQ(ctx.total(), nullptr);
 }
 
-// ---- Rung gating --------------------------------------------------------
-
-TEST(FlowContextRungs, PolicyGatesDeclaredRungs) {
+TEST(FlowContextBudget, LimitedFlowExposesItsTotal) {
     FlowOptions opts = quiet_options();
-    opts.recovery.allow_baseline_fallback = false;
-    opts.recovery.allow_hpwl_metrics = false;
-    FlowDiagnostics diag;
-    {
-        FlowContext ctx("test", opts, diag);
-        EXPECT_FALSE(ctx.rung_enabled(StageId::Mapping, "baseline-fallback"));
-        EXPECT_FALSE(ctx.rung_enabled(StageId::Routing, "hpwl-metrics"));
-        // Correctness rungs are unconditional.
-        EXPECT_TRUE(ctx.rung_enabled(StageId::Verify, "sim-fallback"));
-        EXPECT_TRUE(ctx.rung_enabled(StageId::Eco, "full-reflow"));
-    }
-    opts.recovery.allow_baseline_fallback = true;
-    opts.recovery.allow_hpwl_metrics = true;
-    {
-        FlowContext ctx("test", opts, diag);
-        EXPECT_TRUE(ctx.rung_enabled(StageId::Mapping, "baseline-fallback"));
-        EXPECT_TRUE(ctx.rung_enabled(StageId::Routing, "hpwl-metrics"));
-    }
-}
-
-TEST(FlowContextRungs, UndeclaredRungsNeverFire) {
-    FlowOptions opts = quiet_options();
-    opts.recovery.allow_baseline_fallback = true;  // policy says yes...
+    opts.budget.total_ms = 30.0;
     FlowDiagnostics diag;
     FlowContext ctx("test", opts, diag);
-    // ...but the descriptor table does not declare the rung on these
-    // stages, so it can never fire there.
-    EXPECT_FALSE(ctx.rung_enabled(StageId::Routing, "baseline-fallback"));
-    EXPECT_FALSE(ctx.rung_enabled(StageId::Decompose, "baseline-fallback"));
-    EXPECT_FALSE(ctx.rung_enabled(StageId::Mapping, "no-such-rung"));
-}
-
-TEST(FlowContextRungs, RetryRungFollowsMaxRetries) {
-    FlowOptions opts = quiet_options();
-    opts.recovery.max_retries = 0;
-    FlowDiagnostics diag;
-    {
-        FlowContext ctx("test", opts, diag);
-        EXPECT_FALSE(ctx.rung_enabled(StageId::Adaptive, "wire-weight-retry"));
-    }
-    opts.recovery.max_retries = 2;
-    {
-        FlowContext ctx("test", opts, diag);
-        EXPECT_TRUE(ctx.rung_enabled(StageId::Adaptive, "wire-weight-retry"));
-    }
-}
-
-// ---- Fault probes -------------------------------------------------------
-
-TEST(FlowContextFaults, ProbesFireOnlyForTheMappedRegistryStage) {
-    set_fault_spec("matcher:no-match");
-    FlowOptions opts = quiet_options();
-    FlowDiagnostics diag;
-    {
-        FlowContext ctx("test", opts, diag);
-        EXPECT_TRUE(ctx.fault(StageId::Mapping, "no-match"));
-        EXPECT_FALSE(ctx.fault(StageId::Mapping, "some-other-kind"));
-        EXPECT_FALSE(ctx.fault(StageId::Routing, "no-match"));
-        // Stages with no fault_stage mapping never probe true.
-        EXPECT_FALSE(ctx.fault(StageId::Decompose, "no-match"));
-        EXPECT_FALSE(ctx.fault(StageId::Timing, "no-match"));
-    }
-    set_fault_spec("");
-    {
-        FlowContext ctx("test", opts, diag);
-        EXPECT_FALSE(ctx.fault(StageId::Mapping, "no-match"));
-    }
-}
-
-TEST(FlowContextFaults, EcoStagesShareTheEcoRegistryName) {
-    set_fault_spec("eco:stale-epoch");
-    FlowOptions opts = quiet_options();
-    FlowDiagnostics diag;
-    FlowContext ctx("test", opts, diag);
-    EXPECT_TRUE(ctx.fault(StageId::Eco, "stale-epoch"));
-    EXPECT_TRUE(ctx.fault(StageId::EcoMapping, "stale-epoch"));
-    EXPECT_FALSE(ctx.fault(StageId::Mapping, "stale-epoch"));
-    set_fault_spec("");
+    ASSERT_NE(ctx.total(), nullptr);
+    EXPECT_TRUE(ctx.total()->limited());
+    EXPECT_LE(ctx.total()->remaining_ms(), 30.0 + 1.0);
 }
 
 // ---- Scope mechanics: diagnostics, traces, accumulation -----------------
@@ -213,9 +92,8 @@ TEST(StageScope, RecordsStateNoteAndRetries) {
     FlowOptions opts = quiet_options();
     FlowDiagnostics diag;
     FlowContext ctx("test", opts, diag);
-    StageExecutor exec(ctx);
-    exec.run(StageId::Decompose, [&](StageScope& s) { s.ok(); });
-    exec.run(StageId::Mapping, [&](StageScope& s) {
+    run_stage(ctx, StageId::Decompose, [&](StageScope& s) { s.ok(); });
+    run_stage(ctx, StageId::Mapping, [&](StageScope& s) {
         ++s.diag().retries;
         s.recovered("fell back");
     });
@@ -233,8 +111,7 @@ TEST(StageScope, EmptyNotePreservesExistingNote) {
     FlowOptions opts = quiet_options();
     FlowDiagnostics diag;
     FlowContext ctx("test", opts, diag);
-    StageExecutor exec(ctx);
-    exec.run(StageId::Mapping, [&](StageScope& s) {
+    run_stage(ctx, StageId::Mapping, [&](StageScope& s) {
         s.recovered("rung note");
         s.failed();
     });
@@ -249,11 +126,10 @@ TEST(StageScope, TraceSpansNestWithDepthAndClose) {
     FlowDiagnostics diag;
     {
         FlowContext ctx("test-flow", opts, diag);
-        StageExecutor exec(ctx);
-        exec.run(StageId::Mapping, [&](StageScope&) {
-            exec.run(StageId::Placement, [&](StageScope& inner) { inner.ok(); });
+        run_stage(ctx, StageId::Mapping, [&](StageScope&) {
+            run_stage(ctx, StageId::Placement, [&](StageScope& inner) { inner.ok(); });
         });
-        exec.run(StageId::Routing, [&](StageScope& s) { s.ok(); });
+        run_stage(ctx, StageId::Routing, [&](StageScope& s) { s.ok(); });
     }
     EXPECT_TRUE(sink.all_closed());
     const auto flows = sink.flows();
@@ -270,7 +146,7 @@ TEST(StageScope, TraceSpansNestWithDepthAndClose) {
     for (const TraceSpan& s : spans) {
         EXPECT_TRUE(s.closed) << s.name;
         EXPECT_EQ(s.flow_id, flows[0].id);
-        EXPECT_TRUE(stage_id_from_name(s.name).has_value()) << s.name;
+        EXPECT_TRUE(is_stage_name(s.name)) << s.name;
     }
 }
 
@@ -281,18 +157,17 @@ TEST(StageScope, ElapsedAccumulatesAcrossReenteredScopes) {
     FlowDiagnostics diag;
     {
         FlowContext ctx("test-flow", opts, diag);
-        StageExecutor exec(ctx);
         const auto busy_wait = [] {
             const auto until =
                 StageBudget::Clock::now() + std::chrono::milliseconds(2);
             while (StageBudget::Clock::now() < until) {
             }
         };
-        exec.run(StageId::Mapping, [&](StageScope& s) {
+        run_stage(ctx, StageId::Mapping, [&](StageScope& s) {
             busy_wait();
             s.ok();
         });
-        exec.run(StageId::Mapping, [&](StageScope& s) {
+        run_stage(ctx, StageId::Mapping, [&](StageScope& s) {
             busy_wait();
             s.ok();
         });
@@ -305,21 +180,6 @@ TEST(StageScope, ElapsedAccumulatesAcrossReenteredScopes) {
     const auto spans = sink.spans();
     ASSERT_EQ(spans.size(), 2u);
     EXPECT_EQ(spans[0].elapsed_ms + spans[1].elapsed_ms, mapping.elapsed_ms);
-}
-
-TEST(StageScope, BudgetReferenceIsStableWithinTheScope) {
-    FlowOptions opts = quiet_options();
-    opts.budget.mapping_ms = 25.0;
-    FlowDiagnostics diag;
-    FlowContext ctx("test", opts, diag);
-    StageExecutor exec(ctx);
-    exec.run(StageId::Mapping, [&](StageScope& s) {
-        StageBudget* first = &s.budget();
-        StageBudget* second = &s.budget();
-        EXPECT_EQ(first, second);  // derived once, stable for kernels
-        EXPECT_TRUE(first->limited());
-        s.ok();
-    });
 }
 
 TEST(TraceSinkTest, JsonlDumpCoversAllRecordTypes) {
@@ -344,7 +204,7 @@ TEST(TraceSinkTest, UnclosedSpanIsDetected) {
     EXPECT_FALSE(sink.all_closed());
 }
 
-// ---- Executor end-to-end: served jobs carry per-stage timings -----------
+// ---- End to end: served jobs carry per-stage timings --------------------
 
 std::string msu_tiny_genlib_text() {
     std::ifstream in(std::string(LILY_SOURCE_DIR) + "/lib/msu_tiny.genlib",
@@ -367,8 +227,8 @@ TEST(JobStageTimes, OutcomeListsEveryExecutedStage) {
     std::set<std::string> names;
     for (const StageTime& st : out.stage_times) {
         EXPECT_GE(st.elapsed_ms, 0.0);
-        // Every reported name comes from the shared stage table.
-        EXPECT_TRUE(stage_id_from_name(st.name).has_value()) << st.name;
+        // Every reported name is a stage_name().
+        EXPECT_TRUE(is_stage_name(st.name)) << st.name;
         names.insert(st.name);
     }
     // The job's own parse stages and the flow's core stages all show up.
