@@ -1,60 +1,56 @@
-// lily_lint: run every pipeline invariant checker over a BLIF circuit and a
-// genlib library, printing structured diagnostics and exit-coding on
-// errors. The default audit drives the whole pipeline itself (decompose ->
-// match -> map -> place -> time) so each stage's local invariants are
-// audited even when the flow-level CheckLevel knob is off, and its "mapped"
-// stage proves the mapped netlist equivalent to the source with the
-// SAT-sweeping CEC engine (anything short of a proof is an error).
+// lily_lint: run the checked flow engine over a BLIF circuit and a genlib
+// library and print its diagnostics. Every mode runs the flow with
+// CheckLevel::Light (each stage's local invariant checkers) and at least the
+// simulation rung of the verify stage; LILY_VERIFY=prove makes the verify
+// stage prove the mapped netlist equivalent to its source. The audit is the
+// flow's own: lily_lint checks what run_flow_from_files produces, not a
+// copy of the pipeline.
 //
 //   lily_lint [options] <circuit.blif> <library.genlib>
+//     --flow=lily|baseline|adaptive
+//                              the pipeline to run (default lily). Prints
+//                              the FlowDiagnostics, a metrics line and
+//                              "flow: clean" or "flow: degraded"; both exit
+//                              0. Non-zero only when no rung of the
+//                              recovery ladder produced a verified result.
+//     --inject=<stage:kind>    feed a fault to the fault-injection registry
+//                              to prove the flow *survives* it:
+//                              parser:skip-gate, placement:diverge,
+//                              matcher:no-match, router:overbudget (each
+//                              degrades the run). verify:miscompare runs
+//                              the flow at VerifyLevel::Prove and passes
+//                              exactly when the verify stage rejects the
+//                              flipped gate with a counterexample.
+//                              eco:stale-epoch implies --eco=2 and passes
+//                              exactly when the ECO flow rejects the
+//                              corrupted version stamp.
 //     --lint-netlist           static netlist lint: run the src/verify/
 //                              lint passes (cycles, undriven/multi-driven
 //                              nets, floating inputs, dead cones, constant
 //                              logic) over the BLIF alone; the library
 //                              argument is optional. A parse failure counts
 //                              as a finding.
-//     --inject=<kind>          deliberately corrupt one stage to prove the
-//                              audit catches it: cycle, offchip, badpad,
-//                              wrong-cover (refuted by the prover),
-//                              dup-drive. A kind of the form stage:kind
-//                              (e.g. placement:diverge) is a flow fault
-//                              instead: it is fed to the fault-injection
-//                              registry and implies --flow, proving the
-//                              flow *survives* it. verify:miscompare runs
-//                              the flow at VerifyLevel::Prove and passes
-//                              exactly when the flow's verify stage rejects
-//                              the flipped gate with a counterexample.
-//     --flow[=lily|baseline|adaptive]
-//                              run the checked flow engine end to end
-//                              (CheckLevel::Light, verify at least Sim;
-//                              LILY_VERIFY=prove raises it) and print its
-//                              FlowDiagnostics instead of the per-stage
-//                              audit. Exit 0 even when the run is degraded
-//                              (the diagnostics say so); non-zero only when
-//                              no rung of the recovery ladder produced a
-//                              verified result.
 //     --eco=<n-edits>          ECO smoke mode: build the incremental
 //                              pipeline, apply a random local delta of
 //                              n edits (1 to 1000), and report the reuse
 //                              ratios; the ECO flow itself checks the
 //                              maintained artifacts (Light checks, version
-//                              stamps, verify stage as in --flow). With
-//                              --inject=eco:stale-epoch the run passes when
-//                              the corrupted version stamp is rejected with
-//                              InvariantViolation. With --json the report
-//                              and LILY_TRACE cover the ECO run alone.
-//     --budget-ms=<n>          whole-flow wall-clock budget in whole ms
-//                              (flow mode; 0 = none)
-//     --quiet                  suppress per-issue lines, print summary only
+//                              stamps, verify stage as in flow mode). With
+//                              --json the report and LILY_TRACE cover the
+//                              ECO run alone.
+//     --budget-ms=<n>          whole-flow wall-clock budget in whole ms for
+//                              the flow, or for the ECO build and the ECO
+//                              run each (0 = none; default LILY_BUDGET_MS)
+//     --quiet                  suppress per-stage lines, print summary only
 //     --json                   machine-readable report on stdout
 //
-// Exit codes: 0 = clean (warnings allowed), 1 = invariant errors found or
-// unrecoverable flow failure, 2 = usage or input error.
+// Exit codes: 0 = the flow completed (clean or degraded), 1 = lint errors
+// or an unrecoverable flow failure, 2 = usage or input error.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -62,21 +58,13 @@
 #include <vector>
 
 #include "check/check.hpp"
-#include "check/mapped_checker.hpp"
-#include "flow/pipeline.hpp"
-#include "check/match_checker.hpp"
-#include "check/placement_checker.hpp"
-#include "check/subject_checker.hpp"
 #include "flow/flow.hpp"
+#include "flow/pipeline.hpp"
 #include "flow/report.hpp"
-#include "map/base_mapper.hpp"
-#include "util/io.hpp"
 #include "netlist/blif.hpp"
-#include "place/netlist_adapters.hpp"
-#include "subject/decompose.hpp"
 #include "util/fault.hpp"
+#include "util/io.hpp"
 #include "util/text.hpp"
-#include "verify/cec.hpp"
 #include "verify/lint.hpp"
 
 namespace {
@@ -88,9 +76,9 @@ struct LintArgs {
     std::string genlib_path;
     std::string inject = "none";
     bool quiet = false;
-    bool flow_mode = false;
     FlowKind flow_kind = FlowKind::Lily;
-    double budget_ms = 0.0;
+    /// --budget-ms; unset leaves FlowBudget's default (LILY_BUDGET_MS).
+    std::optional<double> budget_ms;
     bool eco_mode = false;
     std::size_t eco_edits = 0;
     bool netlist_lint_mode = false;
@@ -104,12 +92,11 @@ constexpr std::uint32_t kMaxEcoEdits = 1000;
 
 void usage(std::FILE* to) {
     std::fputs(
-        "usage: lily_lint [--inject=kind] [--flow[=lily|baseline|adaptive]] "
+        "usage: lily_lint [--flow=lily|baseline|adaptive] [--inject=stage:kind] "
         "[--lint-netlist] [--eco=N] [--budget-ms=N] [--quiet] [--json] "
         "<circuit.blif> [<library.genlib>]\n"
-        "  inject kinds: cycle offchip badpad wrong-cover dup-drive\n"
-        "  fault specs (imply --flow): parser:skip-gate placement:diverge "
-        "matcher:no-match router:overbudget verify:miscompare\n"
+        "  fault specs: parser:skip-gate placement:diverge matcher:no-match "
+        "router:overbudget verify:miscompare\n"
         "  fault specs (imply --eco): eco:stale-epoch\n",
         to);
 }
@@ -119,56 +106,38 @@ bool parse_args(int argc, char** argv, LintArgs& out) {
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg.rfind("--inject=", 0) == 0) {
+            // Faults for the flow engine's injection registry: the run must
+            // survive them (or, for verify:miscompare and eco:stale-epoch,
+            // reject the corruption).
             out.inject = arg.substr(9);
-            if (out.inject.find(':') != std::string::npos) {
-                // stage:kind specs are flow faults, handled by the flow
-                // engine's injection registry rather than local corruption;
-                // they only make sense in flow mode.
-                static const char* kFaults[] = {"parser:skip-gate", "placement:diverge",
-                                                "matcher:no-match", "router:overbudget",
-                                                "eco:stale-epoch", "verify:miscompare"};
-                bool known = false;
-                for (const char* f : kFaults) known = known || out.inject == f;
-                if (!known) {
-                    std::fprintf(stderr, "lily_lint: unknown fault spec '%s'\n",
-                                 out.inject.c_str());
-                    return false;
-                }
-                set_fault_spec(out.inject);
-                if (out.inject == "eco:stale-epoch") {
-                    // This probe only fires inside run_eco_flow_checked.
-                    out.eco_mode = true;
-                    if (out.eco_edits == 0) out.eco_edits = 2;
-                } else {
-                    out.flow_mode = true;
-                }
-            } else {
-                static const char* kKinds[] = {"cycle", "offchip", "badpad", "wrong-cover",
-                                               "dup-drive"};
-                bool known = false;
-                for (const char* kind : kKinds) known = known || out.inject == kind;
-                if (!known) {
-                    std::fprintf(stderr, "lily_lint: unknown inject kind '%s'\n",
-                                 out.inject.c_str());
-                    return false;
-                }
+            static const char* kFaults[] = {"parser:skip-gate", "placement:diverge",
+                                            "matcher:no-match", "router:overbudget",
+                                            "eco:stale-epoch", "verify:miscompare"};
+            bool known = false;
+            for (const char* f : kFaults) known = known || out.inject == f;
+            if (!known) {
+                std::fprintf(stderr, "lily_lint: unknown fault spec '%s'\n", out.inject.c_str());
+                return false;
+            }
+            set_fault_spec(out.inject);
+            if (out.inject == "eco:stale-epoch") {
+                // This probe only fires inside run_eco_flow_checked.
+                out.eco_mode = true;
+                if (out.eco_edits == 0) out.eco_edits = 2;
             }
         } else if (arg == "--lint-netlist") {
             out.netlist_lint_mode = true;
-        } else if (arg == "--flow" || arg.rfind("--flow=", 0) == 0) {
-            out.flow_mode = true;
-            if (arg.size() > 6) {
-                const std::string kind = arg.substr(7);
-                if (kind == "lily") {
-                    out.flow_kind = FlowKind::Lily;
-                } else if (kind == "baseline") {
-                    out.flow_kind = FlowKind::Baseline;
-                } else if (kind == "adaptive") {
-                    out.flow_kind = FlowKind::Adaptive;
-                } else {
-                    std::fprintf(stderr, "lily_lint: unknown flow kind '%s'\n", kind.c_str());
-                    return false;
-                }
+        } else if (arg.rfind("--flow=", 0) == 0) {
+            const std::string kind = arg.substr(7);
+            if (kind == "lily") {
+                out.flow_kind = FlowKind::Lily;
+            } else if (kind == "baseline") {
+                out.flow_kind = FlowKind::Baseline;
+            } else if (kind == "adaptive") {
+                out.flow_kind = FlowKind::Adaptive;
+            } else {
+                std::fprintf(stderr, "lily_lint: unknown flow kind '%s'\n", kind.c_str());
+                return false;
             }
         } else if (arg.rfind("--eco=", 0) == 0) {
             out.eco_mode = true;
@@ -240,31 +209,14 @@ bool load_inputs(const LintArgs& args, Network& net, Library& lib) {
     return true;
 }
 
-/// The audit's equivalence check: prove `mapped` computes the function of
-/// `net` with the SAT-sweeping CEC engine. Anything short of a proof (a
-/// refutation with its counterexample, an inconclusive run, an interface
-/// mismatch) is an error.
-CheckReport prove_mapped(const Network& net, const Library& lib, const MappedNetlist& mapped) {
-    CheckReport rep;
-    const StatusOr<CecResult> cec = check_equivalence(net, mapped.to_network(lib));
-    if (!cec.is_ok()) {
-        rep.error(CheckStage::Verify, kNoCheckNode, cec.status().to_string());
-    } else if (cec.value().verdict != CecVerdict::Proven) {
-        const CecResult& r = cec.value();
-        rep.error(CheckStage::Verify, kNoCheckNode,
-                  std::string("mapped netlist not proven equivalent to the source: ") +
-                      to_string(r.verdict) + " (" +
-                      (r.cex.has_value() ? r.cex->to_string() : r.note) + ")");
-    }
-    return rep;
-}
-
-/// Flow and ECO mode options: the Light local checks and at least the
-/// simulation rung of the verify stage (LILY_VERIFY=prove raises it).
-FlowOptions checked_options() {
+/// Flow and ECO mode options: the Light local checks, at least the
+/// simulation rung of the verify stage (LILY_VERIFY=prove raises it) and
+/// the --budget-ms whole-flow budget when one was given.
+FlowOptions checked_options(const LintArgs& args) {
     FlowOptions opts;
     opts.check = CheckLevel::Light;
     opts.verify = std::max(opts.verify, VerifyLevel::Sim);
+    if (args.budget_ms.has_value()) opts.budget.total_ms = *args.budget_ms;
     return opts;
 }
 
@@ -316,11 +268,10 @@ int run_netlist_lint_mode(const LintArgs& args) {
 /// a parse/usage error exits 2. Under verify:miscompare the expectation
 /// inverts: the proving verify stage must reject the run.
 int run_flow_mode(const LintArgs& args) {
-    FlowOptions opts = checked_options();
+    FlowOptions opts = checked_options(args);
     const bool expect_refuted = args.inject == "verify:miscompare";
     if (expect_refuted) opts.verify = VerifyLevel::Prove;
-    opts.budget.total_ms = args.budget_ms;
-    // One sink for the whole run: the executor's spans land here, feed the
+    // One sink for the whole run: the stages' spans land here, feed the
     // --json report's "trace" block, and are dumped as JSON-lines when
     // LILY_TRACE names a file (the sink takes precedence over the env var
     // inside the flow, so the dump happens exactly once, here).
@@ -380,7 +331,7 @@ int run_eco_mode(const LintArgs& args) {
     // a sink on the options also keeps the flows from dumping LILY_TRACE
     // themselves.
     TraceSink build_sink, sink;
-    FlowOptions opts = checked_options();
+    FlowOptions opts = checked_options(args);
     opts.trace = &build_sink;
     StatusOr<PipelineState> built = build_pipeline(net, lib, opts);
     if (!built.is_ok()) {
@@ -439,104 +390,5 @@ int main(int argc, char** argv) {
     }
     if (args.netlist_lint_mode) return run_netlist_lint_mode(args);
     if (args.eco_mode) return run_eco_mode(args);
-    if (args.flow_mode) return run_flow_mode(args);
-
-    Network net("lint");
-    Library lib;
-    if (!load_inputs(args, net, lib)) return 2;
-
-    CheckReport all;
-    const auto run_stage = [&](const char* stage, CheckReport rep) {
-        if (!args.quiet && !rep.empty()) std::fputs(rep.to_string().c_str(), stdout);
-        if (!args.quiet) {
-            std::printf("%-10s %zu error(s), %zu warning(s)\n", stage, rep.error_count(),
-                        rep.warning_count());
-        }
-        all.merge(rep);
-    };
-
-    try {
-        // Stage 1: the source network.
-        if (args.inject == "cycle" && net.logic_node_count() > 0) {
-            // A fanin edge pointing forward in the topological order — the
-            // id-order invariant that stands in for acyclicity.
-            const NodeId last = static_cast<NodeId>(net.node_count() - 1);
-            for (const NodeId id : net.logic_nodes()) {
-                if (id < last) {
-                    net.node(id).fanins.push_back(last);
-                    break;
-                }
-            }
-        }
-        run_stage("network", lint_network(net));
-
-        // Stage 2: decomposition into the subject graph.
-        const DecomposeResult sub = decompose(net);
-        run_stage("subject", SubjectChecker().check(sub.graph));
-
-        // Stage 3: pattern matches at every node.
-        run_stage("match", MatchChecker(lib).check_all(sub.graph));
-
-        // Stage 4: technology mapping.
-        MapResult mapped = BaseMapper(lib).map(sub.graph);
-        if (args.inject == "wrong-cover" && !inject_wrong_cover(mapped.netlist, lib)) {
-            std::fprintf(stderr, "lily_lint: library too small to inject wrong-cover\n");
-            return 2;
-        }
-        if (args.inject == "dup-drive" && !mapped.netlist.gates.empty()) {
-            mapped.netlist.gates.push_back(mapped.netlist.gates.back());
-        }
-        // Proving a corrupted source or a malformed netlist means nothing,
-        // so the proof runs only on an audit that is clean so far.
-        MappedChecker mapped_checker(lib);
-        CheckReport mapped_report = mapped_checker.check(mapped.netlist);
-        if (!all.has_errors() && !mapped_report.has_errors()) {
-            mapped_report.merge(prove_mapped(net, lib, mapped.netlist));
-        }
-        run_stage("mapped", mapped_report);
-        if (all.has_errors() && (args.inject == "dup-drive" || args.inject == "cycle")) {
-            // The remaining stages would operate on the corrupted data;
-            // report and stop (mirrors the flow, which throws here).
-            std::printf("TOTAL      %zu error(s), %zu warning(s)\n", all.error_count(),
-                        all.warning_count());
-            return 1;
-        }
-
-        // Stage 5: placement and timing over the mapped netlist.
-        MappedPlacementView view = make_placement_view(mapped.netlist, lib);
-        const Rect region = make_region(view.netlist.total_cell_area());
-        QuadraticPlacer placer(view.netlist);
-        view.netlist.pad_positions = placer.place_pads(region);
-        PlacementNetlist& pnl = view.netlist;
-        if (args.inject == "badpad" && !pnl.pad_positions.empty()) {
-            pnl.pad_positions[0] = region.center();  // off the boundary ring
-        }
-        const GlobalPlacement global = placer.place_global(pnl.pad_positions, region);
-        DetailedPlacement detailed = legalize_rows(pnl, global);
-        improve_rows(pnl, detailed);
-        if (args.inject == "offchip" && !detailed.positions.empty()) {
-            detailed.positions[0] = {region.ur.x * 1e6 + 10.0, region.ur.y * 1e6 + 10.0};
-        }
-        PlacementChecker placement_checker;
-        CheckReport placement = placement_checker.check_global(pnl, global);
-        placement.merge(placement_checker.check_detailed(pnl, detailed));
-        placement.merge(placement_checker.check_pads(pnl.pad_positions, region));
-        run_stage("placement", placement);
-
-        const TimingReport timing =
-            analyze_timing(mapped.netlist, lib, view, detailed.positions);
-        run_stage("timing", mapped_checker.check_timing(mapped.netlist, timing));
-    } catch (const std::exception& e) {
-        std::fprintf(stderr, "lily_lint: pipeline failed: %s\n", e.what());
-        return 2;
-    }
-
-    if (args.json) {
-        std::fputs(flow_report_json(Status::ok(), nullptr, nullptr, &all).c_str(), stdout);
-        std::fputc('\n', stdout);
-        return all.has_errors() ? 1 : 0;
-    }
-    std::printf("TOTAL      %zu error(s), %zu warning(s)\n", all.error_count(),
-                all.warning_count());
-    return all.has_errors() ? 1 : 0;
+    return run_flow_mode(args);
 }

@@ -29,8 +29,8 @@ private:
 /// Deliberately corrupt `mapped` for checker/verifier self-tests: replace
 /// one instance's gate with a same-arity gate whose truth table differs (a
 /// functionally wrong cover). Returns false when the library carries no such
-/// pair. Shared by lily_lint --inject=wrong-cover and the flow's
-/// verify:miscompare fault probe.
+/// pair. Used by the flow's verify:miscompare fault probe (lily_lint
+/// --inject=verify:miscompare), perfbench's self-test and the tests.
 bool inject_wrong_cover(MappedNetlist& mapped, const Library& lib);
 
 }  // namespace lily

@@ -120,20 +120,4 @@ CheckReport MatchChecker::check_function(const SubjectGraph& g, const Match& m) 
     return rep;
 }
 
-CheckReport MatchChecker::check_all(const SubjectGraph& g) const {
-    CheckReport rep;
-    const Matcher matcher(*lib_);
-    for (SubjectId v = 0; v < g.size(); ++v) {
-        if (g.node(v).kind == SubjectKind::Input) continue;
-        const std::vector<Match> matches = matcher.matches_at(g, v);
-        if (matches.empty()) {
-            rep.error(CheckStage::Match, v,
-                      "gate node has no library match (base gates missing?)");
-            continue;
-        }
-        for (const Match& m : matches) rep.merge(check_function(g, m));
-    }
-    return rep;
-}
-
 }  // namespace lily

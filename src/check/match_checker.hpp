@@ -25,10 +25,6 @@ public:
     /// tables; gates are small, so 2^n enumeration is cheap).
     CheckReport check_function(const SubjectGraph& g, const Match& m) const;
 
-    /// Run every match the matcher produces at every gate node of `g`
-    /// through check_function — the exhaustive audit lily_lint uses.
-    CheckReport check_all(const SubjectGraph& g) const;
-
 private:
     const Library* lib_;
     mutable ConeFunction cone_;  // scratch reused across checks; not thread-safe

@@ -4,7 +4,7 @@
 // through the pipeline: which stages ran, how long they took, whether a
 // stage had to give up refinement (budget), retry (adaptive wire weights)
 // or hand over to a fallback (the graceful-degradation ladder). The record
-// rides on FlowResult so callers — and the lily_lint --flow mode — can tell
+// rides on FlowResult so callers — and the lily_lint CLI — can tell
 // a clean run from a degraded one without parsing logs.
 #pragma once
 

@@ -1,8 +1,8 @@
 // Combinational equivalence checking (CEC) by SAT sweeping: the
 // whole-circuit prover. The flow's verify stage proves a mapping by its own
 // certificate first (verify/certificate.hpp, linear in circuit size) and
-// runs this engine only when the certificate declines; lily_lint's audit,
-// the src/opt checker and the tests call it directly.
+// runs this engine only when the certificate declines; the cec_scaling
+// bench, perfbench and the tests call it directly.
 //
 // Both networks are lowered into one shared AIG miter (structural hashing
 // already merges identical logic). Random simulation then partitions the

@@ -126,8 +126,16 @@ struct MatchFixture {
 TEST(MatchChecker, EveryGeneratedMatchVerifies) {
     MatchFixture f;
     f.g.add_output("y", f.and_ab);
-    const CheckReport rep = MatchChecker(f.lib).check_all(f.g);
-    EXPECT_TRUE(rep.empty()) << rep.to_string();
+    const MatchChecker checker(f.lib);
+    const Matcher matcher(f.lib);
+    for (const SubjectId v : {f.nand_ab, f.and_ab}) {
+        const std::vector<Match> matches = matcher.matches_at(f.g, v);
+        EXPECT_FALSE(matches.empty()) << "no match at subject node " << v;
+        for (const Match& m : matches) {
+            const CheckReport rep = checker.check_function(f.g, m);
+            EXPECT_TRUE(rep.empty()) << rep.to_string();
+        }
+    }
 }
 
 TEST(MatchChecker, DetectsWrongFunctionCover) {

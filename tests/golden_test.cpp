@@ -1,7 +1,6 @@
-// Bit-identity goldens for the StageExecutor refactor: every flow entry
-// point's output (mapped BLIF + metrics) is pinned against a golden file
-// generated before the pass-manager rewrite, at 1 and 8 threads. A diff
-// here means the refactor changed a *result*, not just the orchestration.
+// Bit-identity goldens: every flow entry point's output (mapped BLIF +
+// metrics) is pinned against a golden file, at 1 and 8 threads. A diff here
+// means a change altered a *result*, not just the orchestration.
 //
 // Regenerate (only when an intentional QoR change lands) with
 //   LILY_UPDATE_GOLDENS=1 ./golden_test

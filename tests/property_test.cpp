@@ -32,53 +32,59 @@ TEST_P(MatcherSoundness, EveryMatchComputesGateFunction) {
     const Network net = random_network(GetParam());
     const DecomposeResult r = decompose(net);
     const SubjectGraph& g = r.graph;
-    const Library lib = load_msu_big();
-    const Matcher matcher(lib);
-
-    for (SubjectId v = 0; v < g.size(); ++v) {
-        if (g.node(v).kind == SubjectKind::Input) continue;
-        for (const Match& m : matcher.matches_at(g, v)) {
-            const Gate& gate = lib.gate(m.gate);
-            // Distinct leaf signals get distinct variables.
-            std::vector<SubjectId> distinct;
-            std::vector<unsigned> pin_var(m.inputs.size());
-            for (std::size_t k = 0; k < m.inputs.size(); ++k) {
-                auto it = std::find(distinct.begin(), distinct.end(), m.inputs[k]);
-                if (it == distinct.end()) {
-                    pin_var[k] = static_cast<unsigned>(distinct.size());
-                    distinct.push_back(m.inputs[k]);
-                } else {
-                    pin_var[k] = static_cast<unsigned>(it - distinct.begin());
-                }
-            }
-            const unsigned n = static_cast<unsigned>(distinct.size());
-            ASSERT_LE(n, 8u);
-
-            // Evaluate the covered subject logic over the distinct leaves.
-            std::unordered_map<SubjectId, TruthTable> val;
-            for (unsigned i = 0; i < n; ++i) {
-                val.emplace(distinct[i], TruthTable::variable(i, n));
-            }
-            for (const SubjectId w : m.covered) {  // ascending = topological
-                const SubjectNode& node = g.node(w);
-                if (node.kind == SubjectKind::Inv) {
-                    val.insert_or_assign(w, ~val.at(node.fanin0));
-                } else {
-                    val.insert_or_assign(w, ~(val.at(node.fanin0) & val.at(node.fanin1)));
-                }
-            }
-
-            // Gate function with pins identified per the binding.
-            TruthTable want(n);
-            for (std::size_t minterm = 0; minterm < want.n_minterms(); ++minterm) {
-                std::uint64_t pins = 0;
+    // Both bundled libraries: msu_tiny (13 gates) and msu_big (39 gates)
+    // carry different pattern sets.
+    const Library libs[] = {load_msu_tiny(), load_msu_big()};
+    for (const Library& lib : libs) {
+        SCOPED_TRACE(&lib == &libs[0] ? "msu_tiny" : "msu_big");
+        const Matcher matcher(lib);
+        for (SubjectId v = 0; v < g.size(); ++v) {
+            if (g.node(v).kind == SubjectKind::Input) continue;
+            const std::vector<Match> matches = matcher.matches_at(g, v);
+            EXPECT_FALSE(matches.empty()) << "no match at subject node " << v;
+            for (const Match& m : matches) {
+                const Gate& gate = lib.gate(m.gate);
+                // Distinct leaf signals get distinct variables.
+                std::vector<SubjectId> distinct;
+                std::vector<unsigned> pin_var(m.inputs.size());
                 for (std::size_t k = 0; k < m.inputs.size(); ++k) {
-                    if ((minterm >> pin_var[k]) & 1) pins |= std::uint64_t{1} << k;
+                    auto it = std::find(distinct.begin(), distinct.end(), m.inputs[k]);
+                    if (it == distinct.end()) {
+                        pin_var[k] = static_cast<unsigned>(distinct.size());
+                        distinct.push_back(m.inputs[k]);
+                    } else {
+                        pin_var[k] = static_cast<unsigned>(it - distinct.begin());
+                    }
                 }
-                if (gate.function.get(pins)) want.set(minterm, true);
+                const unsigned n = static_cast<unsigned>(distinct.size());
+                ASSERT_LE(n, 8u);
+
+                // Evaluate the covered subject logic over the distinct leaves.
+                std::unordered_map<SubjectId, TruthTable> val;
+                for (unsigned i = 0; i < n; ++i) {
+                    val.emplace(distinct[i], TruthTable::variable(i, n));
+                }
+                for (const SubjectId w : m.covered) {  // ascending = topological
+                    const SubjectNode& node = g.node(w);
+                    if (node.kind == SubjectKind::Inv) {
+                        val.insert_or_assign(w, ~val.at(node.fanin0));
+                    } else {
+                        val.insert_or_assign(w, ~(val.at(node.fanin0) & val.at(node.fanin1)));
+                    }
+                }
+
+                // Gate function with pins identified per the binding.
+                TruthTable want(n);
+                for (std::size_t minterm = 0; minterm < want.n_minterms(); ++minterm) {
+                    std::uint64_t pins = 0;
+                    for (std::size_t k = 0; k < m.inputs.size(); ++k) {
+                        if ((minterm >> pin_var[k]) & 1) pins |= std::uint64_t{1} << k;
+                    }
+                    if (gate.function.get(pins)) want.set(minterm, true);
+                }
+                ASSERT_EQ(val.at(v), want)
+                    << "gate " << gate.name << " at subject node " << v;
             }
-            ASSERT_EQ(val.at(v), want)
-                << "gate " << gate.name << " at subject node " << v;
         }
     }
 }
