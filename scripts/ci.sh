@@ -3,9 +3,11 @@
 # pipeline's Light checks and proving verify stage forced on), run the
 # full test suite on both, build the perfbench/ package and run its
 # self-test, then drive the sanitized CLIs: lily_lint's recovery faults,
-# trace, lint and ECO smokes, the benches' gates and the serving layer.
+# lint and ECO smokes, the benches' gates and the serving layer.
 # lily_lint's audit of the example circuits is the flow itself; ctest runs
-# it (LilyLint.<circuit>.<lib>.<kind>, at LILY_VERIFY=prove).
+# it (LilyLint.<circuit>.<lib>.<kind>, at LILY_VERIFY=prove). ctest also
+# runs the trace contract (TraceContract.*: lily_lint's LILY_TRACE dumps
+# against scripts/check_trace.py, and the mutations that must fail it).
 #
 # Usage: scripts/ci.sh [--jobs N]
 set -euo pipefail
@@ -70,68 +72,6 @@ run timeout 60 "$LINT" --budget-ms=1 \
 echo "+ $LINT (expect 'flow: clean')"
 "$LINT" --quiet examples/circuits/parity8.blif lib/msu_big.genlib \
   | grep -q "^flow: clean"
-
-# ---- Trace smoke: stage spans vs FlowDiagnostics -----------------------
-# LILY_TRACE must dump a JSON-lines trace in which every span is closed,
-# every flow record names a live entry point, every span name is a
-# stage_name() (the report's own stage names), and per-stage span sums
-# equal the report's elapsed_ms figures — each StageScope stamps both from
-# the same increment, so any drift means the orchestration double-counted
-# or leaked a scope.
-TRACE_DIR="$(mktemp -d)"
-echo "+ LILY_TRACE trace smoke"
-LILY_TRACE="$TRACE_DIR/flow.trace" "$LINT" --json \
-    examples/circuits/parity8.blif lib/msu_big.genlib > "$TRACE_DIR/report.json"
-run python3 scripts/check_trace.py "$TRACE_DIR/flow.trace" "$TRACE_DIR/report.json"
-# A flow record naming an entry point that no longer exists must fail.
-sed 's/"run_lily_flow_checked"/"run_lily_flow"/' "$TRACE_DIR/flow.trace" \
-  > "$TRACE_DIR/stalelabel.trace"
-echo "+ check_trace.py on a trace with a stale flow label (expect failure)"
-if python3 scripts/check_trace.py "$TRACE_DIR/stalelabel.trace" "$TRACE_DIR/report.json"; then
-  echo "FAIL: check_trace.py accepted a flow record naming no live entry point" >&2
-  exit 1
-fi
-# The routing span's router counters (routing.connections/mazed/
-# maze_expanded/overflow/kept) are required too: stripped, the trace fails.
-grep -v '"routing\.' "$TRACE_DIR/flow.trace" > "$TRACE_DIR/noroute.trace"
-echo "+ check_trace.py on a trace without router counters (expect failure)"
-if python3 scripts/check_trace.py "$TRACE_DIR/noroute.trace" "$TRACE_DIR/report.json"; then
-  echo "FAIL: check_trace.py accepted a routing span without its counters" >&2
-  exit 1
-fi
-# So are the placement span's qp_assemblies/cg_iterations/cg_residual counters.
-grep -v '"placement\.' "$TRACE_DIR/flow.trace" > "$TRACE_DIR/noplace.trace"
-echo "+ check_trace.py on a trace without placement counters (expect failure)"
-if python3 scripts/check_trace.py "$TRACE_DIR/noplace.trace" "$TRACE_DIR/report.json"; then
-  echo "FAIL: check_trace.py accepted a placement span without its counters" >&2
-  exit 1
-fi
-# The same at LILY_VERIFY=prove, so the verify span's prover counters
-# (verify.sat_calls/conflicts/merged_nodes/cex_pruned/obligations/fallback)
-# are checked too — and a proving trace with them stripped must fail.
-echo "+ LILY_TRACE trace smoke (LILY_VERIFY=prove)"
-LILY_VERIFY=prove LILY_TRACE="$TRACE_DIR/prove.trace" "$LINT" --json \
-    examples/circuits/parity8.blif lib/msu_big.genlib > "$TRACE_DIR/prove.json"
-run python3 scripts/check_trace.py "$TRACE_DIR/prove.trace" "$TRACE_DIR/prove.json"
-grep -v '"verify\.' "$TRACE_DIR/prove.trace" > "$TRACE_DIR/stripped.trace"
-echo "+ check_trace.py on a trace without verify counters (expect failure)"
-if python3 scripts/check_trace.py "$TRACE_DIR/stripped.trace" "$TRACE_DIR/prove.json"; then
-  echo "FAIL: check_trace.py accepted a proving verify span without its counters" >&2
-  exit 1
-fi
-# An ECO run's trace: the eco-mapping span's phase counters (setup_ms/
-# cone_order_ms/dp_ms/extract_ms) are required, so stripped it must fail.
-echo "+ LILY_TRACE trace smoke (--eco)"
-LILY_TRACE="$TRACE_DIR/eco.trace" "$LINT" --eco=3 --json \
-    examples/circuits/parity8.blif lib/msu_big.genlib > "$TRACE_DIR/eco.json"
-run python3 scripts/check_trace.py "$TRACE_DIR/eco.trace" "$TRACE_DIR/eco.json"
-grep -v '"eco-mapping\.' "$TRACE_DIR/eco.trace" > "$TRACE_DIR/noeco.trace"
-echo "+ check_trace.py on an ECO trace without mapping phases (expect failure)"
-if python3 scripts/check_trace.py "$TRACE_DIR/noeco.trace" "$TRACE_DIR/eco.json"; then
-  echo "FAIL: check_trace.py accepted an eco-mapping span without its counters" >&2
-  exit 1
-fi
-rm -rf "$TRACE_DIR"
 
 # ---- Formal verification (sanitized build) -----------------------------
 # ctest's LilyLint entries prove every example's mapping. The netlist lint

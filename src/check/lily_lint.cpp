@@ -262,6 +262,16 @@ int run_netlist_lint_mode(const LintArgs& args) {
     return rep.has_errors() ? 1 : 0;
 }
 
+/// Append `sink` to the file LILY_TRACE names, if any.
+void dump_trace(const TraceSink& sink) {
+    const std::string path = trace_path_from_env();
+    if (path.empty()) return;
+    const Status dumped = sink.append_to_file(path);
+    if (!dumped.is_ok()) {
+        std::fprintf(stderr, "lily_lint: trace dump failed: %s\n", dumped.to_string().c_str());
+    }
+}
+
 /// Flow mode: drive the fault-tolerant flow engine end to end and report
 /// its FlowDiagnostics. Degraded-but-complete runs exit 0 — that is the
 /// engine keeping its promise — while an unrecoverable failure exits 1 and
@@ -279,14 +289,7 @@ int run_flow_mode(const LintArgs& args) {
     opts.trace = &sink;
     const StatusOr<FlowResult> result =
         run_flow_from_files(args.blif_path, args.genlib_path, opts, args.flow_kind);
-    const std::string trace_path = trace_path_from_env();
-    if (!trace_path.empty()) {
-        const Status dumped = sink.append_to_file(trace_path);
-        if (!dumped.is_ok()) {
-            std::fprintf(stderr, "lily_lint: trace dump failed: %s\n",
-                         dumped.to_string().c_str());
-        }
-    }
+    dump_trace(sink);
     if (expect_refuted) return expect_rejected(result.status(), args.inject, "counterexample");
     if (!result.is_ok()) {
         if (args.json) {
@@ -343,14 +346,7 @@ int run_eco_mode(const LintArgs& args) {
     state.opts.trace = &sink;
     const NetDelta delta = local_delta(state.net, args.eco_edits, 0xEC0);
     const StatusOr<EcoStats> eco = run_eco_flow_checked(state, delta);
-    const std::string trace_path = trace_path_from_env();
-    if (!trace_path.empty()) {
-        const Status dumped = sink.append_to_file(trace_path);
-        if (!dumped.is_ok()) {
-            std::fprintf(stderr, "lily_lint: trace dump failed: %s\n",
-                         dumped.to_string().c_str());
-        }
-    }
+    dump_trace(sink);
 
     if (args.inject == "eco:stale-epoch") {
         return expect_rejected(eco.status(), args.inject, "stale stage artifacts");

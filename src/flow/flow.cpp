@@ -419,10 +419,6 @@ StatusOr<FlowResult> run_lily_flow_checked(const Network& net, const Library& li
             return Status::ok();
         }
         const LilyResult& res = mapped.value();
-        s.counter("inchoate_place_ms", res.timing.inchoate_place_ms);
-        s.counter("cone_order_ms", res.timing.cone_order_ms);
-        s.counter("dp_ms", res.timing.dp_ms);
-        s.counter("replace_ms", res.timing.replace_ms);
         s.counter("qp_assemblies", static_cast<double>(qp.assemblies - qp0.assemblies));
         s.counter("cg_iterations", static_cast<double>(qp.cg_iterations - qp0.cg_iterations));
         s.counter("cg_residual", qp.cg_residual);

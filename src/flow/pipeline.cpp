@@ -173,10 +173,6 @@ StatusOr<EcoStats> run_eco_flow_checked(PipelineState& state, const NetDelta& de
             return;
         }
         res = std::move(remapped).value();
-        s.counter("setup_ms", res.timing.setup_ms);
-        s.counter("cone_order_ms", res.timing.cone_order_ms);
-        s.counter("dp_ms", res.timing.dp_ms);
-        s.counter("extract_ms", res.timing.extract_ms);
         stats.remapped_nodes = res.remapped_nodes;
         stats.reused_nodes = res.reused_nodes;
         const std::string note = std::to_string(res.remapped_nodes) + " node(s) re-solved, " +

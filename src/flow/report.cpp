@@ -45,32 +45,14 @@ void write_trace(JsonWriter& w, const TraceSink& trace) {
     w.key("flows").begin_array();
     for (const TraceFlow& f : trace.flows()) {
         w.begin_object();
-        w.kv("id", f.id);
-        w.kv("name", f.name);
-        w.kv("elapsed_ms", f.elapsed_ms);
-        w.kv("closed", f.closed);
+        write_fields(w, f);
         w.end_object();
     }
     w.end_array();
     w.key("spans").begin_array();
     for (const TraceSpan& s : trace.spans()) {
         w.begin_object();
-        w.kv("flow", s.flow_id);
-        w.kv("name", s.name);
-        w.kv("depth", s.depth);
-        w.kv("elapsed_ms", s.elapsed_ms);
-        w.kv("state", s.state);
-        w.kv("retries", s.retries);
-        if (!s.note.empty()) w.kv("note", s.note);
-        w.kv("closed", s.closed);
-        w.end_object();
-    }
-    w.end_array();
-    w.key("counters").begin_array();
-    for (const TraceCounter& c : trace.counters()) {
-        w.begin_object();
-        w.kv("name", c.name);
-        w.kv("value", c.value);
+        write_fields(w, s);
         w.end_object();
     }
     w.end_array();

@@ -27,14 +27,13 @@ void write_flow_diagnostics(JsonWriter& w, const FlowDiagnostics& diag);
 /// Append the flow metrics object.
 void write_flow_metrics(JsonWriter& w, const FlowMetrics& metrics);
 
-/// Append the executor's trace as an object:
-///   {"flows":    [{"id","name","elapsed_ms","closed"}, ...],
-///    "spans":    [{"flow","name","depth","elapsed_ms","state","retries",
-///                  "note"?,"closed"}, ...],
-///    "counters": [{"name","value"}, ...]}
-/// Span elapsed_ms carries the exact increment the executor added to the
-/// stage's FlowDiagnostics entry, so summing spans by name reproduces the
-/// "stages" elapsed figures bit-for-bit.
+/// Append the trace as an object of its flow and span records, with the
+/// fields of the JSON-lines dump (TraceSink::to_jsonl):
+///   {"flows": [{"id","parent","name",...}, ...],
+///    "spans": [{"flow","name","depth",...,"counters":{...}}, ...]}
+/// A stage span's elapsed_ms carries the exact increment its StageScope
+/// added to the stage's FlowDiagnostics entry, so summing stage spans by
+/// name reproduces the "stages" elapsed figures bit-for-bit.
 void write_trace(JsonWriter& w, const TraceSink& trace);
 
 /// The complete report document:

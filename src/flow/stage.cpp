@@ -47,10 +47,16 @@ Point rescale_point(const Point& p, const Rect& from, const Rect& to) {
 
 FlowContext::FlowContext(const char* flow_label, const FlowOptions& opts,
                          FlowDiagnostics& diag)
-    : label_(flow_label), opts_(opts), diag_(diag), total_(opts.budget.total_ms) {
+    : label_(flow_label), opts_(opts), diag_(diag), total_(opts.budget.total_ms),
+      outer_sink_(t_active_sink) {
     limited_ = total_.limited();
+    // An explicit sink wins; a flow called from inside another traces into
+    // the caller's sink, so only the outermost context owns the LILY_TRACE
+    // dump.
     if (opts.trace != nullptr) {
         sink_ = opts.trace;
+    } else if (outer_sink_ != nullptr) {
+        sink_ = outer_sink_;
     } else {
         const std::string path = trace_path_from_env();
         if (!path.empty()) {
@@ -60,9 +66,11 @@ FlowContext::FlowContext(const char* flow_label, const FlowOptions& opts,
         }
     }
     if (sink_ != nullptr) flow_id_ = sink_->begin_flow(label_);
+    t_active_sink = sink_;
 }
 
 FlowContext::~FlowContext() {
+    t_active_sink = outer_sink_;
     if (sink_ != nullptr) sink_->end_flow(flow_id_);
     if (owned_sink_ != nullptr) {
         const Status dumped = owned_sink_->append_to_file(owned_path_);
@@ -89,39 +97,22 @@ std::string FlowContext::context(std::string_view what) const {
 StageScope::StageScope(FlowContext& ctx, StageId id)
     : ctx_(ctx), id_(id), t0_(StageBudget::Clock::now()) {
     diag();  // find-or-add now so the stage appears in first-touch order
-    if (ctx_.trace() != nullptr) {
-        span_ = ctx_.trace()->begin_span(stage_name(id_));
-        traced_ = true;
-        alloc0_ = alloc_stats_snapshot();
-    }
+    if (ctx_.trace() != nullptr) span_ = ctx_.trace()->begin_span(stage_name(id_), t0_);
 }
 
 StageScope::~StageScope() {
     const double dt = ms_since(t0_);
     StageDiagnostics& d = diag();
     d.elapsed_ms += dt;  // accumulate: a re-entered stage keeps prior time
-    if (traced_) {
-        // The identical increment goes to the span, so per-stage sums over
-        // the trace equal the FlowDiagnostics elapsed exactly.
+    // The identical increment goes to the span, so per-stage sums over the
+    // trace equal the FlowDiagnostics elapsed exactly.
+    if (ctx_.trace() != nullptr) {
         ctx_.trace()->end_span(span_, dt, to_string(d.state), d.retries, d.note);
-        // Memory footprint of this execution: heap-allocation delta across
-        // the scope plus the process peak-RSS high-water mark at exit. One
-        // counter triple per span, so a trace consumer can pair them.
-        const AllocStats a1 = alloc_stats_snapshot();
-        const std::string stage = stage_name(id_);
-        TraceSink& sink = *ctx_.trace();
-        sink.counter("alloc_count." + stage, static_cast<double>(a1.count - alloc0_.count));
-        sink.counter("alloc_bytes." + stage, static_cast<double>(a1.bytes - alloc0_.bytes));
-        sink.counter("rss_peak_kb." + stage, static_cast<double>(peak_rss_bytes() / 1024));
     }
 }
 
 void StageScope::counter(std::string_view name, double value) {
-    if (!traced_) return;
-    std::string full = stage_name(id_);
-    full += '.';
-    full += name;
-    ctx_.trace()->counter(full, value);
+    if (ctx_.trace() != nullptr) ctx_.trace()->counter(span_, name, value);
 }
 
 void StageScope::set_state(StageState state, std::string note) {

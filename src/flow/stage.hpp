@@ -15,11 +15,11 @@
 // overwrites) the stage's elapsed_ms on exit and mirrors the exact same
 // increment into the trace span it opened, so per-stage trace sums and
 // FlowDiagnostics agree bit-for-bit. The FlowContext owns the whole-flow
-// budget, the CheckLevel gate and the trace sink (FlowOptions::trace, or a
-// file sink when LILY_TRACE is set). Kernels poll the caller's own budget
-// (LilyOptions::budget, GlobalPlacementOptions::budget,
-// RouterOptions::budget) when one is set, and the whole-flow budget
-// otherwise.
+// budget, the CheckLevel gate and the trace sink (FlowOptions::trace, the
+// calling flow's sink, or a file sink when LILY_TRACE is set). Kernels poll
+// the caller's own budget (LilyOptions::budget,
+// GlobalPlacementOptions::budget, RouterOptions::budget) when one is set,
+// and the whole-flow budget otherwise.
 #pragma once
 
 #include <cstdint>
@@ -31,7 +31,6 @@
 #include "check/mapped_checker.hpp"
 #include "check/match_checker.hpp"
 #include "flow/flow.hpp"
-#include "util/alloc_stats.hpp"
 #include "util/trace.hpp"
 
 namespace lily {
@@ -99,9 +98,12 @@ Status guarded_check(F&& body) {
 
 /// Per-flow execution context: options, diagnostics, the whole-flow budget,
 /// check gating and the trace sink. One per entry-point invocation; stages
-/// run against it through StageScope. Construction opens the trace flow
-/// record; destruction closes it and, for a LILY_TRACE-owned sink, appends
-/// the JSON-lines dump to the file.
+/// run against it through StageScope. The sink is FlowOptions::trace, else
+/// the thread's active sink (the calling flow's), else a LILY_TRACE file
+/// sink the context owns. Construction opens the trace flow record and makes
+/// the sink the thread's active sink, where TracePhase finds it; destruction
+/// restores the previous active sink, closes the record and, for an owned
+/// sink, appends the JSON-lines dump to the file.
 class FlowContext {
 public:
     FlowContext(const char* flow_label, const FlowOptions& opts, FlowDiagnostics& diag);
@@ -131,6 +133,7 @@ private:
     FlowDiagnostics& diag_;
     StageBudget total_;
     bool limited_ = false;
+    TraceSink* outer_sink_;  // the thread's active sink before this context
     TraceSink* sink_ = nullptr;
     std::unique_ptr<TraceSink> owned_sink_;  // LILY_TRACE file sink
     std::string owned_path_;
@@ -161,7 +164,8 @@ public:
     void recovered(std::string note);
     void failed(std::string note = "");
 
-    /// Trace counter "<stage>.<name>" (no-op when the flow is untraced).
+    /// Trace counter `name` on this stage's span (no-op when the flow is
+    /// untraced).
     void counter(std::string_view name, double value);
 
 private:
@@ -170,9 +174,7 @@ private:
     FlowContext& ctx_;
     StageId id_;
     StageBudget::Clock::time_point t0_;
-    std::size_t span_ = static_cast<std::size_t>(-1);
-    bool traced_ = false;
-    AllocStats alloc0_;  // heap counters at entry, for the exit delta
+    std::size_t span_ = 0;
 };
 
 /// Run body(scope) under a StageScope for `id`. The body's return value
@@ -199,9 +201,9 @@ auto run_stage(FlowContext& ctx, StageId id, F&& body) {
 Status run_verify_stage(FlowContext& ctx, const Network& source, const DecomposeResult& sub,
                         const Library& lib, const MappedNetlist& mapped);
 
-/// The routing stages' trace counters: <stage>.connections, .mazed (maze
-/// searches run), .maze_expanded (heap entries they popped), .overflow and
-/// .kept (0 on the batch stage). One full set per routing span.
+/// The routing stages' trace counters: connections, mazed (maze searches
+/// run), maze_expanded (heap entries they popped), overflow and kept (0 on
+/// the batch stage). One full set per routing span.
 void route_counters(StageScope& s, const RouteResult& routed);
 
 /// CheckLevel::Light over a subject graph; Ok when checks are off.

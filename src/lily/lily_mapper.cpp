@@ -1,14 +1,15 @@
 #include "lily/lily_mapper.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <unordered_set>
 
 #include "util/fault.hpp"
+#include "util/trace.hpp"
 
 namespace lily {
 
@@ -483,12 +484,6 @@ void extract_result(Ctx& ctx, bool delay_mode, LilyResult& result) {
     result.solution = std::move(ctx.sol);
 }
 
-using Clock = std::chrono::steady_clock;
-
-double ms_since(Clock::time_point t0) {
-    return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
-}
-
 }  // namespace
 
 StatusOr<LilyResult> LilyMapper::map_checked(
@@ -497,13 +492,15 @@ StatusOr<LilyResult> LilyMapper::map_checked(
     LilyResult result;
 
     // ---- Stage 0: pads + balanced global placement of the inchoate network,
-    // both against one assembled Laplacian.
+    // both against one assembled Laplacian. Each step is a trace phase.
+    std::optional<TracePhase> phase(std::in_place, "placement-view");
     SubjectPlacementView view = make_placement_view(g);
     const Rect region = make_region(view.netlist.total_cell_area());
-    const Clock::time_point t_place = Clock::now();
     GlobalPlacementOptions place_opts = opts.placement;
     if (place_opts.budget == nullptr) place_opts.budget = opts.budget;
+    phase.emplace("assemble");
     QuadraticPlacer placer(view.netlist);
+    phase.emplace("pads");
     std::vector<Point> pads = pad_positions.has_value()
                                   ? std::move(*pad_positions)
                                   : placer.place_pads(region, place_opts.budget);
@@ -511,8 +508,8 @@ StatusOr<LilyResult> LilyMapper::map_checked(
         return Status(StatusCode::InvariantViolation, "LilyMapper: wrong pad position count");
     }
     view.netlist.pad_positions = pads;
+    phase.emplace("inchoate-place");
     GlobalPlacement inchoate = placer.place_global(pads, region, place_opts);
-    result.timing.inchoate_place_ms = ms_since(t_place);
     if (inchoate.budget_exhausted) result.budget_exhausted = true;
     bool diverged = fault_enabled("placement", "diverge");
     for (const Point& p : inchoate.positions) {
@@ -526,6 +523,7 @@ StatusOr<LilyResult> LilyMapper::map_checked(
                       "LilyMapper: inchoate placement diverged (non-finite coordinates)");
     }
 
+    // The DP state starts from the inchoate placePositions.
     Ctx ctx{g,
             g.topology(),  // freeze the flat adjacency before the DP starts
             *lib_,
@@ -551,7 +549,7 @@ StatusOr<LilyResult> LilyMapper::map_checked(
     // ---- Stage 1: cone ordering (Section 3.5). Bucket k holds the nodes
     // cone order[k] is the first (in processing order) to contain, so the
     // bucket walk below solves each node in the first cone that reaches it.
-    const Clock::time_point t_order = Clock::now();
+    phase.emplace("cone-order");
     ConePartition cones = partition_cones(g);
     if (opts.order_cones) {
         result.cone_order = order_cones(g, cones);
@@ -560,10 +558,9 @@ StatusOr<LilyResult> LilyMapper::map_checked(
         result.cone_order.resize(cones.size());
         for (std::size_t i = 0; i < cones.size(); ++i) result.cone_order[i] = i;
     }
-    result.timing.cone_order_ms = ms_since(t_order);
 
     // ---- Stage 2: per-cone dynamic programming with layout costs.
-    const Clock::time_point t_dp = Clock::now();
+    phase.emplace("dp");
     const bool delay_mode = opts.objective == MapObjective::Delay;
     std::size_t cones_since_replace = 0;
     // Sticky once the stage budget fires: the rest of the nodes take the
@@ -597,7 +594,7 @@ StatusOr<LilyResult> LilyMapper::map_checked(
         if (opts.replace_every_n_cones > 0 &&
             ++cones_since_replace >= opts.replace_every_n_cones) {
             cones_since_replace = 0;
-            const Clock::time_point t_replace = Clock::now();
+            const TracePhase replace("replace");
             PlacementNetlist anchored = view.netlist;
             for (SubjectId v = 0; v < g.size(); ++v) {
                 if (ctx.state[v] != LifeState::Hawk || view.cell_of[v] == kNoCell) continue;
@@ -622,15 +619,12 @@ StatusOr<LilyResult> LilyMapper::map_checked(
             // fanout lists themselves are not — membership is unchanged).
             ++ctx.rect_epoch;
             ++result.replacements;
-            result.timing.replace_ms += ms_since(t_replace);
         }
     }
-    result.timing.dp_ms = ms_since(t_dp) - result.timing.replace_ms;
 
     // ---- Stage 3: extract the cover and the constructive placement.
-    const Clock::time_point t_extract = Clock::now();
+    phase.emplace("extract");
     extract_result(ctx, delay_mode, result);
-    result.timing.extract_ms = ms_since(t_extract);
     result.inchoate_placement = std::move(inchoate);
     return result;
 }
@@ -638,7 +632,7 @@ StatusOr<LilyResult> LilyMapper::map_checked(
 StatusOr<LilyResult> LilyMapper::remap_checked(const SubjectGraph& g, LilyResult prior,
                                                std::size_t prior_subject_size,
                                                const LilyOptions& opts) const {
-    const Clock::time_point t_setup = Clock::now();
+    std::optional<TracePhase> phase(std::in_place, "setup");
     const std::size_t old_n = prior_subject_size;
     if (old_n > g.size() || prior.solution.size() != old_n ||
         prior.final_state.size() != old_n || prior.subject_positions.size() != old_n) {
@@ -686,7 +680,6 @@ StatusOr<LilyResult> LilyMapper::remap_checked(const SubjectGraph& g, LilyResult
         if (!pts.empty()) ctx.place_pos[v] = center_of_mass(pts);
     }
     seed_po_pads(ctx);
-    result.timing.setup_ms = ms_since(t_setup);
 
     // ---- Stage 1+2: cone-scoped DP, dirty cones only, in output order. A
     // cone is dirty when its bucket holds a gate node without a DP solution
@@ -695,10 +688,9 @@ StatusOr<LilyResult> LilyMapper::remap_checked(const SubjectGraph& g, LilyResult
     // cone was solved there. Clean cones keep their prior cover untouched;
     // the commit walk from each dirty root re-derives hawk/dove states, and
     // the final needed-walk in extract_cover drops orphaned old logic.
-    const Clock::time_point t_order = Clock::now();
+    phase.emplace("cone-order");
     const ConePartition cones = partition_cones(g);
-    result.timing.cone_order_ms = ms_since(t_order);
-    const Clock::time_point t_dp = Clock::now();
+    phase.emplace("dp");
     const bool delay_mode = opts.objective == MapObjective::Delay;
     bool degraded = false;
     bool matcher_fault_pending = fault_enabled("matcher", "no-match");
@@ -727,7 +719,6 @@ StatusOr<LilyResult> LilyMapper::remap_checked(const SubjectGraph& g, LilyResult
         }
         commit_cone(ctx, cones.roots[ci]);
     }
-    result.timing.dp_ms = ms_since(t_dp);
 
     // ---- Stage 3: extraction, identical to the full mapping. Reuse ratio:
     // solved gate nodes that did not go through the DP this round.
@@ -736,9 +727,8 @@ StatusOr<LilyResult> LilyMapper::remap_checked(const SubjectGraph& g, LilyResult
         if (g.node(v).kind != SubjectKind::Input && ctx.sol[v].has_match) ++with_solution;
     }
     result.reused_nodes = with_solution - result.remapped_nodes;
-    const Clock::time_point t_extract = Clock::now();
+    phase.emplace("extract");
     extract_result(ctx, delay_mode, result);
-    result.timing.extract_ms = ms_since(t_extract);
     result.inchoate_placement = std::move(prior.inchoate_placement);  // region + old coordinates
     return result;
 }

@@ -104,18 +104,6 @@ struct LilyNodeSolution {
                                                                       : arrival_fall; }
 };
 
-/// Wall-clock split of one mapping call, in ms. map_checked sets all but
-/// setup_ms; remap_checked runs no placement and sets setup_ms,
-/// cone_order_ms, dp_ms and extract_ms.
-struct LilyPhaseTimes {
-    double inchoate_place_ms = 0.0;  // pad and global placement of the inchoate network
-    double setup_ms = 0.0;           // remap: resuming the prior DP state
-    double cone_order_ms = 0.0;      // cone partition, exit-line ordering, buckets
-    double dp_ms = 0.0;              // per-cone DP and commits, re-placement excluded
-    double replace_ms = 0.0;         // periodic re-placements (replace_every_n_cones)
-    double extract_ms = 0.0;         // cover extraction and constructive placement
-};
-
 struct LilyResult {
     MappedNetlist netlist;
     /// Constructive placement: position of every gate instance (parallel to
@@ -143,7 +131,6 @@ struct LilyResult {
     /// cone-scoped DP vs. nodes whose DP solution carried over unchanged.
     std::size_t remapped_nodes = 0;
     std::size_t reused_nodes = 0;
-    LilyPhaseTimes timing;
 };
 
 class LilyMapper {
@@ -160,6 +147,9 @@ public:
     ///                       baseline mapping;
     ///   Unsupported         some node has no matching gate (matcher:no-match
     ///                       fault, or a library without usable base gates).
+    /// Inside a traced flow each step is a trace phase (TracePhase):
+    /// placement-view, assemble, pads, inchoate-place, cone-order, dp (one
+    /// replace child per re-placement round) and extract.
     StatusOr<LilyResult> map_checked(
         const SubjectGraph& g, const LilyOptions& opts = {},
         std::optional<std::vector<Point>> pad_positions = std::nullopt) const;
@@ -177,7 +167,7 @@ public:
     /// primary outputs. New nodes are seeded at the centroid of their
     /// fanins' placePositions — no global placement runs. Errors mirror
     /// map_checked, plus InvariantViolation when the prior does not match
-    /// the graph.
+    /// the graph. Its trace phases are setup, cone-order, dp and extract.
     StatusOr<LilyResult> remap_checked(const SubjectGraph& g, LilyResult prior,
                                        std::size_t prior_subject_size,
                                        const LilyOptions& opts = {}) const;

@@ -139,7 +139,10 @@ namespace {
 Sop random_function(Rng& rng, std::size_t k) {
     const unsigned n = static_cast<unsigned>(k);
     if (n == 1) return rng.next_bool() ? Sop::identity() : Sop::inverter();
-    switch (rng.next_below(6)) {
+    // xor_n expands to 2^(n-1) cubes and refuses more than 10 inputs; a
+    // wider node takes the nand/nor of the same draw instead.
+    const std::uint64_t pick = rng.next_below(6);
+    switch (n > 10 && pick >= 4 ? pick - 2 : pick) {
         case 0: return Sop::and_n(n);
         case 1: return Sop::or_n(n);
         case 2: return Sop::nand_n(n);
@@ -199,12 +202,15 @@ NetDelta random_delta(const Network& net, std::size_t n_edits, std::uint64_t see
         } else if (kind < 7) {
             // Rewire: new fanins strictly below the target, new function.
             for (std::size_t attempt = 0; attempt < 32; ++attempt) {
-                const auto& [v, k] = targets[rng.next_below(targets.size())];
+                auto& [v, k] = targets[rng.next_below(targets.size())];
                 if (!usable(v) || v == 0) continue;
                 const std::size_t want = 1 + rng.next_below(std::min<std::uint64_t>(3, v));
                 std::vector<NodeId> fanins = pick_fanins(v, want);
                 if (fanins.empty()) continue;
                 for (NodeId f : fanins) gained_fanout.insert(f);
+                // A later refunction of v must not reference fanins it lost
+                // here (one over fewer fanins than v has is still valid).
+                k = std::min(k, fanins.size());
                 DeltaOp op;
                 op.op = DeltaOp::Rewire{v, fanins, random_function(rng, fanins.size())};
                 delta.ops.push_back(std::move(op));

@@ -1,11 +1,11 @@
-// Process-wide heap-allocation counters, read by the pass manager to stamp
-// per-stage allocation deltas into the trace.
+// Process-wide heap-allocation counters, read by the trace sink to stamp
+// per-span allocation deltas into the trace.
 //
 // alloc_stats.cpp replaces the global operator new/delete family with thin
 // wrappers that bump two relaxed atomics before deferring to malloc/free.
-// The counters are monotone, so a stage's footprint is a snapshot
-// difference: StageScope snapshots on entry and stamps (exit - entry) as
-// `alloc_count.<stage>` / `alloc_bytes.<stage>` trace counters. That delta
+// The counters are monotone, so a span's footprint is a snapshot
+// difference: TraceSink snapshots at begin_span and stamps (end - begin) as
+// the span's `alloc_count` / `alloc_bytes` trace counters. That delta
 // is exactly what the perf_opt acceptance gate watches — a warmed hot stage
 // (mapping DP, CG placement) must show O(1) allocations per flow, proving
 // the scratch pools and CSR views actually removed the churn.

@@ -128,7 +128,11 @@ void ThreadPool::run_chunks(std::size_t n_chunks,
         ++generation_;
     }
     wake_cv_.notify_all();
+    // The caller runs chunks too: mark it as inside a region while it does,
+    // so a region nested in one of its chunks runs inline, as on a worker.
+    tl_in_worker = true;
     execute(region);
+    tl_in_worker = false;
     std::unique_lock<std::mutex> lk(mutex_);
     done_cv_.wait(lk, [&] {
         return region.refs == 0 &&

@@ -63,8 +63,9 @@ public:
     /// is unchanged.
     void resize(std::size_t n_threads);
 
-    /// True when the current thread is one of this process's pool workers —
-    /// nested regions then run inline.
+    /// True when the current thread is running a region's chunks: a pool
+    /// worker, or the caller inside run_chunks. Nested regions then run
+    /// inline.
     static bool in_worker();
 
     /// Execute chunk(0..n_chunks-1), each exactly once, distributed over

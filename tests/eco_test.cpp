@@ -5,6 +5,7 @@
 // surface as InvariantViolation through the PipelineChecker gate.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -12,6 +13,7 @@
 #include "circuits/benchmarks.hpp"
 #include "flow/pipeline.hpp"
 #include "library/standard_cells.hpp"
+#include "netlist/blif.hpp"
 #include "netlist/delta.hpp"
 #include "netlist/simulate.hpp"
 #include "util/fault.hpp"
@@ -106,6 +108,25 @@ void expect_full_rebuild_matches_batch(std::size_t threads) {
         ASSERT_EQ(eco.pad_positions[i].y, batch.pad_positions[i].y);
     }
     ThreadPool::global().resize(0);
+}
+
+TEST(Eco, DeltasOverWideNodesApply) {
+    // wide_sop's two nodes have 20 fanins each: a refunction of one must
+    // stay within what an SOP can expand (xor_n stops at 10 inputs).
+    const Network net =
+        read_blif_file_checked(std::string(LILY_SOURCE_DIR) + "/tests/data/wide/wide_sop.blif")
+            .take_or_raise();
+    ASSERT_GE(net.max_fanin(), 20u);
+    for (std::uint64_t seed = 0; seed < 16; ++seed) {
+        for (const bool local : {false, true}) {
+            Network edited = net;
+            const NetDelta delta =
+                local ? local_delta(edited, 3, seed) : random_delta(edited, 3, seed);
+            const auto applied = edited.apply_delta(delta);
+            EXPECT_TRUE(applied.is_ok()) << "seed " << seed << (local ? " local" : " random")
+                                         << ": " << applied.status().to_string();
+        }
+    }
 }
 
 TEST(Eco, FullRebuildBitIdenticalToBatch1Thread) { expect_full_rebuild_matches_batch(1); }

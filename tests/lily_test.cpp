@@ -10,6 +10,7 @@
 #include "place/placement.hpp"
 #include "subject/decompose.hpp"
 #include "util/parallel.hpp"
+#include "util/trace.hpp"
 
 namespace lily {
 namespace {
@@ -285,16 +286,50 @@ TEST(Lily, PhaseTimesFitInsideTheCall) {
     const DecomposeResult r = decompose(net);
     LilyOptions opts;
     opts.replace_every_n_cones = 2;
-    const auto t0 = std::chrono::steady_clock::now();
-    const LilyResult res = LilyMapper(lib).map_checked(r.graph, opts).take_or_raise();
-    const double call_ms =
-        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
-    const LilyPhaseTimes& t = res.timing;
-    EXPECT_GT(t.inchoate_place_ms, 0.0);
-    EXPECT_GT(t.dp_ms, 0.0);
-    EXPECT_GT(t.replace_ms, 0.0);
-    EXPECT_GE(t.cone_order_ms, 0.0);
-    EXPECT_LE(t.inchoate_place_ms + t.cone_order_ms + t.dp_ms + t.replace_ms, call_ms);
+    // Trace the call as a flow would: a span around it on the active sink.
+    struct ActiveSink {
+        explicit ActiveSink(TraceSink* s) { t_active_sink = s; }
+        ~ActiveSink() { t_active_sink = nullptr; }
+    };
+    TraceSink sink;
+    LilyResult res;
+    {
+        const ActiveSink active(&sink);
+        const auto t0 = TraceSink::Clock::now();
+        const std::size_t call = sink.begin_span("mapping", t0);
+        res = LilyMapper(lib).map_checked(r.graph, opts).take_or_raise();
+        sink.end_span(call, std::chrono::duration<double, std::milli>(
+                                TraceSink::Clock::now() - t0).count());
+    }
+
+    const std::vector<TraceSpan> spans = sink.spans();
+    std::vector<std::string> phases;
+    std::size_t replaces = 0;
+    const TraceSpan* dp = nullptr;
+    double prev_end = spans[0].start_ms;
+    const auto end = [](const TraceSpan& s) { return s.start_ms + s.elapsed_ms; };
+    for (const TraceSpan& s : spans) {
+        EXPECT_TRUE(s.closed) << s.name;
+        if (s.depth == 2) {
+            phases.push_back(s.name);
+            // Phases tile the call in order, inside it and without overlap.
+            EXPECT_GE(s.start_ms, prev_end) << s.name;
+            EXPECT_LE(end(s), end(spans[0])) << s.name;
+            prev_end = end(s);
+            if (s.name == "dp") dp = &s;
+        } else if (s.depth == 3) {
+            EXPECT_EQ(s.name, "replace");
+            ASSERT_NE(dp, nullptr);
+            EXPECT_GE(s.start_ms, dp->start_ms);
+            EXPECT_LE(end(s), end(*dp));
+            ++replaces;
+        }
+    }
+    EXPECT_EQ(phases, (std::vector<std::string>{"placement-view", "assemble", "pads",
+                                                "inchoate-place", "cone-order", "dp",
+                                                "extract"}));
+    EXPECT_GT(res.replacements, 0u);
+    EXPECT_EQ(replaces, res.replacements);
 }
 
 TEST(Lily, BudgetReachesThePadSeedSolve) {

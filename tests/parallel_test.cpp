@@ -5,9 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <mutex>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "circuits/benchmarks.hpp"
@@ -72,6 +75,33 @@ TEST(ThreadPool, NestedRegionsRunInline) {
             },
             /*grain=*/1);
         EXPECT_EQ(inner_total.load(), 8 * 100);
+    });
+}
+
+TEST(ThreadPool, NestedRegionsStayOnTheOuterChunksThread) {
+    // The calling thread runs outer chunks too. Its chunk waits 2 ms before
+    // nesting, long enough for idle workers to look for work: a nested
+    // region it published would run on them.
+    with_pool_size(4, [] {
+        const std::thread::id caller = std::this_thread::get_id();
+        std::mutex mu;
+        std::vector<std::pair<std::thread::id, std::thread::id>> seen;  // (outer, inner)
+        parallel_for(
+            0, 8,
+            [&](std::size_t, std::size_t) {
+                const std::thread::id outer = std::this_thread::get_id();
+                if (outer == caller) std::this_thread::sleep_for(std::chrono::milliseconds(2));
+                parallel_for(
+                    0, 100,
+                    [&](std::size_t, std::size_t) {
+                        std::lock_guard<std::mutex> lk(mu);
+                        seen.emplace_back(outer, std::this_thread::get_id());
+                    },
+                    /*grain=*/9);
+            },
+            /*grain=*/1);
+        ASSERT_EQ(seen.size(), 8u * 12u);  // 12 nested chunks per outer chunk
+        for (const auto& [outer, inner] : seen) EXPECT_EQ(inner, outer);
     });
 }
 
